@@ -1,10 +1,10 @@
 """Prime-field arithmetic and the Lagrange machinery used by share reconstruction.
 
-All secret-sharing values live in Z_p for a prime p.  The default modulus is
-the Mersenne prime 2^61 - 1: products of two elements fit comfortably in
-Python's arbitrary-precision ints, and p/2 leaves ample headroom for the
-signed decoding of noisy counts.  Tiny primes (7, 101, ...) are equally valid
-and are what the exhaustive secrecy tests use.
+All secret-sharing values live in Z_p for a prime p; the caller always names
+it.  The protocol round and the simulator use the Mersenne prime 2^521 - 1,
+whose p/2 leaves room for the signed decoding of high-degree noise
+polynomials; 2^61 - 1 suits the unit tests of the sharing primitives, and
+tiny primes (7, 101, ...) are what the exhaustive secrecy tests use.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ _MR_BASES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981
 
 MERSENNE_61 = (1 << 61) - 1
-MERSENNE_127 = (1 << 127) - 1
 MERSENNE_521 = (1 << 521) - 1
 
 
@@ -53,10 +52,9 @@ def is_probable_prime(n: int, extra_rounds: int = 16) -> bool:
     """
     if n < 2:
         return False
-    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    if n in small:
+    if n in _MR_BASES_64:
         return True
-    if any(n % q == 0 for q in small):
+    if any(n % q == 0 for q in _MR_BASES_64):
         return False
     d, r = n - 1, 0
     while d % 2 == 0:
@@ -86,15 +84,8 @@ class PrimeModulus:
             raise ValueError(f"modulus {p} is not prime")
         self.p = p
 
-    @classmethod
-    def default(cls) -> "PrimeModulus":
-        return cls(MERSENNE_61)
-
     def element(self, value: int) -> "FieldElement":
         return FieldElement(value, self)
-
-    def random_element(self, rng) -> "FieldElement":
-        return FieldElement(rng.randrange(self.p), self)
 
     def signed(self, value: int) -> int:
         """Decode value in [0, p) to the signed representative in (-p/2, p/2]."""
@@ -166,13 +157,12 @@ class FieldElement:
 
 
 def mod_inverse(a: FieldElement) -> FieldElement:
-    """Multiplicative inverse via Fermat's little theorem: a^(p-2) mod p."""
-    if a.value == 0:
-        raise ZeroInverse("zero has no multiplicative inverse")
-    return FieldElement(pow(a.value, a.modulus.p - 2, a.modulus.p), a.modulus)
+    """Multiplicative inverse of a nonzero field element."""
+    return FieldElement(_inv_int(a.value, a.modulus.p), a.modulus)
 
 
 def _inv_int(a: int, p: int) -> int:
+    """Inverse mod p by Fermat's little theorem: a^(p-2) mod p."""
     if a % p == 0:
         raise ZeroInverse("zero has no multiplicative inverse")
     return pow(a, p - 2, p)

@@ -73,6 +73,11 @@ def _quantile_unit(v: float, eps: float) -> float:
     return -math.log(2.0 * (1.0 - v)) / eps
 
 
+def _quantile_vector(v: np.ndarray, eps: float) -> np.ndarray:
+    """Laplace quantile of each v in (0,1), vectorized."""
+    return np.where(v <= 0.5, np.log(2.0 * v) / eps, -np.log(2.0 * (1.0 - v)) / eps)
+
+
 def inverse_cdf_exact(u, params: LaplaceParams, p: int) -> float:
     """Laplace quantile of a seed u uniform on (0, p).
 
@@ -102,9 +107,7 @@ def sample_laplace_vector(epsilon: float, generator: np.random.Generator, size) 
     u = generator.random(size)
     if math.isinf(epsilon):
         return np.zeros_like(u)
-    u = np.maximum(u, 5e-324)
-    return np.where(u <= 0.5, np.log(2.0 * u) / epsilon,
-                    -np.log(2.0 * (1.0 - u)) / epsilon)
+    return _quantile_vector(np.maximum(u, 5e-324), epsilon)
 
 
 def ks_distance(samples: np.ndarray, params: LaplaceParams) -> float:
@@ -333,18 +336,14 @@ def fit_inverse_cdf_poly(
     t_nodes = np.cos(np.pi * (2 * np.arange(n_nodes) + 1) / (2 * n_nodes))
     w_nodes = (t_nodes + 1.0) / 2.0 * w_max
     cdf_vals = np.clip(seed_sum_cdf(w_nodes, n_parties, M), q, 1.0 - q)
-    targets = np.where(
-        cdf_vals <= 0.5, np.log(2.0 * cdf_vals) / eps, -np.log(2.0 * (1.0 - cdf_vals)) / eps
-    )
+    targets = _quantile_vector(cdf_vals, eps)
     cheb_coeffs = _cheb.chebfit(t_nodes, targets, d)
 
     # dense-grid error of the real-valued fit
     t_grid = np.linspace(-1.0, 1.0, 20_001)
     w_grid = (t_grid + 1.0) / 2.0 * w_max
     cdf_grid = np.clip(seed_sum_cdf(w_grid, n_parties, M), q, 1.0 - q)
-    target_grid = np.where(
-        cdf_grid <= 0.5, np.log(2.0 * cdf_grid) / eps, -np.log(2.0 * (1.0 - cdf_grid)) / eps
-    )
+    target_grid = _quantile_vector(cdf_grid, eps)
     max_abs_error = float(np.max(np.abs(_cheb.chebval(t_grid, cheb_coeffs) - target_grid)))
 
     # monomial coefficients in the raw seed variable w, then fixed-point ints:

@@ -17,9 +17,12 @@ is a deterministic in-memory schedule (edge-major, phase order, sender order),
 and each party draws from its own seeded stream so runs are reproducible and
 relabeling parties permutes nothing but names.
 
+Steps 1-3 run `sharing._smpa_phase` and `sharing._smpm_phase`, the same
+int-level cores behind `sharing.smpa`/`smpm`, here with one rng per party.
 Per-party draw order, per edge: count-share deals (receivers in increasing
 index), seed summand, seed-share deals, then for each power z the Shamir
-coefficients for X before Y.  Exhaustive security tests rely on this order.
+coefficients for X before Y.  With a single rng shared by all parties this is
+exactly the order the exhaustive secrecy tests of `smpa`/`smpm` enumerate.
 """
 
 from __future__ import annotations
@@ -27,11 +30,14 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from .field import PrimeModulus, _lagrange_weights_at_zero_ints
 from .laplace import InverseCdfPoly
-from .sharing import TooFewParties
+from .sharing import Message, TooFewParties, _smpa_phase, _smpm_phase
+
+#: Transcript entries are `sharing.Message`s; the old name stays importable.
+EdgeMessage = Message
 
 
 class InvalidInput(ValueError):
@@ -49,14 +55,6 @@ PHASE_BROADCAST = "final-theta-broadcast"
 
 def phase_power(z: int) -> str:
     return f"SMPM-power-{z}"
-
-
-class EdgeMessage(NamedTuple):
-    edge: int
-    phase: str
-    sender: int
-    receiver: int
-    value: int
 
 
 @dataclass(frozen=True)
@@ -91,13 +89,7 @@ class ProtocolTranscript:
         self.n_parties = n_parties
         self.n_edges = n_edges
         self.degree = degree
-        self.messages: list[EdgeMessage] = []
-
-    def add(self, edge: int, phase: str, sender: int, receiver: int, value: int) -> None:
-        self.messages.append(EdgeMessage(edge, phase, sender, receiver, value))
-
-    def for_receiver(self, party: int) -> list[EdgeMessage]:
-        return [m for m in self.messages if m.receiver == party]
+        self.messages: list[Message] = []
 
     def phase_counts(self) -> dict:
         counts: dict = {}
@@ -185,28 +177,29 @@ def run_round(
     M = poly.seed_range
     d = poly.degree
     scale = poly.scale
-    chat = [c % pp for c in poly.field_coeffs]
+    chat = poly.encoded_coeffs
     shamir_degree = (n - 1) // 2
     lam = _lagrange_weights_at_zero_ints(list(range(1, n + 1)), pp)
     transcript = ProtocolTranscript(n, m, d) if record_transcript else None
+    messages = None if transcript is None else transcript.messages
 
     totals = []
     values = []
     for e in range(m):
         alpha = _smpa_phase(
             [by_id[i].location[e] for i in range(1, n + 1)],
-            rngs, pp, transcript, e, PHASE_COUNT,
+            rngs, pp, messages, e, PHASE_COUNT,
         )
         beta_1 = _smpa_phase(
             [rng.randrange(M) for rng in rngs],
-            rngs, pp, transcript, e, PHASE_UNIFORM,
+            rngs, pp, messages, e, PHASE_UNIFORM,
         )
         powers = [None, beta_1]
         for z in range(2, d + 1):
             powers.append(
                 _smpm_phase(
                     powers[z - 1], beta_1, rngs, pp, shamir_degree, lam,
-                    transcript, e, phase_power(z),
+                    messages, e, phase_power(z),
                 )
             )
         theta = []
@@ -217,11 +210,11 @@ def run_round(
             for z in range(1, d + 1):
                 t = (t + chat[z] * powers[z][i - 1]) % pp
             theta.append(t)
-        if transcript is not None:
+        if messages is not None:
             for i in range(1, n + 1):
                 for j in range(1, n + 1):
                     if j != i:
-                        transcript.add(e, PHASE_BROADCAST, i, j, theta[i - 1])
+                        messages.append(Message(e, PHASE_BROADCAST, i, j, theta[i - 1]))
         total = sum(theta) % pp
         totals.append(total)
         values.append(modulus.signed(total) / scale)
@@ -229,51 +222,9 @@ def run_round(
     return RoundResult(tuple(values), tuple(totals), transcript, n, seed)
 
 
-def _smpa_phase(secrets, rngs, p, transcript, edge, phase) -> list:
-    """Per-party additive dealing of `secrets`; returns accumulated shares."""
-    n = len(secrets)
-    held = [0] * n
-    for i in range(1, n + 1):
-        rng = rngs[i - 1]
-        acc = 0
-        for j in range(1, n + 1):
-            if j == i:
-                continue
-            v = rng.randrange(p)
-            acc += v
-            held[j - 1] = (held[j - 1] + v) % p
-            if transcript is not None:
-                transcript.add(edge, phase, i, j, v)
-        held[i - 1] = (held[i - 1] + secrets[i - 1] - acc) % p
-    return held
-
-
-def _smpm_phase(x_shares, y_shares, rngs, p, degree, lam, transcript, edge, phase) -> list:
-    """One secure multiplication: additive shares of x*y from shares of x, y."""
-    n = len(x_shares)
-    x_sum = [0] * n
-    y_sum = [0] * n
-    for i in range(1, n + 1):
-        rng = rngs[i - 1]
-        cx = [x_shares[i - 1]] + [rng.randrange(p) for _ in range(degree)]
-        cy = [y_shares[i - 1]] + [rng.randrange(p) for _ in range(degree)]
-        for j in range(1, n + 1):
-            xj, yj = 0, 0
-            for c in reversed(cx):
-                xj = (xj * j + c) % p
-            for c in reversed(cy):
-                yj = (yj * j + c) % p
-            x_sum[j - 1] = (x_sum[j - 1] + xj) % p
-            y_sum[j - 1] = (y_sum[j - 1] + yj) % p
-            if j != i and transcript is not None:
-                transcript.add(edge, phase, i, j, xj)
-                transcript.add(edge, phase, i, j, yj)
-    return [lam[i] * x_sum[i] % p * y_sum[i] % p for i in range(n)]
-
-
 def coalition_view(
     transcript: ProtocolTranscript, coalition: Sequence[int]
-) -> list[EdgeMessage]:
+) -> list[Message]:
     """Messages visible to a coalition: its own traffic plus the public thetas.
 
     Broadcast thetas are public output, so the empty coalition still sees

@@ -24,10 +24,6 @@ class NegativeFlow(ValueError):
     """Raised when a flow or count argument is negative where disallowed."""
 
 
-class NonConvergence(RuntimeError):
-    """Raised if count inversion fails to bracket; impossible for valid BPR."""
-
-
 @dataclass(frozen=True)
 class DelayFunction:
     """BPR volume-delay curve t0 * (1 + alpha * (x/c)^beta).
@@ -96,11 +92,40 @@ def _check_nonnegative(x, what: str):
         raise NegativeFlow(f"{what} must be nonnegative")
 
 
+def _bpr_time(t0, cap, alpha, beta, x):
+    """BPR travel time at flow x; parameters are scalars or per-edge arrays."""
+    return t0 * (1.0 + alpha * (x / cap) ** beta)
+
+
+def _flow_vector(t0, cap, alpha, beta, s) -> np.ndarray:
+    """F^{-1}(s) by bisection, elementwise; negative counts clamp to zero.
+
+    F(x) >= t0 * x gives the bracket [0, s/t0]; bisection cannot miss for any
+    positive nondecreasing delay curve, which is why it is used instead of
+    Newton steps.  70 halvings narrow the bracket to 2^-70 of s/t0, past
+    double precision wherever the travel time is under 2^17 times free flow.
+    """
+    s = np.maximum(np.asarray(s, dtype=float), 0.0)
+    lo = np.zeros_like(s)
+    hi = s / t0
+    for _ in range(70):
+        mid = 0.5 * (lo + hi)
+        too_low = mid * _bpr_time(t0, cap, alpha, beta, mid) < s
+        lo = np.where(too_low, mid, lo)
+        hi = np.where(too_low, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def _tau_vector(t0, cap, alpha, beta, s) -> np.ndarray:
+    """tau(s) = f(F^{-1}(s)) elementwise, for scalars or per-edge arrays."""
+    return _bpr_time(t0, cap, alpha, beta, _flow_vector(t0, cap, alpha, beta, s))
+
+
 def travel_time(delay: DelayFunction, x):
     """f(x): travel time at entry flow x; nondecreasing in x."""
     _check_nonnegative(x, "flow")
     x = np.asarray(x, dtype=float)
-    out = delay.t0 * (1.0 + delay.alpha * (x / delay.capacity) ** delay.beta)
+    out = _bpr_time(delay.t0, delay.capacity, delay.alpha, delay.beta, x)
     return out if out.ndim else float(out)
 
 
@@ -108,29 +133,13 @@ def flow_to_count(delay: DelayFunction, x):
     """F(x) = x * f(x): steady-state vehicle count at entry flow x."""
     _check_nonnegative(x, "flow")
     x = np.asarray(x, dtype=float)
-    out = x * (delay.t0 * (1.0 + delay.alpha * (x / delay.capacity) ** delay.beta))
+    out = x * _bpr_time(delay.t0, delay.capacity, delay.alpha, delay.beta, x)
     return out if out.ndim else float(out)
 
 
-def count_to_flow(delay: DelayFunction, s, rel_tol: float = 1e-12):
-    """F^{-1}(s) by bisection; negative counts are clamped to zero first.
-
-    F(x) >= t0 * x gives the bracket [0, s/t0]; bisection cannot miss for any
-    positive nondecreasing delay curve, which is why it is used instead of
-    Newton steps.
-    """
-    s = np.maximum(np.asarray(s, dtype=float), 0.0)
-    lo = np.zeros_like(s)
-    hi = s / delay.t0
-    # enough halvings to push the bracket below rel_tol of the answer
-    iters = max(64, int(math.ceil(math.log2(1.0 / rel_tol))) + 24)
-    t0, c, a, b = delay.t0, delay.capacity, delay.alpha, delay.beta
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        too_low = mid * (t0 * (1.0 + a * (mid / c) ** b)) < s
-        lo = np.where(too_low, mid, lo)
-        hi = np.where(too_low, hi, mid)
-    out = 0.5 * (lo + hi)
+def count_to_flow(delay: DelayFunction, s):
+    """F^{-1}(s); negative counts are clamped to zero first."""
+    out = _flow_vector(delay.t0, delay.capacity, delay.alpha, delay.beta, s)
     return out if out.ndim else float(out)
 
 
@@ -141,7 +150,8 @@ def count_to_time(delay: DelayFunction, s):
     tau equals the free-flow time; tau is nondecreasing so the clamp never
     enlarges the estimation error.
     """
-    return travel_time(delay, count_to_flow(delay, s))
+    out = _tau_vector(delay.t0, delay.capacity, delay.alpha, delay.beta, s)
+    return out if out.ndim else float(out)
 
 
 def delta_capacity(delay: DelayFunction, delta: float):

@@ -5,6 +5,10 @@ multiplication (smpm) multiplies two additively shared values through one
 round of Shamir re-sharing.  Both return the messages exchanged so tests can
 inspect exactly what each party saw.
 
+The int-level cores `_smpa_phase` and `_smpm_phase` are the only share loops
+in the package: `protocol.run_round` runs them with one rng per party, and
+`smpa`/`smpm` run them with a single rng shared by every party.
+
 Party indices run 1..N.  Index 0 is never used: a share at index 0 would be
 the secret itself.
 """
@@ -43,12 +47,16 @@ class PartyCountMismatch(ValueError):
 
 
 class Message(NamedTuple):
-    """One point-to-point send: `sender` gave `value` (an int in Z_p) to `receiver`."""
+    """One point-to-point send: `sender` gave `value` (an int in Z_p) to `receiver`.
 
+    `edge` is the road whose count the round was computing (0 outside a round).
+    """
+
+    edge: int
+    phase: str
     sender: int
     receiver: int
     value: int
-    phase: str
 
 
 @dataclass(frozen=True)
@@ -65,12 +73,6 @@ class AdditiveShareSet:
     def n_parties(self) -> int:
         return len(self.values)
 
-    @property
-    def shares(self) -> tuple:
-        return tuple(
-            None if v is None else FieldElement(v, self.modulus) for v in self.values
-        )
-
     def drop(self, party: int) -> "AdditiveShareSet":
         vals = list(self.values)
         vals[party - 1] = None
@@ -85,10 +87,6 @@ class ShamirShareSet:
     threshold: int
     modulus: PrimeModulus
 
-    @property
-    def shares(self) -> tuple:
-        return tuple((i, FieldElement(v, self.modulus)) for i, v in self.points)
-
     def subset(self, indices: Sequence[int]) -> "ShamirShareSet":
         chosen = dict(self.points)
         return ShamirShareSet(
@@ -97,8 +95,8 @@ class ShamirShareSet:
 
 
 # ---------------------------------------------------------------------------
-# int-level core: the protocol loop runs on plain ints for speed; the public
-# API below wraps the same routines in FieldElement types.
+# int-level core: the protocol round runs these on plain ints for speed; the
+# public API below wraps the same routines in FieldElement types.
 # ---------------------------------------------------------------------------
 
 
@@ -108,16 +106,65 @@ def _deal_additive(secret: int, n: int, p: int, rng) -> list[int]:
     last = (secret - sum(drawn)) % p
     return drawn + [last]
 
+
 def _sample_poly(secret: int, degree: int, p: int, rng) -> list[int]:
     """Coefficients [secret, C_1..C_degree] with the C's uniform on Z_p."""
     return [secret % p] + [rng.randrange(p) for _ in range(degree)]
 
 
 def _eval_poly(coeffs: Sequence[int], x: int, p: int) -> int:
+    # x is a party index, so each step widens the unreduced value by only
+    # log2(x) bits; one final reduction is cheaper than one per step
     acc = 0
     for c in reversed(coeffs):
-        acc = (acc * x + c) % p
-    return acc
+        acc = acc * x + c
+    return acc % p
+
+
+def _smpa_phase(secrets, rngs, p, messages=None, edge=0, phase="smpa") -> list:
+    """Secure addition: additive shares of sum(secrets), one per party.
+
+    Party i deals shares of secrets[i-1] from rngs[i-1] to the other parties
+    in increasing index and keeps the remainder; each party's output is the
+    sum of what it holds.  Sends are appended to `messages` when given.
+    """
+    n = len(secrets)
+    held = [0] * n
+    for i in range(1, n + 1):
+        *dealt, keep = _deal_additive(secrets[i - 1], n, p, rngs[i - 1])
+        receivers = [j for j in range(1, n + 1) if j != i]
+        for j, v in zip(receivers, dealt):
+            held[j - 1] = (held[j - 1] + v) % p
+            if messages is not None:
+                messages.append(Message(edge, phase, i, j, v))
+        held[i - 1] = (held[i - 1] + keep) % p
+    return held
+
+
+def _smpm_phase(x, y, rngs, p, degree, lam, messages=None, edge=0, phase="smpm") -> list:
+    """Secure multiplication: additive shares of x*y from additive shares x, y.
+
+    Party i Shamir-shares x[i-1] then y[i-1] with degree-`degree` polynomials
+    drawn from rngs[i-1]; `lam` are the Lagrange weights at zero for indices
+    1..N, which turn the summed product evaluations into additive shares.
+    Sends are appended to `messages` when given.
+    """
+    n = len(x)
+    x_sum = [0] * n
+    y_sum = [0] * n
+    for i in range(1, n + 1):
+        rng = rngs[i - 1]
+        cx = _sample_poly(x[i - 1], degree, p, rng)
+        cy = _sample_poly(y[i - 1], degree, p, rng)
+        for j in range(1, n + 1):
+            xj = _eval_poly(cx, j, p)
+            yj = _eval_poly(cy, j, p)
+            x_sum[j - 1] = (x_sum[j - 1] + xj) % p
+            y_sum[j - 1] = (y_sum[j - 1] + yj) % p
+            if j != i and messages is not None:
+                messages.append(Message(edge, phase, i, j, xj))
+                messages.append(Message(edge, phase, i, j, yj))
+    return [lam[i] * x_sum[i] % p * y_sum[i] % p for i in range(n)]
 
 
 def _reconstruct_shamir_ints(points: Sequence[tuple], k: int, p: int) -> int:
@@ -198,17 +245,11 @@ def smpa(
         if x.modulus.p != p:
             raise PartyCountMismatch("inputs use different moduli")
 
-    held = [0] * (n + 1)  # 1-based accumulation
     transcript: list[Message] = []
-    for i in range(1, n + 1):
-        receivers = [j for j in range(1, n + 1) if j != i]
-        drawn = [rng.randrange(p) for _ in receivers]
-        keep = (private_inputs[i - 1].value - sum(drawn)) % p
-        held[i] = (held[i] + keep) % p
-        for j, v in zip(receivers, drawn):
-            held[j] = (held[j] + v) % p
-            transcript.append(Message(i, j, v, phase))
-    return AdditiveShareSet(tuple(held[1:]), modulus), transcript
+    held = _smpa_phase(
+        [x.value for x in private_inputs], [rng] * n, p, transcript, phase=phase
+    )
+    return AdditiveShareSet(tuple(held), modulus), transcript
 
 
 def smpm(
@@ -243,24 +284,10 @@ def smpm(
         raise MissingShare("smpm requires all N input shares present")
 
     p = x_shares.modulus.p
-    degree = (n - 1) // 2
-    # x_eval[i][j] is X_i(j); generated in party order, X before Y.
-    x_sum = [0] * (n + 1)
-    y_sum = [0] * (n + 1)
-    transcript: list[Message] = []
-    for i in range(1, n + 1):
-        cx = _sample_poly(x_shares.values[i - 1], degree, p, rng)
-        cy = _sample_poly(y_shares.values[i - 1], degree, p, rng)
-        for j in range(1, n + 1):
-            xj = _eval_poly(cx, j, p)
-            yj = _eval_poly(cy, j, p)
-            x_sum[j] = (x_sum[j] + xj) % p
-            y_sum[j] = (y_sum[j] + yj) % p
-            if j != i:
-                transcript.append(Message(i, j, xj, phase))
-                transcript.append(Message(i, j, yj, phase))
     weights = _lagrange_weights_at_zero_ints(list(range(1, n + 1)), p)
-    theta = tuple(
-        weights[i - 1] * x_sum[i] % p * y_sum[i] % p for i in range(1, n + 1)
+    transcript: list[Message] = []
+    theta = _smpm_phase(
+        x_shares.values, y_shares.values, [rng] * n, p, (n - 1) // 2, weights,
+        transcript, phase=phase,
     )
-    return AdditiveShareSet(theta, x_shares.modulus), transcript
+    return AdditiveShareSet(tuple(theta), x_shares.modulus), transcript

@@ -19,17 +19,16 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
+from .field import MERSENNE_521
 from .laplace import LaplaceParams, fit_inverse_cdf_poly, sample_laplace_vector
 from .protocol import PartyInput, run_round
-from .roadnet import RoadNetwork
+from .roadnet import RoadNetwork, _tau_vector
 from .tntp import DEFAULT_DEMAND_SCALE, OdDemand
-
-MERSENNE_521 = (1 << 521) - 1
 
 
 class Unreachable(ValueError):
@@ -49,11 +48,10 @@ class SimConfig:
     seed: int = 0
     drain_factor: float = 2.0  # hard stop at drain_factor * horizon
     debug_checks: bool = False
-    trace: bool = False
-    # full-protocol noise knobs; modest defaults keep the round affordable
+    # full-protocol noise knobs (the field is 2^521 - 1); modest defaults
+    # keep the round affordable
     mpc_degree: int = 7
     mpc_seed_bits: int = 16
-    mpc_modulus: int = MERSENNE_521
 
     def __post_init__(self):
         if self.mode not in ("private", "non-private"):
@@ -192,40 +190,12 @@ class _TauTable:
         if count >= len(table):
             upto = 2 * count + 8
             counts = np.arange(len(table), upto + 1, dtype=float)
-            ext = _tau_scalar_edge(
+            ext = _tau_vector(
                 self.t0[edge], self.cap[edge], self.alpha[edge], self.beta[edge], counts
             )
             table = np.concatenate([table, ext])
             self.tables[edge] = table
         return float(table[count])
-
-
-def _tau_scalar_edge(t0, cap, alpha, beta, s: np.ndarray) -> np.ndarray:
-    """tau over an array of counts for one edge (bisection on F)."""
-    s = np.maximum(s, 0.0)
-    lo = np.zeros_like(s)
-    hi = s / t0
-    for _ in range(70):
-        mid = 0.5 * (lo + hi)
-        low = mid * (t0 * (1.0 + alpha * (mid / cap) ** beta)) < s
-        lo = np.where(low, mid, lo)
-        hi = np.where(low, hi, mid)
-    x = 0.5 * (lo + hi)
-    return t0 * (1.0 + alpha * (x / cap) ** beta)
-
-
-def _tau_vector(t0, cap, alpha, beta, s: np.ndarray) -> np.ndarray:
-    """tau across all edges at once for real-valued counts s (length m)."""
-    s = np.maximum(s, 0.0)
-    lo = np.zeros_like(s)
-    hi = s / t0
-    for _ in range(70):
-        mid = 0.5 * (lo + hi)
-        low = mid * (t0 * (1.0 + alpha * (mid / cap) ** beta)) < s
-        lo = np.where(low, mid, lo)
-        hi = np.where(low, hi, mid)
-    x = 0.5 * (lo + hi)
-    return t0 * (1.0 + alpha * (x / cap) ** beta)
 
 
 class Simulation:
@@ -309,7 +279,7 @@ class Simulation:
             poly = fit_inverse_cdf_poly(
                 LaplaceParams(cfg.epsilon),
                 cfg.mpc_degree,
-                cfg.mpc_modulus,
+                MERSENNE_521,
                 n_parties=n,
                 seed_bits=cfg.mpc_seed_bits,
                 ks_samples=10_000,
@@ -483,19 +453,7 @@ class Metrics:
     n_incomplete: int
 
     def as_dict(self) -> dict:
-        return {
-            "travel_time_s": self.travel_time_s,
-            "travel_time_private_s": self.travel_time_private_s,
-            "increase_s": self.increase_s,
-            "increase_pct": self.increase_pct,
-            "routes_unchanged_pct": self.routes_unchanged_pct,
-            "no_increase_pct": self.no_increase_pct,
-            "utilization_min": self.utilization_min,
-            "utilization_max": self.utilization_max,
-            "utilization_mean": self.utilization_mean,
-            "n_vehicles": self.n_vehicles,
-            "n_incomplete": self.n_incomplete,
-        }
+        return asdict(self)
 
 
 def run_experiment(
@@ -506,16 +464,8 @@ def run_experiment(
     `config.mode` is ignored; both modes run.  Returns the metrics plus both
     run results for further inspection.
     """
-    base = {
-        k: getattr(config, k)
-        for k in (
-            "epsilon", "noise", "timestep", "horizon", "refresh_period",
-            "demand_multiplier", "demand_scale", "seed", "drain_factor",
-            "debug_checks", "trace", "mpc_degree", "mpc_seed_bits", "mpc_modulus",
-        )
-    }
-    result_np = Simulation(network, od, SimConfig(mode="non-private", **base)).run()
-    result_p = Simulation(network, od, SimConfig(mode="private", **base)).run()
+    result_np = Simulation(network, od, replace(config, mode="non-private")).run()
+    result_p = Simulation(network, od, replace(config, mode="private")).run()
     return compare_runs(result_np, result_p), result_np, result_p
 
 
