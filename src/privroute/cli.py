@@ -30,7 +30,7 @@ from .field import MERSENNE_521
 from .laplace import LaplaceParams, fit_inverse_cdf_poly
 from .protocol import PartyInput, run_round
 from .roadnet import DelayFunction, check_accuracy_condition, verify_accuracy_guarantee
-from .sim import SimConfig, run_experiment
+from .sim import SimConfig, check_demand, run_experiment
 from .tntp import ParseError, parse_net_file, parse_trips_file
 
 log = logging.getLogger("privroute")
@@ -98,6 +98,10 @@ def cmd_simulate(args) -> int:
         )
     except ValueError as exc:
         return _fail(EXIT_CONFIG, str(exc))
+    try:
+        check_demand(network, od)
+    except ValueError as exc:  # unknown OD node, or Unreachable
+        return _fail(EXIT_INPUT, f"bad demand input: {exc}")
     outdir = Path(args.out)
     _write_manifest(outdir, "simulate", vars(args))
     log.info("running paired simulation: epsilon=%s demand=%s seed=%s",

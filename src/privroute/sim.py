@@ -9,6 +9,13 @@ with Z either exact Laplace noise (fast path, default) or the output of the
 full multi-party round (`noise="mpc"`, small scenarios only: the round costs
 O(edges * parties^2 * degree) per refresh).
 
+Each step departs its vehicles, then pops edge exits in (exit time, vehicle
+id) order until the next exit lies past the step's end; a vehicle leaving one
+edge enters the next at its exit time, so it can cross several edges in one
+step.  Pending exits wait in per-step buckets and join a small heap only when
+their step comes (see `Simulation.step`).  Per-edge counts and travel-time
+tables are plain Python lists, so an edge entry touches no numpy scalar.
+
 Paired runs share the demand stream: the demand and noise generators are
 independent substreams of one seed, so flipping the mode or epsilon never
 perturbs who departs when.  The run is single-threaded and deterministic
@@ -19,6 +26,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import defaultdict
 from dataclasses import asdict, dataclass, replace
 from typing import Optional, Sequence
 
@@ -150,8 +158,19 @@ def _extract_path(network, pred, dist, origin, destination) -> list[int]:
     return path
 
 
+class _DemandTable:
+    """Positive-rate OD pairs in draw order (sorted), their rates, and which
+    pairs move (origin != destination)."""
+
+    def __init__(self, od: OdDemand):
+        items = od.nonzero_items()
+        self.pairs = [pair for pair, _ in items]
+        self.rates = np.array([r for _, r in items])
+        self.moves = np.array([o != d for o, d in self.pairs], dtype=bool)
+
+
 def draw_demand(
-    od: OdDemand,
+    od: OdDemand | _DemandTable,
     multiplier: float,
     timestep: float,
     rng: np.random.Generator,
@@ -161,59 +180,98 @@ def draw_demand(
 
     Each OD pair draws independently with mean
     rate * demand_scale * multiplier * timestep/3600; rates are the raw table
-    values and demand_scale maps them to vehicles/hour.
+    values and demand_scale maps them to vehicles/hour.  `od` is an OdDemand,
+    or the _DemandTable a simulation builds from one once per run.
     """
     if multiplier < 0:
         raise ValueError("multiplier must be nonnegative")
-    out = []
-    items = od.nonzero_items()
-    if not items:
-        return out
-    lam = np.array([r for _, r in items]) * (demand_scale * multiplier * timestep / 3600.0)
+    table = od if isinstance(od, _DemandTable) else _DemandTable(od)
+    if not table.pairs:
+        return []
+    lam = table.rates * (demand_scale * multiplier * timestep / 3600.0)
     counts = rng.poisson(lam)
-    for ((o, d), _), k in zip(items, counts):
-        if k and o != d:
-            out.extend([(o, d)] * int(k))
+    # self pairs draw (keeping the stream) but never depart
+    drawn = np.flatnonzero(counts * table.moves)
+    pairs = table.pairs
+    out = []
+    for i, k in zip(drawn.tolist(), counts[drawn].tolist()):
+        out.extend([pairs[i]] * k)
     return out
 
 
+def check_demand(network: RoadNetwork, od: OdDemand) -> None:
+    """Fail before a run on OD input it cannot serve.
+
+    Raises ValueError if a positive-rate pair names a node the network lacks,
+    and Unreachable if such a pair has no path.  Reachability is a breadth-first
+    search over `out_edges`, one per origin.
+    """
+    known = set(network.nodes)
+    reached: dict = {}
+    for (o, d), _ in od.nonzero_items():
+        for node in (o, d):
+            if node not in known:
+                raise ValueError(f"OD pair ({o}, {d}) names node {node}, not in the network")
+        if o == d:
+            continue
+        if o not in reached:
+            seen = {o}
+            frontier = [o]
+            while frontier:
+                node = frontier.pop()
+                for eid in network.out_edges[node]:
+                    head = network.edges[eid].head
+                    if head not in seen:
+                        seen.add(head)
+                        frontier.append(head)
+            reached[o] = seen
+        if d not in reached[o]:
+            raise Unreachable(f"no path from {o} to {d}")
+
+
 class _TauTable:
-    """Memoized tau at integer counts, one growable table per edge."""
+    """Memoized tau at integer counts for one network: a float list per edge.
 
-    def __init__(self, t0, cap, alpha, beta):
-        self.t0, self.cap, self.alpha, self.beta = t0, cap, alpha, beta
-        m = len(t0)
-        self.tables = [np.array([t0[e]]) for e in range(m)]
+    Growth calls _tau_vector, which works elementwise, so an entry's value
+    does not depend on when or by which run the table grew; run_experiment
+    hands one table to both runs of a pair.
+    """
 
-    def lookup(self, edge: int, count: int) -> float:
+    def __init__(self, network: RoadNetwork):
+        self.t0 = np.array([e.delay.t0 for e in network.edges])
+        self.cap = np.array([e.delay.capacity for e in network.edges])
+        self.alpha = np.array([e.delay.alpha for e in network.edges])
+        self.beta = np.array([e.delay.beta for e in network.edges])
+        self.tables = [[float(t0)] for t0 in self.t0]
+
+    def grow(self, edge: int, count: int) -> list:
+        """Extend edge's table to cover 2 * count + 8 and return it."""
         table = self.tables[edge]
-        if count >= len(table):
-            upto = 2 * count + 8
-            counts = np.arange(len(table), upto + 1, dtype=float)
-            ext = _tau_vector(
-                self.t0[edge], self.cap[edge], self.alpha[edge], self.beta[edge], counts
-            )
-            table = np.concatenate([table, ext])
-            self.tables[edge] = table
-        return float(table[count])
+        counts = np.arange(len(table), 2 * count + 9, dtype=float)
+        table.extend(_tau_vector(
+            self.t0[edge], self.cap[edge], self.alpha[edge], self.beta[edge], counts
+        ).tolist())
+        return table
 
 
 class Simulation:
     """One simulation run; construct, optionally inject vehicles, then run()."""
 
-    def __init__(self, network: RoadNetwork, od: OdDemand, config: SimConfig):
+    def __init__(self, network: RoadNetwork, od: OdDemand, config: SimConfig,
+                 tau_table: Optional[_TauTable] = None):
+        check_demand(network, od)
         self.network = network
         self.od = od
         self.config = config
         m = network.n_edges
-        self.t0 = np.array([e.delay.t0 for e in network.edges])
-        self.cap = np.array([e.delay.capacity for e in network.edges])
-        self.alpha = np.array([e.delay.alpha for e in network.edges])
-        self.beta = np.array([e.delay.beta for e in network.edges])
-        self.tau_table = _TauTable(self.t0, self.cap, self.alpha, self.beta)
+        self.tau_table = _TauTable(network) if tau_table is None else tau_table
+        tau = self.tau_table
+        self.t0, self.cap, self.alpha, self.beta = tau.t0, tau.cap, tau.alpha, tau.beta
+        self._demand = _DemandTable(od)
 
-        self.counts = np.zeros(m, dtype=np.int64)
-        self.entries_horizon = np.zeros(m, dtype=np.int64)
+        # per-edge vehicles on the road now, and entries before the horizon
+        self.counts = [0] * m
+        self.entries_horizon = [0] * m
         self.weights = self.t0.copy()
         self.published_counts: Optional[np.ndarray] = None
         self.clock = 0.0
@@ -222,10 +280,13 @@ class Simulation:
         self.vehicles: list[Vehicle] = []
         self.in_transit = 0
         self.arrived = 0
+        # pending exits as (exit_time, vehicle id): the heap holds those due
+        # by the current step, _buckets[k] those filed for a later step k
         self._heap: list = []
+        self._buckets: defaultdict = defaultdict(list)
         self._routes: dict = {}
         self._trees: dict = {}
-        self._scheduled: list = []
+        self._scheduled: list = []  # heap of injected (time, origin, dest)
         self._mpc_polys: dict = {}
         self._mpc_refresh_index = 0
 
@@ -239,7 +300,7 @@ class Simulation:
     @property
     def state(self) -> TrafficState:
         return TrafficState(
-            counts=self.counts.copy(),
+            counts=np.array(self.counts, dtype=np.int64),
             published_counts=None if self.published_counts is None
             else self.published_counts.copy(),
             published_weights=self.weights.copy(),
@@ -248,21 +309,21 @@ class Simulation:
 
     def inject(self, origin: int, dest: int, time: float = 0.0) -> None:
         """Schedule a single departure (test hook, bypasses the Poisson draw)."""
-        self._scheduled.append((time, origin, dest))
-        self._scheduled.sort()
+        heapq.heappush(self._scheduled, (time, origin, dest))
 
     # -- estimate refresh ---------------------------------------------------
 
     def _refresh(self) -> None:
         cfg = self.config
+        counts = np.array(self.counts, dtype=float)
         if cfg.mode == "non-private":
-            noisy = self.counts.astype(float)
+            noisy = counts
             self.published_counts = None
         elif cfg.noise == "exact" or self.in_transit < 3:
             # fewer than 3 parties cannot run the multiplication ladder;
             # fall back to the statistically equivalent direct sampler
             z = sample_laplace_vector(cfg.epsilon, self.noise_rng, self.network.n_edges)
-            noisy = self.counts + z
+            noisy = counts + z
             self.published_counts = noisy.copy()
         else:
             noisy = self._mpc_counts()
@@ -313,61 +374,105 @@ class Simulation:
             self._routes[key] = route
         return route
 
-    def _enter_edge(self, vehicle: Vehicle, time: float) -> None:
-        edge = vehicle.route[vehicle.pos]
-        # traversal time reflects the vehicles already on the road, not the
-        # entrant itself: an empty road is traversed in exactly t0
-        tau = self.tau_table.lookup(edge, int(self.counts[edge]))
-        self.counts[edge] += 1
-        if time < self.config.horizon:
-            self.entries_horizon[edge] += 1
-        vehicle.entry_times.append(time)
-        heapq.heappush(self._heap, (time + tau, vehicle.id))
-
-    def _depart(self, origin: int, dest: int, time: float) -> None:
-        route = self._route(origin, dest)
-        v = Vehicle(
-            id=len(self.vehicles), origin=origin, dest=dest, depart=time,
-            route=route, pos=0, entry_times=[], arrival=None,
-        )
-        self.vehicles.append(v)
-        if not route:
-            v.arrival = time
-            self.arrived += 1
-            return
-        self.in_transit += 1
-        self._enter_edge(v, time)
-
     def step(self) -> None:
         """Advance one timestep: refresh estimates if due, depart, move."""
         cfg = self.config
         t = self.clock
-        if self.step_index % self.steps_per_refresh == 0:
+        k = self.step_index
+        if k % self.steps_per_refresh == 0:
             self._refresh()
-
-        if t < cfg.horizon:
-            while self._scheduled and self._scheduled[0][0] < t + cfg.timestep:
-                st, o, d = self._scheduled.pop(0)
-                self._depart(o, d, max(st, t))
-            for o, d in draw_demand(
-                self.od, cfg.demand_multiplier, cfg.timestep, self.demand_rng,
-                cfg.demand_scale,
-            ):
-                self._depart(o, d, t)
-
         t_end = t + cfg.timestep
+
+        vehicles = self.vehicles
+        entering: list = []  # departed vehicles with a nonempty route, by id
+        if t < cfg.horizon:
+            departures = []
+            scheduled = self._scheduled
+            while scheduled and scheduled[0][0] < t_end:
+                st, o, d = heapq.heappop(scheduled)
+                departures.append((max(st, t), o, d))
+            departures += [(t, o, d) for o, d in draw_demand(
+                self._demand, cfg.demand_multiplier, cfg.timestep, self.demand_rng,
+                cfg.demand_scale,
+            )]
+            route_of = self._route
+            for time, o, d in departures:
+                route = route_of(o, d)
+                v = Vehicle(len(vehicles), o, d, time, route, 0, [], None)
+                vehicles.append(v)
+                if route:
+                    entering.append(v)
+                else:
+                    v.arrival = time
+                    self.arrived += 1
+
         heap = self._heap
-        while heap and heap[0][0] <= t_end:
-            exit_time, vid = heapq.heappop(heap)
-            v = self.vehicles[vid]
-            self.counts[v.route[v.pos]] -= 1
-            v.pos += 1
-            if v.pos == len(v.route):
-                v.arrival = exit_time
-                self.arrived += 1
-                self.in_transit -= 1
+        bucket = self._buckets.pop(k, None)
+        if bucket:
+            heap.extend(bucket)
+            heapq.heapify(heap)
+        heappush, heappop = heapq.heappush, heapq.heappop
+        buckets = self._buckets
+        counts = self.counts
+        entries_horizon = self.entries_horizon
+        tables = self.tau_table.tables
+        grow = self.tau_table.grow
+        horizon = cfg.horizon
+        timestep = cfg.timestep
+        n_entering = len(entering)
+        arrived = 0
+        # one entry path: departures first, in id order, then each exit in
+        # (exit_time, vid) order that does not end the vehicle's route
+        i = 0
+        while True:
+            if i < n_entering:
+                v = entering[i]
+                i += 1
+                time = v.depart
+            elif heap and heap[0][0] <= t_end:
+                time, vid = heappop(heap)
+                v = vehicles[vid]
+                route = v.route
+                counts[route[v.pos]] -= 1
+                v.pos += 1
+                if v.pos == len(route):
+                    v.arrival = time
+                    arrived += 1
+                    continue
             else:
-                self._enter_edge(v, exit_time)
+                break
+            edge = v.route[v.pos]
+            # traversal time reflects the vehicles already on the road, not
+            # the entrant itself: an empty road is traversed in exactly t0
+            c = counts[edge]
+            table = tables[edge]
+            if c >= len(table):
+                table = grow(edge, c)
+            counts[edge] = c + 1
+            if time < horizon:
+                entries_horizon[edge] += 1
+            v.entry_times.append(time)
+            x = time + table[c]
+            # An exit at x must pop in step j, the first whose end t_end has
+            # x <= t_end.  It is filed for step b = int(x / timestep - 1e-6):
+            # onto the heap now if b is this step k or earlier, else into
+            # bucket b, which joins the heap when step b starts.  Filing early
+            # is harmless, since the heap carries what a step does not pop to
+            # the next one; filing late would delay the exit, so b <= j must
+            # hold.  Step j's t_end is j + 1 rounded additions of the
+            # timestep, within (j + 1)^2 * 2^-53 timesteps of (j + 1) *
+            # timestep (exactly on it for a 10 s timestep), so x <= t_end
+            # gives x / timestep < j + 1 + 1e-6, hence b <= j, below about
+            # 10^5 steps; a Sioux Falls run takes at most 1,440.  The heap
+            # then pops the (exit_time, vid) order one heap of every pending
+            # exit would.
+            b = int(x / timestep - 1e-6)
+            if b <= k:
+                heappush(heap, (x, v.id))
+            else:
+                buckets[b].append((x, v.id))
+        self.in_transit += n_entering - arrived
+        self.arrived += arrived
 
         self.clock = t_end
         self.step_index += 1
@@ -375,24 +480,27 @@ class Simulation:
             self._check_invariants()
 
     def _check_invariants(self) -> None:
-        recount = np.zeros_like(self.counts)
+        recount = [0] * len(self.counts)
         transit = 0
         for v in self.vehicles:
             if v.arrival is None:
                 recount[v.route[v.pos]] += 1
                 transit += 1
-        assert np.array_equal(recount, self.counts), "counts drifted from vehicle state"
+        assert recount == self.counts, "counts drifted from vehicle state"
         assert transit == self.in_transit
         assert len(self.vehicles) == self.arrived + self.in_transit, "vehicle conservation"
+        pending = self._heap + [e for bucket in self._buckets.values() for e in bucket]
+        assert len(pending) == self.in_transit, "one pending exit per vehicle in transit"
+        assert all(x > self.clock for x, _ in pending), "an exit was filed too late"
 
     def run(self) -> "RunResult":
         cfg = self.config
         hard_stop = cfg.drain_factor * cfg.horizon
-        while self.clock < cfg.horizon or (self._heap and self.clock < hard_stop):
+        while self.clock < cfg.horizon or (self.in_transit and self.clock < hard_stop):
             self.step()
         return RunResult(
             vehicles=self.vehicles,
-            entries_horizon=self.entries_horizon,
+            entries_horizon=np.array(self.entries_horizon, dtype=np.int64),
             capacities=self.cap,
             config=cfg,
             n_incomplete=self.in_transit,
@@ -464,8 +572,13 @@ def run_experiment(
     `config.mode` is ignored; both modes run.  Returns the metrics plus both
     run results for further inspection.
     """
-    result_np = Simulation(network, od, replace(config, mode="non-private")).run()
-    result_p = Simulation(network, od, replace(config, mode="private")).run()
+    tau_table = _TauTable(network)
+    result_np = Simulation(
+        network, od, replace(config, mode="non-private"), tau_table=tau_table
+    ).run()
+    result_p = Simulation(
+        network, od, replace(config, mode="private"), tau_table=tau_table
+    ).run()
     return compare_runs(result_np, result_p), result_np, result_p
 
 
@@ -476,15 +589,17 @@ def compare_runs(result_np: RunResult, result_p: RunResult) -> Metrics:
         raise ValueError("paired runs diverged in demand; seeds were not shared")
     tt_np, tt_p, unchanged, no_increase = [], [], 0, 0
     for a, b in zip(va, vb):
-        if (a.origin, a.dest, a.depart) != (b.origin, b.dest, b.depart):
+        if a.origin != b.origin or a.dest != b.dest or a.depart != b.depart:
             raise ValueError("paired runs diverged in demand; seeds were not shared")
         if a.arrival is None or b.arrival is None:
             continue
-        tt_np.append(a.travel_time)
-        tt_p.append(b.travel_time)
+        time_a = a.arrival - a.depart
+        time_b = b.arrival - b.depart
+        tt_np.append(time_a)
+        tt_p.append(time_b)
         if a.route == b.route:
             unchanged += 1
-        if b.travel_time <= a.travel_time + 1e-9:
+        if time_b <= time_a + 1e-9:
             no_increase += 1
     n = len(tt_np)
     mean_np = float(np.mean(tt_np)) if n else 0.0

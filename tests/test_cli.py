@@ -71,6 +71,24 @@ def test_simulate_bad_config_exit_code(tiny_files, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("trips, message", [
+    ("Origin 1\n 4 : 100.0;\n", "node 4"),  # node 4 is not in the network
+    ("Origin 3\n 1 : 100.0;\n", "no path from 3 to 1"),
+], ids=["unknown-node", "unreachable"])
+def test_simulate_bad_demand_fails_before_writing(tiny_files, tmp_path, capsys,
+                                                   trips, message):
+    net, _ = tiny_files
+    bad_trips = tmp_path / "bad_trips.tntp"
+    bad_trips.write_text(trips)
+    out = tmp_path / "o"
+    code = main([
+        "simulate", "--net", str(net), "--trips", str(bad_trips), "--out", str(out),
+    ])
+    assert code == 3
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_deterministic_outputs(tiny_files, tmp_path):
     net, trips = tiny_files
     outs = []

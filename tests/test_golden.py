@@ -1,20 +1,25 @@
 """Golden pins: exact outputs that refactors of the share loops, the count->time
 map or the simulator must leave unchanged.
 
-Every value below was recorded from the implementation before the share
-loops and the tau bisection were merged into one copy each; a change here
+Every value below was recorded from an earlier implementation: the first
+Sioux Falls pair, the round and smpa/smpm before the share loops and the tau
+bisection were merged into one copy each, the other simulator pins before the
+event loop moved onto plain lists and per-step exit buckets.  A change here
 means trajectories, field totals or transcripts moved.
 """
 
 import hashlib
 import random
 
+import pytest
+
 from privroute.field import MERSENNE_61, MERSENNE_521, PrimeModulus
 from privroute.laplace import InverseCdfPoly
 from privroute.protocol import PartyInput, run_round
 from privroute.sharing import AdditiveShareSet, reconstruct_additive, smpa, smpm
-from privroute.sim import SimConfig, run_experiment
-from privroute.tntp import load_sioux_falls
+from privroute.roadnet import DelayFunction, Edge, RoadNetwork
+from privroute.sim import SimConfig, Simulation, run_experiment
+from privroute.tntp import OdDemand, load_sioux_falls
 
 M61 = PrimeModulus(MERSENNE_61)
 M521 = PrimeModulus(MERSENNE_521)
@@ -47,6 +52,76 @@ def test_sioux_falls_trajectories_pinned():
     assert trajectory_digest(result_p) == (
         "1180216909dd1cee30102ff564b722698934fee947abec70fe961db57ccd9696"
     )
+
+
+# seed -> (vehicles, non-private digest, private digest) of the same 600 s pair
+SIOUX_FALLS_MORE_SEEDS = {
+    2: (19932, "7aefc87f8b587ad2a21fefc0e603c92755d9c0cccc4d3b95345b81884a924c5c",
+        "64e6bdfea62958595ca619041bde495ce4c72ba15661727c0e7971cad18dafe0"),
+    3: (20200, "8ba5ea685b152a2321aaaa3d345b8ffb8817f38831a072cc4836b4e51da79e1d",
+        "0d60289e879a67cfedef73428843415d5f85cfaa050e5d95345f04c5d20336e8"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SIOUX_FALLS_MORE_SEEDS))
+def test_sioux_falls_trajectories_pinned_more_seeds(seed):
+    n_vehicles, digest_np, digest_p = SIOUX_FALLS_MORE_SEEDS[seed]
+    network, od = load_sioux_falls()
+    config = SimConfig(demand_multiplier=2.0, seed=seed, horizon=600.0)
+    _, result_np, result_p = run_experiment(network, od, config)
+    assert len(result_np.vehicles) == n_vehicles
+    assert trajectory_digest(result_np) == digest_np
+    assert trajectory_digest(result_p) == digest_p
+
+
+def _short_edge_network():
+    # free-flow times below the 10 s timestep, all exact binary fractions, so
+    # vehicles cross several edges per step and empty-road exits land on
+    # step boundaries and tie with each other
+    spec = [(1, 3, 5.0, 0.5), (2, 3, 5.0, 0.5), (3, 4, 2.5, 0.2), (4, 5, 2.5, 0.2),
+            (3, 5, 6.0, 0.5), (5, 6, 2.5, 1.0), (6, 1, 3.0, 1.0), (6, 2, 3.0, 1.0)]
+    edges = [Edge(i, u, v, DelayFunction(t0=t0, capacity=cap))
+             for i, (u, v, t0, cap) in enumerate(spec)]
+    return RoadNetwork(range(1, 7), edges)
+
+
+SHORT_EDGE_DIGESTS = {
+    "non-private": "637a2dd2dfc155612a031f0009b57f5747ef2cef3535c06acfb4b0469e89851e",
+    "private": "aa1b20d227cc7b31d724fe754f4e07447220a6d5147bcbcf404f89d63409e82d",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(SHORT_EDGE_DIGESTS))
+def test_short_edges_tied_and_boundary_exits_pinned(mode):
+    od = OdDemand({(1, 6): 360.0, (2, 6): 180.0, (1, 5): 360.0, (2, 4): 180.0, (6, 3): 360.0})
+    config = SimConfig(mode=mode, epsilon=0.5, horizon=300.0, refresh_period=30.0,
+                       demand_scale=1.0, seed=11, debug_checks=True)
+    sim = Simulation(_short_edge_network(), od, config)
+    sim.inject(1, 5, 0.0)
+    sim.inject(2, 5, 0.0)
+    sim.inject(1, 6, 7.5)
+    result = sim.run()
+    assert len(result.vehicles) == 132
+    assert sim.step_index == 31
+    assert trajectory_digest(result) == SHORT_EDGE_DIGESTS[mode]
+
+    # vehicles 0 and 1 both leave their empty first edge at exactly 5.0; the
+    # lower id pops first and so enters the shared next edge while it is empty
+    v0, v1 = result.vehicles[:2]
+    assert v0.entry_times[1] == v1.entry_times[1] == 5.0
+    if mode == "non-private":
+        assert (v0.entry_times, v0.arrival) == ([0.0, 5.0, 7.5], 10.0)
+        assert v1.entry_times[2] == 8.721677210783987
+
+    # the run really covers what it pins: exits on step boundaries, three or
+    # more edge entries within one step, and exits tied in time
+    step = config.timestep
+    exits = [x for v in result.vehicles
+             for x in v.entry_times[1:] + [v.arrival] if x is not None]
+    assert any(x > 0 and x % step == 0 for x in exits)
+    assert any(a // step == b // step
+               for v in result.vehicles for a, b in zip(v.entry_times, v.entry_times[2:]))
+    assert len(set(exits)) < len(exits)
 
 
 def test_seeded_round_pinned():

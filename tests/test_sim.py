@@ -112,6 +112,43 @@ def test_draw_demand_mean_rate():
     assert total23 / steps == pytest.approx(20.0, rel=0.05)
 
 
+def test_draw_demand_matches_per_pair_loop():
+    # reference: one Poisson draw over every positive-rate pair in sorted
+    # order, then each pair's departures expanded in that order
+    def reference(od, multiplier, timestep, rng):
+        items = od.nonzero_items()
+        lam = np.array([r for _, r in items]) * (multiplier * timestep / 3600.0)
+        out = []
+        for ((o, d), _), k in zip(items, rng.poisson(lam)):
+            if k and o != d:
+                out.extend([(o, d)] * int(k))
+        return out
+
+    from privroute.sim import _DemandTable
+
+    od = OdDemand({(2, 3): 900.0, (1, 1): 500.0, (1, 2): 0.0, (3, 1): 1800.0})
+    table = _DemandTable(od)
+    a, b, c = (np.random.default_rng(3) for _ in range(3))
+    for _ in range(50):
+        expected = reference(od, 2.0, 10.0, a)
+        assert draw_demand(od, 2.0, 10.0, b, demand_scale=1.0) == expected
+        assert draw_demand(table, 2.0, 10.0, c, demand_scale=1.0) == expected
+
+
+def test_unknown_od_node_fails_at_construction():
+    od = OdDemand({(1, 3): 10.0, (1, 9): 5.0})
+    with pytest.raises(ValueError, match="node 9"):
+        Simulation(_line_network(), od, SimConfig(seed=1))
+
+
+def test_unreachable_od_pair_fails_at_construction():
+    net = _line_network()  # 1 -> 2 -> 3 only
+    with pytest.raises(Unreachable, match="no path from 3 to 1"):
+        Simulation(net, OdDemand({(1, 3): 10.0, (3, 1): 5.0}), SimConfig(seed=1))
+    # a zero-rate pair never departs, so it may be unreachable
+    Simulation(net, OdDemand({(1, 3): 10.0, (3, 1): 0.0}), SimConfig(seed=1))
+
+
 def test_draw_demand_skips_self_pairs(np_rng):
     od = OdDemand({(1, 1): 1e6})
     assert draw_demand(od, 1.0, 10.0, np_rng, demand_scale=1.0) == []
