@@ -54,6 +54,14 @@ def _git_describe() -> str:
     return "unknown"
 
 
+def _write_json(path: Path, obj) -> None:
+    """Indented JSON plus a trailing newline; values json cannot encode (the
+    manifest's `func` argument) are written as str."""
+    with open(path, "w") as f:
+        json.dump(obj, f, indent=2, default=str)
+        f.write("\n")
+
+
 def _write_manifest(outdir: Path, command: str, config: dict) -> None:
     manifest = {
         "command": command,
@@ -63,9 +71,7 @@ def _write_manifest(outdir: Path, command: str, config: dict) -> None:
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
     outdir.mkdir(parents=True, exist_ok=True)
-    with open(outdir / "manifest.json", "w") as f:
-        json.dump(manifest, f, indent=2, default=str)
-        f.write("\n")
+    _write_json(outdir / "manifest.json", manifest)
 
 
 def _load_inputs(args):
@@ -107,9 +113,7 @@ def cmd_simulate(args) -> int:
     log.info("running paired simulation: epsilon=%s demand=%s seed=%s",
              args.epsilon, args.demand, args.seed)
     metrics, result_np, result_p = run_experiment(network, od, config)
-    with open(outdir / "metrics.json", "w") as f:
-        json.dump(metrics.as_dict(), f, indent=2)
-        f.write("\n")
+    _write_json(outdir / "metrics.json", metrics.as_dict())
     with open(outdir / "metrics.csv", "w", newline="") as f:
         writer = csv.writer(f)
         rows = sorted(metrics.as_dict().items())
@@ -177,9 +181,7 @@ def cmd_verify_accuracy(args) -> int:
     if args.out:
         outdir = Path(args.out)
         _write_manifest(outdir, "verify-accuracy", vars(args))
-        with open(outdir / "verify.json", "w") as f:
-            json.dump({"check": check.__dict__, "results": results}, f, indent=2)
-            f.write("\n")
+        _write_json(outdir / "verify.json", {"check": check.__dict__, "results": results})
     return 0
 
 
@@ -196,9 +198,7 @@ def cmd_fit_noise(args) -> int:
     if args.out:
         outdir = Path(args.out)
         _write_manifest(outdir, "fit-noise", vars(args))
-        with open(outdir / "fit_report.json", "w") as f:
-            json.dump(report, f, indent=2)
-            f.write("\n")
+        _write_json(outdir / "fit_report.json", report)
     print(json.dumps(report, indent=2))
     return 0
 
@@ -222,13 +222,10 @@ def cmd_protocol_demo(args) -> int:
     _write_manifest(outdir, "protocol-demo", vars(args))
     with open(outdir / "transcript.jsonl", "w") as f:
         result.transcript.dump_jsonl(f)
-    with open(outdir / "round.json", "w") as f:
-        json.dump(
-            {"true_counts": true_counts, "noisy_counts": list(result.noisy_counts),
-             "messages": len(result.transcript.messages), "seed": result.seed},
-            f, indent=2,
-        )
-        f.write("\n")
+    _write_json(outdir / "round.json", {
+        "true_counts": true_counts, "noisy_counts": list(result.noisy_counts),
+        "messages": len(result.transcript.messages), "seed": args.seed,
+    })
     print(f"true counts : {true_counts}")
     print(f"noisy counts: {[round(c, 3) for c in result.noisy_counts]}")
     print(f"messages exchanged: {len(result.transcript.messages)}")

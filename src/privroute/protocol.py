@@ -14,8 +14,10 @@ Everyone can then sum the broadcast thetas, decode the signed field value and
 rescale, yielding count + noise without any party having seen another's
 location or the noise seed.  Parties are simulated actors; message delivery
 is a deterministic in-memory schedule (edge-major, phase order, sender order),
-and each party draws from its own seeded stream so runs are reproducible and
-relabeling parties permutes nothing but names.
+and each party draws from its own stream.  By default every stream is a
+`secrets.SystemRandom`, so nothing published can rebuild the shares; a round
+`seed` derives reproducible streams instead (for tests and simulation only),
+under which relabeling parties permutes nothing but names.
 
 Steps 1-3 run `sharing._smpa_phase` and `sharing._smpm_phase`, the same
 int-level cores behind `sharing.smpa`/`smpm`, here with one rng per party.
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import json
 import random
+import secrets
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -120,7 +123,6 @@ class RoundResult:
     field_totals: tuple  # raw sum of broadcast thetas mod p, per edge
     transcript: Optional[ProtocolTranscript]
     n_parties: int
-    seed: Optional[int]
 
 
 def party_streams(seed: int, n_parties: int) -> list[random.Random]:
@@ -136,7 +138,6 @@ def party_streams(seed: int, n_parties: int) -> list[random.Random]:
 def run_round(
     inputs: Sequence[PartyInput],
     poly: InverseCdfPoly,
-    p: Optional[int] = None,
     *,
     seed: Optional[int] = None,
     rngs: Optional[Sequence] = None,
@@ -145,14 +146,13 @@ def run_round(
     """Execute one full estimation round across all edges.
 
     `rngs` injects one rng per party (tests enumerate these); otherwise the
-    per-party streams are derived from `seed`.
+    per-party streams are derived from `seed` when given, and are
+    independent `secrets.SystemRandom` instances when not.
     """
     n = len(inputs)
     if n < 3:
         raise TooFewParties(f"the multiplication ladder needs >= 3 parties, got {n}")
     modulus: PrimeModulus = poly.modulus
-    if p is not None and p != modulus.p:
-        raise ValueError(f"modulus mismatch: round p={p}, polynomial p={modulus.p}")
     if poly.n_parties != n:
         raise ValueError(
             f"polynomial was fitted for {poly.n_parties} parties, round has {n}"
@@ -168,8 +168,9 @@ def run_round(
 
     if rngs is None:
         if seed is None:
-            seed = random.SystemRandom().randrange(2**63)
-        rngs = party_streams(seed, n)
+            rngs = [secrets.SystemRandom() for _ in range(n)]
+        else:
+            rngs = party_streams(seed, n)
     elif len(rngs) != n:
         raise ValueError(f"need one rng per party, got {len(rngs)} for {n} parties")
 
@@ -219,7 +220,7 @@ def run_round(
         totals.append(total)
         values.append(modulus.signed(total) / scale)
 
-    return RoundResult(tuple(values), tuple(totals), transcript, n, seed)
+    return RoundResult(tuple(values), tuple(totals), transcript, n)
 
 
 def coalition_view(

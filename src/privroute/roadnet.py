@@ -62,7 +62,15 @@ class Edge:
 
 
 class RoadNetwork:
-    """Directed road graph with an adjacency index."""
+    """Directed road graph with an adjacency index and per-edge delay data.
+
+    `t0`, `capacity`, `alpha` and `beta` hold the edges' BPR parameters as
+    arrays in edge-id order.  `tau_by_count[e]` is a float list with tau at
+    counts 0, 1, 2, ... on edge e; `grow_tau` extends it on demand.
+    _tau_vector works elementwise, so an entry's value does not depend on
+    when, or by which run, the table grew: every simulation on one network
+    shares its tables.
+    """
 
     def __init__(self, nodes: Sequence[int], edges: Sequence[Edge],
                  allow_self_loops: bool = False):
@@ -77,6 +85,12 @@ class RoadNetwork:
                 raise ValueError(f"edge {e.id} is a self-loop at node {e.tail}")
             out[e.tail].append(e.id)
         self.out_edges = {n: tuple(ids) for n, ids in out.items()}
+        delays = [e.delay for e in self.edges]
+        self.t0 = np.array([d.t0 for d in delays], dtype=float)
+        self.capacity = np.array([d.capacity for d in delays], dtype=float)
+        self.alpha = np.array([d.alpha for d in delays], dtype=float)
+        self.beta = np.array([d.beta for d in delays], dtype=float)
+        self.tau_by_count = [[t0] for t0 in self.t0.tolist()]
 
     @property
     def n_nodes(self) -> int:
@@ -85,6 +99,15 @@ class RoadNetwork:
     @property
     def n_edges(self) -> int:
         return len(self.edges)
+
+    def grow_tau(self, edge: int, count: int) -> list:
+        """Extend edge's tau table to cover 2 * count + 8 and return it."""
+        table = self.tau_by_count[edge]
+        counts = np.arange(len(table), 2 * count + 9, dtype=float)
+        table.extend(_tau_vector(
+            self.t0[edge], self.capacity[edge], self.alpha[edge], self.beta[edge], counts
+        ).tolist())
+        return table
 
 
 def _check_nonnegative(x, what: str):

@@ -13,8 +13,10 @@ Each step departs its vehicles, then pops edge exits in (exit time, vehicle
 id) order until the next exit lies past the step's end; a vehicle leaving one
 edge enters the next at its exit time, so it can cross several edges in one
 step.  Pending exits wait in per-step buckets and join a small heap only when
-their step comes (see `Simulation.step`).  Per-edge counts and travel-time
-tables are plain Python lists, so an edge entry touches no numpy scalar.
+their step comes (see `Simulation.step`).  Per-edge counts are plain Python
+lists, and traversal times come from the network's tau tables
+(`RoadNetwork.tau_by_count`, float lists shared by every run on the network),
+so an edge entry touches no numpy scalar.
 
 Paired runs share the demand stream: the demand and noise generators are
 independent substreams of one seed, so flipping the mode or epsilon never
@@ -28,7 +30,7 @@ import heapq
 import math
 from collections import defaultdict
 from dataclasses import asdict, dataclass, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -114,13 +116,16 @@ def shortest_path(
     Ties break deterministically toward the smallest next-node id (the heap
     orders by (distance, node)).  origin == destination gives the empty path.
     """
-    dist, pred = _sp_tree(network, np.asarray(edge_weights, dtype=float), origin)
+    weights = np.asarray(edge_weights, dtype=float)
+    if np.any(weights <= 0):
+        raise ValueError("edge weights must be positive")
+    dist, pred = _sp_tree(network, weights, origin)
     return _extract_path(network, pred, dist, origin, destination)
 
 
 def _sp_tree(network: RoadNetwork, weights: np.ndarray, origin: int):
-    if np.any(weights <= 0):
-        raise ValueError("edge weights must be positive")
+    """Dijkstra from origin; weights must be positive (the simulator's are
+    tau >= t0 > 0, and shortest_path checks outside ones)."""
     dist = {n: math.inf for n in network.nodes}
     pred: dict = {n: -1 for n in network.nodes}
     dist[origin] = 0.0
@@ -229,50 +234,20 @@ def check_demand(network: RoadNetwork, od: OdDemand) -> None:
             raise Unreachable(f"no path from {o} to {d}")
 
 
-class _TauTable:
-    """Memoized tau at integer counts for one network: a float list per edge.
-
-    Growth calls _tau_vector, which works elementwise, so an entry's value
-    does not depend on when or by which run the table grew; run_experiment
-    hands one table to both runs of a pair.
-    """
-
-    def __init__(self, network: RoadNetwork):
-        self.t0 = np.array([e.delay.t0 for e in network.edges])
-        self.cap = np.array([e.delay.capacity for e in network.edges])
-        self.alpha = np.array([e.delay.alpha for e in network.edges])
-        self.beta = np.array([e.delay.beta for e in network.edges])
-        self.tables = [[float(t0)] for t0 in self.t0]
-
-    def grow(self, edge: int, count: int) -> list:
-        """Extend edge's table to cover 2 * count + 8 and return it."""
-        table = self.tables[edge]
-        counts = np.arange(len(table), 2 * count + 9, dtype=float)
-        table.extend(_tau_vector(
-            self.t0[edge], self.cap[edge], self.alpha[edge], self.beta[edge], counts
-        ).tolist())
-        return table
-
-
 class Simulation:
     """One simulation run; construct, optionally inject vehicles, then run()."""
 
-    def __init__(self, network: RoadNetwork, od: OdDemand, config: SimConfig,
-                 tau_table: Optional[_TauTable] = None):
+    def __init__(self, network: RoadNetwork, od: OdDemand, config: SimConfig):
         check_demand(network, od)
         self.network = network
-        self.od = od
         self.config = config
         m = network.n_edges
-        self.tau_table = _TauTable(network) if tau_table is None else tau_table
-        tau = self.tau_table
-        self.t0, self.cap, self.alpha, self.beta = tau.t0, tau.cap, tau.alpha, tau.beta
         self._demand = _DemandTable(od)
 
         # per-edge vehicles on the road now, and entries before the horizon
         self.counts = [0] * m
         self.entries_horizon = [0] * m
-        self.weights = self.t0.copy()
+        self.weights = network.t0.copy()
         self.published_counts: Optional[np.ndarray] = None
         self.clock = 0.0
         self.step_index = 0
@@ -328,7 +303,8 @@ class Simulation:
         else:
             noisy = self._mpc_counts()
             self.published_counts = noisy.copy()
-        self.weights = _tau_vector(self.t0, self.cap, self.alpha, self.beta, noisy)
+        net = self.network
+        self.weights = _tau_vector(net.t0, net.capacity, net.alpha, net.beta, noisy)
         self._routes.clear()
         self._trees.clear()
 
@@ -415,8 +391,8 @@ class Simulation:
         buckets = self._buckets
         counts = self.counts
         entries_horizon = self.entries_horizon
-        tables = self.tau_table.tables
-        grow = self.tau_table.grow
+        tables = self.network.tau_by_count
+        grow = self.network.grow_tau
         horizon = cfg.horizon
         timestep = cfg.timestep
         n_entering = len(entering)
@@ -501,7 +477,7 @@ class Simulation:
         return RunResult(
             vehicles=self.vehicles,
             entries_horizon=np.array(self.entries_horizon, dtype=np.int64),
-            capacities=self.cap,
+            capacities=self.network.capacity,
             config=cfg,
             n_incomplete=self.in_transit,
         )
@@ -572,13 +548,8 @@ def run_experiment(
     `config.mode` is ignored; both modes run.  Returns the metrics plus both
     run results for further inspection.
     """
-    tau_table = _TauTable(network)
-    result_np = Simulation(
-        network, od, replace(config, mode="non-private"), tau_table=tau_table
-    ).run()
-    result_p = Simulation(
-        network, od, replace(config, mode="private"), tau_table=tau_table
-    ).run()
+    result_np = Simulation(network, od, replace(config, mode="non-private")).run()
+    result_p = Simulation(network, od, replace(config, mode="private")).run()
     return compare_runs(result_np, result_p), result_np, result_p
 
 

@@ -41,17 +41,33 @@ def messages_digest(messages, fields) -> str:
     return h.hexdigest()
 
 
+# non-private and private digests of the seed-1 600 s pair (multiplier 2.0)
+SIOUX_FALLS_SEED_1 = (
+    "93ad0531e124b9a4d18224f4bd272bd5b08b9c72620484048c5249f7f0f586e6",
+    "1180216909dd1cee30102ff564b722698934fee947abec70fe961db57ccd9696",
+)
+
+
 def test_sioux_falls_trajectories_pinned():
     network, od = load_sioux_falls()
     config = SimConfig(demand_multiplier=2.0, seed=1, horizon=600.0)
     _, result_np, result_p = run_experiment(network, od, config)
     assert len(result_np.vehicles) == 19778
-    assert trajectory_digest(result_np) == (
-        "93ad0531e124b9a4d18224f4bd272bd5b08b9c72620484048c5249f7f0f586e6"
-    )
-    assert trajectory_digest(result_p) == (
-        "1180216909dd1cee30102ff564b722698934fee947abec70fe961db57ccd9696"
-    )
+    assert (trajectory_digest(result_np), trajectory_digest(result_p)) == SIOUX_FALLS_SEED_1
+
+
+def test_sioux_falls_warm_tau_tables_pinned():
+    # every run on one network shares its tau tables; a second pair reads
+    # tables the first one grew and must neither change nor extend them
+    network, od = load_sioux_falls()
+    config = SimConfig(demand_multiplier=2.0, seed=1, horizon=600.0)
+    digests, lengths = [], []
+    for _ in range(2):
+        _, result_np, result_p = run_experiment(network, od, config)
+        digests.append((trajectory_digest(result_np), trajectory_digest(result_p)))
+        lengths.append([len(t) for t in network.tau_by_count])
+    assert digests == [SIOUX_FALLS_SEED_1] * 2
+    assert lengths[1] == lengths[0]
 
 
 # seed -> (vehicles, non-private digest, private digest) of the same 600 s pair

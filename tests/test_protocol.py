@@ -73,8 +73,6 @@ def test_run_round_validations():
     poly = _zero_poly(3)
     inputs = [PartyInput.on_edge(i, 0, 1) for i in (1, 2, 3)]
     with pytest.raises(ValueError):
-        run_round(inputs, poly, p=7, seed=0)  # polynomial lives mod 2^521-1
-    with pytest.raises(ValueError):
         run_round(inputs, _zero_poly(4), seed=0)  # party count mismatch
     bad_ids = [PartyInput.on_edge(i, 0, 1) for i in (1, 2, 4)]
     with pytest.raises(InvalidInput):
@@ -93,6 +91,20 @@ def test_determinism_same_seed():
     assert a.transcript.messages == b.transcript.messages
     c = run_round(inputs, poly, seed=100)
     assert c.field_totals != a.field_totals
+
+
+def test_unseeded_round_draws_fresh_noise_and_keeps_no_seed():
+    # a linear polynomial publishes count + T, with T the sum of three
+    # uniform draws from 2^20 values: equal totals on all four edges by
+    # chance is out of reach
+    poly = InverseCdfPoly.from_field_coeffs(
+        [0, 1], modulus=M521, n_parties=3, seed_range=2**20
+    )
+    inputs = [PartyInput.on_edge(i, 0, 4) for i in (1, 2, 3)]
+    a = run_round(inputs, poly)
+    b = run_round(inputs, poly)
+    assert not hasattr(a, "seed")
+    assert a.field_totals != b.field_totals
 
 
 def test_relabeling_parties_preserves_outputs():

@@ -54,6 +54,12 @@ def test_shortest_path_unreachable():
         shortest_path(net, [60.0, 60.0], 3, 1)
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0])
+def test_shortest_path_rejects_nonpositive_weights(bad):
+    with pytest.raises(ValueError, match="positive"):
+        shortest_path(_triangle(), [60.0, bad, 180.0], 1, 3)
+
+
 def test_shortest_path_against_brute_force():
     rng = np.random.default_rng(8)
     for _ in range(100):
