@@ -55,17 +55,18 @@ def _git_describe() -> str:
 
 
 def _write_json(path: Path, obj) -> None:
-    """Indented JSON plus a trailing newline; values json cannot encode (the
-    manifest's `func` argument) are written as str."""
+    """Indented JSON plus a trailing newline."""
     with open(path, "w") as f:
-        json.dump(obj, f, indent=2, default=str)
+        json.dump(obj, f, indent=2)
         f.write("\n")
 
 
 def _write_manifest(outdir: Path, command: str, config: dict) -> None:
+    """`config` is the parsed `vars(args)`; its `func` (the subcommand's
+    handler) is dropped, since its repr names a memory address."""
     manifest = {
         "command": command,
-        "config": config,
+        "config": {k: v for k, v in config.items() if k != "func"},
         "version": __version__,
         "build": _git_describe(),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),

@@ -25,6 +25,12 @@ Per-party draw order, per edge: count-share deals (receivers in increasing
 index), seed summand, seed-share deals, then for each power z the Shamir
 coefficients for X before Y.  With a single rng shared by all parties this is
 exactly the order the exhaustive secrecy tests of `smpa`/`smpm` enumerate.
+
+Shamir evaluation is linear, so each multiplication step evaluates the sum of
+the parties' coefficient vectors once per receiver: O(N*h) Horner steps per
+power for Shamir degree h, the same shares as N^2 per-pair evaluations would
+give.  Recording a transcript adds those O(N^2*h) per-pair evaluations, since
+each message is one of them.
 """
 
 from __future__ import annotations
@@ -49,6 +55,14 @@ class InvalidInput(ValueError):
 
 class FullCoalition(ValueError):
     """Raised when a coalition of all parties is asked for its view."""
+
+
+class DecodeOverflow(ValueError):
+    """Raised when a round's field total decodes outside `poly.value_bound`.
+
+    No correct round can get there, so the total either wrapped mod p or a
+    share was computed wrongly (which leaves a uniform field element).
+    """
 
 
 PHASE_COUNT = "SMPA-count"
@@ -147,7 +161,9 @@ def run_round(
 
     `rngs` injects one rng per party (tests enumerate these); otherwise the
     per-party streams are derived from `seed` when given, and are
-    independent `secrets.SystemRandom` instances when not.
+    independent `secrets.SystemRandom` instances when not.  An edge whose
+    field total decodes beyond `poly.value_bound` raises `DecodeOverflow`
+    instead of publishing a wrapped value.
     """
     n = len(inputs)
     if n < 3:
@@ -217,8 +233,14 @@ def run_round(
                     if j != i:
                         messages.append(Message(e, PHASE_BROADCAST, i, j, theta[i - 1]))
         total = sum(theta) % pp
+        signed = modulus.signed(total)
+        if abs(signed) > poly.value_bound:
+            raise DecodeOverflow(
+                f"edge {e}: field total decodes to {signed}, "
+                f"beyond the bound {poly.value_bound}"
+            )
         totals.append(total)
-        values.append(modulus.signed(total) / scale)
+        values.append(signed / scale)
 
     return RoundResult(tuple(values), tuple(totals), transcript, n)
 

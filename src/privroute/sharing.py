@@ -147,24 +147,30 @@ def _smpm_phase(x, y, rngs, p, degree, lam, messages=None, edge=0, phase="smpm")
     Party i Shamir-shares x[i-1] then y[i-1] with degree-`degree` polynomials
     drawn from rngs[i-1]; `lam` are the Lagrange weights at zero for indices
     1..N, which turn the summed product evaluations into additive shares.
-    Sends are appended to `messages` when given.
+
+    Evaluation is linear, so what receiver j sums equals the summed
+    polynomial evaluated at j: the outputs take one evaluation per receiver
+    of the summed coefficients, O(N*degree) Horner steps.  Sends are
+    appended to `messages` when given, which adds the O(N^2*degree)
+    per-pair evaluations the transcript needs.
     """
     n = len(x)
-    x_sum = [0] * n
-    y_sum = [0] * n
+    cx_sum = cy_sum = [0] * (degree + 1)  # rebound below, never mutated
     for i in range(1, n + 1):
         rng = rngs[i - 1]
         cx = _sample_poly(x[i - 1], degree, p, rng)
         cy = _sample_poly(y[i - 1], degree, p, rng)
-        for j in range(1, n + 1):
-            xj = _eval_poly(cx, j, p)
-            yj = _eval_poly(cy, j, p)
-            x_sum[j - 1] = (x_sum[j - 1] + xj) % p
-            y_sum[j - 1] = (y_sum[j - 1] + yj) % p
-            if j != i and messages is not None:
-                messages.append(Message(edge, phase, i, j, xj))
-                messages.append(Message(edge, phase, i, j, yj))
-    return [lam[i] * x_sum[i] % p * y_sum[i] % p for i in range(n)]
+        cx_sum = [a + b for a, b in zip(cx_sum, cx)]
+        cy_sum = [a + b for a, b in zip(cy_sum, cy)]
+        if messages is not None:
+            for j in range(1, n + 1):
+                if j != i:
+                    messages.append(Message(edge, phase, i, j, _eval_poly(cx, j, p)))
+                    messages.append(Message(edge, phase, i, j, _eval_poly(cy, j, p)))
+    return [
+        lam[j - 1] * _eval_poly(cx_sum, j, p) % p * _eval_poly(cy_sum, j, p) % p
+        for j in range(1, n + 1)
+    ]
 
 
 def _reconstruct_shamir_ints(points: Sequence[tuple], k: int, p: int) -> int:
@@ -265,7 +271,9 @@ def smpm(
     receives, giving Shamir shares of polynomials X, Y with X(0)=x, Y(0)=y.
     Party i then holds H(i) = X(i)Y(i) for the degree <= N-1 product polynomial
     H, and theta_i = lambda_i * H(i) makes (theta_1..theta_N) an additive
-    sharing of x*y.
+    sharing of x*y.  The outputs come from the summed coefficients, one
+    evaluation per party (O(N*h) Horner steps for degree h); the returned
+    transcript adds the O(N^2*h) per-pair evaluations of the messages.
 
     With even N the per-party degree floor((N-1)/2) tolerates one colluder
     fewer than (N-1)/2; the scheme additionally assumes more than half the

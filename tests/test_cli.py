@@ -3,6 +3,7 @@ from importlib import resources
 
 import pytest
 
+from privroute import cli
 from privroute.cli import main
 
 TINY_NET = """<NUMBER OF NODES> 3
@@ -180,3 +181,24 @@ def test_protocol_demo(tmp_path, capsys):
     assert set(msg) == {"edge", "phase", "from", "to", "value"}
     round_data = json.loads((out / "round.json").read_text())
     assert round_data["true_counts"] == [2, 2]
+
+
+def test_protocol_demo_manifest_has_no_handler(tmp_path, monkeypatch):
+    written = {}
+    real_write_json = cli._write_json
+
+    def capture(path, obj):
+        written[path.name] = obj
+        real_write_json(path, obj)
+
+    monkeypatch.setattr(cli, "_write_json", capture)
+    out = tmp_path / "demo"
+    code = main([
+        "protocol-demo", "--parties", "3", "--edges", "1", "--degree", "2",
+        "--seed-bits", "4", "--seed", "1", "--out", str(out),
+    ])
+    assert code == 0
+    manifest = written["manifest.json"]
+    assert "func" not in manifest["config"]
+    assert manifest["config"]["parties"] == 3
+    assert json.loads(json.dumps(manifest)) == json.loads((out / "manifest.json").read_text())

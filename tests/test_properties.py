@@ -1,5 +1,6 @@
-"""Property tests: secure addition and multiplication reconstruct exactly, and a
-zero-noise round publishes the true counts, over randomly drawn instances."""
+"""Property tests: secure addition and multiplication reconstruct exactly, a
+zero-noise round publishes the true counts, and relabeling parties changes no
+output, over randomly drawn instances."""
 
 import random
 
@@ -62,3 +63,26 @@ def test_zero_noise_round_returns_exact_counts(n, m, degree, seed, data):
     inputs = [PartyInput.on_edge(i + 1, e, m) for i, e in enumerate(where)]
     result = run_round(inputs, poly, seed=seed, record_transcript=False)
     assert result.noisy_counts == tuple(float(where.count(e)) for e in range(m))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(3, 8), st.integers(1, 4), st.integers(2, 4), st.integers(0, 2**32 - 1),
+    st.data(),
+)
+def test_relabeling_parties_preserves_field_totals(n, m, degree, seed, data):
+    # the per-edge totals and the seed streams do not depend on which party id
+    # holds which location; degree >= 2 runs the summed-coefficient SMPM path
+    where = data.draw(st.lists(st.integers(-1, m - 1), min_size=n, max_size=n))
+    permuted = data.draw(st.permutations(where))
+    coeffs = data.draw(st.lists(st.integers(-50, 50), min_size=degree + 1,
+                                max_size=degree + 1))
+    poly = InverseCdfPoly.from_field_coeffs(
+        coeffs, modulus=M521, n_parties=n, seed_range=16, scale_bits=4
+    )
+
+    def totals(locations):
+        inputs = [PartyInput.on_edge(i + 1, e, m) for i, e in enumerate(locations)]
+        return run_round(inputs, poly, seed=seed, record_transcript=False).field_totals
+
+    assert totals(permuted) == totals(where)

@@ -18,6 +18,7 @@ from privroute.protocol import (
     PHASE_BROADCAST,
     PHASE_COUNT,
     PHASE_UNIFORM,
+    DecodeOverflow,
     EdgeMessage,
     FullCoalition,
     InvalidInput,
@@ -25,6 +26,7 @@ from privroute.protocol import (
     coalition_view,
     run_round,
 )
+from privroute import protocol
 from privroute.sharing import TooFewParties
 from conftest import ScriptedRng
 
@@ -122,6 +124,30 @@ def test_relabeling_parties_preserves_outputs():
         [PartyInput.on_edge(i + 1, locs_b[i], 2) for i in range(5)], poly, seed=5
     )
     assert a.noisy_counts == b.noisy_counts
+
+
+def test_wrong_share_raises_decode_overflow(monkeypatch):
+    # seed range 1 fixes the seed sum at 0, and with every party on the edge
+    # the true total S*n + Q(0) equals poly.value_bound exactly; one unit
+    # added to one party's share of T^2 pushes the total past it
+    n = 3
+    poly = InverseCdfPoly.from_field_coeffs(
+        [0, 0, 1], modulus=M521, n_parties=n, seed_range=1, scale_bits=2
+    )
+    inputs = [PartyInput.on_edge(i, 0, 1) for i in range(1, n + 1)]
+    assert run_round(inputs, poly, seed=0).noisy_counts == (3.0,)
+    assert poly.value_bound == poly.scale * n
+
+    real_phase = protocol._smpm_phase
+
+    def off_by_one(*args, **kwargs):
+        shares = real_phase(*args, **kwargs)
+        shares[1] = (shares[1] + 1) % M521.p
+        return shares
+
+    monkeypatch.setattr(protocol, "_smpm_phase", off_by_one)
+    with pytest.raises(DecodeOverflow, match="edge 0"):
+        run_round(inputs, poly, seed=0)
 
 
 def test_transcript_schedule():

@@ -4,7 +4,13 @@ from collections import Counter
 
 import pytest
 
-from privroute.field import MERSENNE_61, DuplicateIndex, PrimeModulus
+from privroute.field import (
+    MERSENNE_61,
+    MERSENNE_521,
+    DuplicateIndex,
+    PrimeModulus,
+    _lagrange_weights_at_zero_ints,
+)
 from privroute.sharing import (
     AdditiveShareSet,
     InsufficientShares,
@@ -12,7 +18,11 @@ from privroute.sharing import (
     MissingShare,
     PartyCountMismatch,
     ShamirShareSet,
+    Message,
     TooFewParties,
+    _eval_poly,
+    _sample_poly,
+    _smpm_phase,
     reconstruct_additive,
     reconstruct_shamir,
     share_additive,
@@ -291,3 +301,47 @@ def test_smpm_shamir_degree_is_floor_half():
         script = ScriptedRng([(7, 0)] * (n * 2 * degree))
         smpm(x, y, script)
         assert script.exhausted
+
+
+def _smpm_per_pair(x, y, rngs, p, degree, lam, phase="smpm"):
+    """Reference: every receiver sums the per-pair evaluations it is sent."""
+    n = len(x)
+    x_sum = [0] * n
+    y_sum = [0] * n
+    messages = []
+    for i in range(1, n + 1):
+        cx = _sample_poly(x[i - 1], degree, p, rngs[i - 1])
+        cy = _sample_poly(y[i - 1], degree, p, rngs[i - 1])
+        for j in range(1, n + 1):
+            xj = _eval_poly(cx, j, p)
+            yj = _eval_poly(cy, j, p)
+            x_sum[j - 1] = (x_sum[j - 1] + xj) % p
+            y_sum[j - 1] = (y_sum[j - 1] + yj) % p
+            if j != i:
+                messages.append(Message(0, phase, i, j, xj))
+                messages.append(Message(0, phase, i, j, yj))
+    return [lam[j] * x_sum[j] % p * y_sum[j] % p for j in range(n)], messages
+
+
+@pytest.mark.parametrize("p", [101, MERSENNE_521])
+@pytest.mark.parametrize("n", [3, 4, 7, 20])
+def test_smpm_phase_one_output_path(n, p):
+    # the outputs come from the summed coefficients whether or not messages
+    # are recorded, and equal what per-pair evaluation gives
+    inputs = random.Random(n)
+    x = [inputs.randrange(p) for _ in range(n)]
+    y = [inputs.randrange(p) for _ in range(n)]
+    degree = (n - 1) // 2
+    lam = _lagrange_weights_at_zero_ints(list(range(1, n + 1)), p)
+
+    def streams():
+        return [random.Random(f"{n}:{p}:{i}") for i in range(n)]
+
+    silent = _smpm_phase(x, y, streams(), p, degree, lam)
+    recorded = []
+    loud = _smpm_phase(x, y, streams(), p, degree, lam, recorded)
+    reference, reference_messages = _smpm_per_pair(x, y, streams(), p, degree, lam)
+    assert silent == loud == reference
+    assert len(recorded) == 2 * n * (n - 1)
+    assert recorded == reference_messages
+    assert sum(silent) % p == sum(x) * sum(y) % p
