@@ -22,7 +22,6 @@ import logging
 import os
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 from . import __version__
@@ -69,7 +68,6 @@ def _write_manifest(outdir: Path, command: str, config: dict) -> None:
         "config": {k: v for k, v in config.items() if k != "func"},
         "version": __version__,
         "build": _git_describe(),
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
     outdir.mkdir(parents=True, exist_ok=True)
     _write_json(outdir / "manifest.json", manifest)
@@ -205,6 +203,8 @@ def cmd_fit_noise(args) -> int:
 
 
 def cmd_protocol_demo(args) -> int:
+    if args.edges < 1:
+        return _fail(EXIT_CONFIG, f"--edges must be at least 1, got {args.edges}")
     try:
         poly = fit_inverse_cdf_poly(
             LaplaceParams(args.epsilon), args.degree, MERSENNE_521,

@@ -45,10 +45,6 @@ from .field import PrimeModulus, _lagrange_weights_at_zero_ints
 from .laplace import InverseCdfPoly
 from .sharing import Message, TooFewParties, _smpa_phase, _smpm_phase
 
-#: Transcript entries are `sharing.Message`s; the old name stays importable.
-EdgeMessage = Message
-
-
 class InvalidInput(ValueError):
     """Raised for location vectors that are not one-hot (or all-zero)."""
 
@@ -93,6 +89,9 @@ class PartyInput:
 
     @classmethod
     def on_edge(cls, party_id: int, edge: int, n_edges: int) -> "PartyInput":
+        """The party on `edge`, or off the tracked edges when `edge` is -1."""
+        if not -1 <= edge < n_edges:
+            raise InvalidInput(f"edge must be -1 or in [0, {n_edges}), got {edge}")
         loc = [0] * n_edges
         if edge >= 0:
             loc[edge] = 1

@@ -12,11 +12,10 @@ O(edges * parties^2 * degree) per refresh).
 Each step departs its vehicles, then pops edge exits in (exit time, vehicle
 id) order until the next exit lies past the step's end; a vehicle leaving one
 edge enters the next at its exit time, so it can cross several edges in one
-step.  Pending exits wait in per-step buckets and join a small heap only when
-their step comes (see `Simulation.step`).  Per-edge counts are plain Python
-lists, and traversal times come from the network's tau tables
-(`RoadNetwork.tau_by_count`, float lists shared by every run on the network),
-so an edge entry touches no numpy scalar.
+step.  Pending exits sit in one heap of (exit_time, vid) pairs, pushed at each
+edge entry.  Per-edge counts are plain Python lists, and traversal times come
+from the network's tau tables (`RoadNetwork.tau_by_count`, float lists shared
+by every run on the network), so an edge entry touches no numpy scalar.
 
 Paired runs share the demand stream: the demand and noise generators are
 independent substreams of one seed, so flipping the mode or epsilon never
@@ -28,7 +27,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import defaultdict
 from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
@@ -79,6 +77,8 @@ class SimConfig:
             raise ValueError("demand multiplier must be nonnegative")
         if not (self.epsilon > 0):
             raise ValueError("epsilon must be positive (math.inf = no noise)")
+        if self.noise == "mpc" and not math.isfinite(self.epsilon):
+            raise ValueError("noise 'mpc' needs a finite epsilon to fit its noise polynomial")
 
 
 @dataclass
@@ -96,16 +96,6 @@ class Vehicle:
     @property
     def travel_time(self) -> Optional[float]:
         return None if self.arrival is None else self.arrival - self.depart
-
-
-@dataclass
-class TrafficState:
-    """Live simulator state: ground truth plus the last published estimates."""
-
-    counts: np.ndarray
-    published_counts: Optional[np.ndarray]
-    published_weights: np.ndarray
-    clock: float
 
 
 def shortest_path(
@@ -248,17 +238,13 @@ class Simulation:
         self.counts = [0] * m
         self.entries_horizon = [0] * m
         self.weights = network.t0.copy()
-        self.published_counts: Optional[np.ndarray] = None
         self.clock = 0.0
         self.step_index = 0
         self.steps_per_refresh = round(config.refresh_period / config.timestep)
         self.vehicles: list[Vehicle] = []
         self.in_transit = 0
         self.arrived = 0
-        # pending exits as (exit_time, vehicle id): the heap holds those due
-        # by the current step, _buckets[k] those filed for a later step k
-        self._heap: list = []
-        self._buckets: defaultdict = defaultdict(list)
+        self._heap: list = []  # pending exits as (exit_time, vehicle id)
         self._routes: dict = {}
         self._trees: dict = {}
         self._scheduled: list = []  # heap of injected (time, origin, dest)
@@ -269,18 +255,6 @@ class Simulation:
         demand_ss, noise_ss = ss.spawn(2)
         self.demand_rng = np.random.default_rng(demand_ss)
         self.noise_rng = np.random.default_rng(noise_ss)
-
-    # -- state ------------------------------------------------------------
-
-    @property
-    def state(self) -> TrafficState:
-        return TrafficState(
-            counts=np.array(self.counts, dtype=np.int64),
-            published_counts=None if self.published_counts is None
-            else self.published_counts.copy(),
-            published_weights=self.weights.copy(),
-            clock=self.clock,
-        )
 
     def inject(self, origin: int, dest: int, time: float = 0.0) -> None:
         """Schedule a single departure (test hook, bypasses the Poisson draw)."""
@@ -293,16 +267,13 @@ class Simulation:
         counts = np.array(self.counts, dtype=float)
         if cfg.mode == "non-private":
             noisy = counts
-            self.published_counts = None
         elif cfg.noise == "exact" or self.in_transit < 3:
             # fewer than 3 parties cannot run the multiplication ladder;
             # fall back to the statistically equivalent direct sampler
             z = sample_laplace_vector(cfg.epsilon, self.noise_rng, self.network.n_edges)
             noisy = counts + z
-            self.published_counts = noisy.copy()
         else:
             noisy = self._mpc_counts()
-            self.published_counts = noisy.copy()
         net = self.network
         self.weights = _tau_vector(net.t0, net.capacity, net.alpha, net.beta, noisy)
         self._routes.clear()
@@ -354,8 +325,7 @@ class Simulation:
         """Advance one timestep: refresh estimates if due, depart, move."""
         cfg = self.config
         t = self.clock
-        k = self.step_index
-        if k % self.steps_per_refresh == 0:
+        if self.step_index % self.steps_per_refresh == 0:
             self._refresh()
         t_end = t + cfg.timestep
 
@@ -383,18 +353,12 @@ class Simulation:
                     self.arrived += 1
 
         heap = self._heap
-        bucket = self._buckets.pop(k, None)
-        if bucket:
-            heap.extend(bucket)
-            heapq.heapify(heap)
         heappush, heappop = heapq.heappush, heapq.heappop
-        buckets = self._buckets
         counts = self.counts
         entries_horizon = self.entries_horizon
         tables = self.network.tau_by_count
         grow = self.network.grow_tau
         horizon = cfg.horizon
-        timestep = cfg.timestep
         n_entering = len(entering)
         arrived = 0
         # one entry path: departures first, in id order, then each exit in
@@ -428,25 +392,7 @@ class Simulation:
             if time < horizon:
                 entries_horizon[edge] += 1
             v.entry_times.append(time)
-            x = time + table[c]
-            # An exit at x must pop in step j, the first whose end t_end has
-            # x <= t_end.  It is filed for step b = int(x / timestep - 1e-6):
-            # onto the heap now if b is this step k or earlier, else into
-            # bucket b, which joins the heap when step b starts.  Filing early
-            # is harmless, since the heap carries what a step does not pop to
-            # the next one; filing late would delay the exit, so b <= j must
-            # hold.  Step j's t_end is j + 1 rounded additions of the
-            # timestep, within (j + 1)^2 * 2^-53 timesteps of (j + 1) *
-            # timestep (exactly on it for a 10 s timestep), so x <= t_end
-            # gives x / timestep < j + 1 + 1e-6, hence b <= j, below about
-            # 10^5 steps; a Sioux Falls run takes at most 1,440.  The heap
-            # then pops the (exit_time, vid) order one heap of every pending
-            # exit would.
-            b = int(x / timestep - 1e-6)
-            if b <= k:
-                heappush(heap, (x, v.id))
-            else:
-                buckets[b].append((x, v.id))
+            heappush(heap, (time + table[c], v.id))
         self.in_transit += n_entering - arrived
         self.arrived += arrived
 
@@ -465,9 +411,8 @@ class Simulation:
         assert recount == self.counts, "counts drifted from vehicle state"
         assert transit == self.in_transit
         assert len(self.vehicles) == self.arrived + self.in_transit, "vehicle conservation"
-        pending = self._heap + [e for bucket in self._buckets.values() for e in bucket]
-        assert len(pending) == self.in_transit, "one pending exit per vehicle in transit"
-        assert all(x > self.clock for x, _ in pending), "an exit was filed too late"
+        assert len(self._heap) == self.in_transit, "one pending exit per vehicle in transit"
+        assert all(x > self.clock for x, _ in self._heap), "an exit was filed too late"
 
     def run(self) -> "RunResult":
         cfg = self.config

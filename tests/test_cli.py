@@ -202,3 +202,41 @@ def test_protocol_demo_manifest_has_no_handler(tmp_path, monkeypatch):
     assert "func" not in manifest["config"]
     assert manifest["config"]["parties"] == 3
     assert json.loads(json.dumps(manifest)) == json.loads((out / "manifest.json").read_text())
+
+
+def test_simulate_manifest_bytes_repeat(tiny_files, tmp_path):
+    net, trips = tiny_files
+    out = tmp_path / "out"
+    manifests = []
+    for _ in range(2):
+        assert main([
+            "simulate", "--net", str(net), "--trips", str(trips),
+            "--horizon", "60", "--seed", "2", "--out", str(out),
+        ]) == 0
+        manifests.append((out / "manifest.json").read_bytes())
+    assert manifests[0] == manifests[1]
+    assert "timestamp" not in json.loads(manifests[0])
+
+
+def test_simulate_mpc_infinite_epsilon_fails_before_writing(tiny_files, tmp_path, capsys):
+    net, trips = tiny_files
+    out = tmp_path / "o"
+    code = main([
+        "simulate", "--net", str(net), "--trips", str(trips),
+        "--noise", "mpc", "--epsilon", "inf", "--out", str(out),
+    ])
+    assert code == 2
+    assert "finite epsilon" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_protocol_demo_zero_edges_fails_before_fit(tmp_path, capsys, monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("the noise polynomial was fitted")
+
+    monkeypatch.setattr(cli, "fit_inverse_cdf_poly", no_fit)
+    out = tmp_path / "demo"
+    code = main(["protocol-demo", "--edges", "0", "--out", str(out)])
+    assert code == 2
+    assert "--edges" in capsys.readouterr().err
+    assert not out.exists()

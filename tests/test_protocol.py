@@ -19,7 +19,6 @@ from privroute.protocol import (
     PHASE_COUNT,
     PHASE_UNIFORM,
     DecodeOverflow,
-    EdgeMessage,
     FullCoalition,
     InvalidInput,
     PartyInput,
@@ -46,6 +45,14 @@ def test_party_input_validation():
         PartyInput(1, (1, 1, 0))
     with pytest.raises(InvalidInput):
         PartyInput(1, (0, 2, 0))
+
+
+def test_on_edge_checks_the_edge():
+    assert PartyInput.on_edge(1, -1, 3).location == (0, 0, 0)
+    assert PartyInput.on_edge(1, 2, 3).location == (0, 0, 1)
+    for edge in (-5, -2, 3, 4):
+        with pytest.raises(InvalidInput, match="edge must be"):
+            PartyInput.on_edge(1, edge, 3)
 
 
 def test_zero_noise_round_reports_exact_counts():

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from privroute.protocol import run_round
 from privroute.roadnet import DelayFunction, Edge, RoadNetwork
 from privroute.sim import (
     SimConfig,
@@ -165,11 +166,10 @@ def test_draw_demand_skips_self_pairs(np_rng):
 def test_no_demand_steps_only_clock():
     net = _line_network()
     sim = Simulation(net, OdDemand({}), SimConfig(horizon=100.0, seed=1))
-    before = sim.state
+    clock, counts = sim.clock, list(sim.counts)
     sim.step()
-    after = sim.state
-    assert after.clock == before.clock + 10.0
-    assert np.array_equal(before.counts, after.counts)
+    assert sim.clock == clock + 10.0
+    assert sim.counts == counts
     assert not sim.vehicles
 
 
@@ -185,6 +185,24 @@ def test_single_vehicle_arrives_after_ceil_steps():
     assert v.arrival == pytest.approx(30.0)
     assert sim.step_index == 3  # exactly ceil(30/10) steps elapsed
     assert v.travel_time == pytest.approx(30.0)
+
+
+def test_exit_pops_in_its_step_after_many_short_steps():
+    # the clock is a running sum of timesteps, so after ~2e5 steps of 0.3 s
+    # it drifts from step * timestep; an exit due at a step's end still pops
+    # in that step
+    net = RoadNetwork([1, 2], [Edge(0, 1, 2, _delay(0.3, cap=1000.0))])
+    step = 231_582
+    start = 0.0
+    for _ in range(step):
+        start += 0.3
+    cfg = SimConfig(timestep=0.3, refresh_period=120.0, horizon=start + 0.1,
+                    seed=0, debug_checks=True)
+    sim = Simulation(net, OdDemand({}), cfg)
+    sim.inject(1, 2, time=start)
+    sim.run()
+    assert sim.step_index == step + 1
+    assert sim.vehicles[0].arrival == start + 0.3
 
 
 def test_traversal_time_reflects_existing_occupancy():
@@ -265,7 +283,7 @@ def test_run_experiment_metrics_fields():
     assert d["travel_time_s"] > 0
 
 
-def test_mpc_noise_mode_small_network():
+def test_mpc_noise_mode_small_network(monkeypatch):
     # full multi-party rounds drive the estimate refresh end to end
     net = _triangle()
     od = OdDemand({(1, 3): 400.0, (2, 3): 200.0})
@@ -274,10 +292,17 @@ def test_mpc_noise_mode_small_network():
         demand_multiplier=1.0, demand_scale=1.0, refresh_period=60.0,
         mpc_degree=3, mpc_seed_bits=8,
     )
+    rounds = []
+
+    def counting_round(*args, **kwargs):
+        rounds.append(len(args[0]))
+        return run_round(*args, **kwargs)
+
+    monkeypatch.setattr("privroute.sim.run_round", counting_round)
     sim = Simulation(net, od, cfg)
     sim.run()
     assert sim.arrived > 0
-    assert sim.published_counts is not None
+    assert rounds and all(n >= 3 for n in rounds)
 
 
 def test_mean_travel_time_monotone_in_demand():
@@ -314,3 +339,5 @@ def test_config_validation():
         SimConfig(epsilon=0.0)
     with pytest.raises(ValueError):
         SimConfig(noise="quantum")
+    with pytest.raises(ValueError, match="finite epsilon"):
+        SimConfig(noise="mpc", epsilon=math.inf)
