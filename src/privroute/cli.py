@@ -77,8 +77,8 @@ def _load_inputs(args):
     try:
         network = parse_net_file(args.net)
         od = parse_trips_file(args.trips) if getattr(args, "trips", None) else None
-    except FileNotFoundError as exc:
-        raise SystemExit(_fail(EXIT_INPUT, f"missing input file: {exc.filename}"))
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not text
+        raise SystemExit(_fail(EXIT_INPUT, f"cannot read input file: {exc}"))
     except ParseError as exc:
         raise SystemExit(_fail(EXIT_INPUT, f"cannot parse input: {exc}"))
     return network, od
@@ -205,6 +205,8 @@ def cmd_fit_noise(args) -> int:
 def cmd_protocol_demo(args) -> int:
     if args.edges < 1:
         return _fail(EXIT_CONFIG, f"--edges must be at least 1, got {args.edges}")
+    if args.parties < 3:
+        return _fail(EXIT_CONFIG, f"--parties must be at least 3, got {args.parties}")
     try:
         poly = fit_inverse_cdf_poly(
             LaplaceParams(args.epsilon), args.degree, MERSENNE_521,

@@ -43,12 +43,12 @@ def _miller_rabin_round(n: int, a: int, d: int, r: int) -> bool:
     return False
 
 
-def is_probable_prime(n: int, extra_rounds: int = 16) -> bool:
+def is_probable_prime(n: int) -> bool:
     """Miller-Rabin primality test.
 
     Deterministic for n < 3.3e24 (fixed witness set); for larger n the fixed
-    witnesses are supplemented with random ones, so the answer is correct with
-    overwhelming probability.
+    witnesses are supplemented with 16 seeded random ones, so the answer is
+    correct with overwhelming probability.
     """
     if n < 2:
         return False
@@ -65,7 +65,7 @@ def is_probable_prime(n: int, extra_rounds: int = 16) -> bool:
             return False
     if n >= _MR_DETERMINISTIC_LIMIT:
         rng = random.Random(0xC0FFEE ^ (n & 0xFFFFFFFF))
-        for _ in range(extra_rounds):
+        for _ in range(16):
             a = rng.randrange(2, n - 1)
             if not _miller_rabin_round(n, a, d, r):
                 return False

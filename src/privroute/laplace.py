@@ -178,7 +178,6 @@ class InverseCdfPoly:
         self,
         *,
         epsilon: Optional[float],
-        degree: int,
         clamp: Optional[float],
         scale_bits: int,
         field_coeffs: Sequence[int],
@@ -188,22 +187,21 @@ class InverseCdfPoly:
         coeffs: Optional[Sequence[float]] = None,
         cheb_coeffs: Optional[np.ndarray] = None,
         max_abs_error: Optional[float] = None,
-        ks_distance: Optional[float] = None,
         _skip_overflow_check: bool = False,
     ):
         self.epsilon = epsilon
-        self.degree = degree
         self.clamp = clamp
         self.scale_bits = scale_bits
         self.scale = 1 << scale_bits
         self.field_coeffs = tuple(int(c) for c in field_coeffs)
+        self.degree = len(self.field_coeffs) - 1
         self.modulus = modulus
         self.n_parties = n_parties
         self.seed_range = seed_range
         self.coeffs = None if coeffs is None else tuple(float(c) for c in coeffs)
         self._cheb_coeffs = cheb_coeffs
         self.max_abs_error = max_abs_error
-        self.ks_distance = ks_distance
+        self.ks_distance: Optional[float] = None  # set by fit_inverse_cdf_poly
         self.encoded_coeffs = tuple(c % modulus.p for c in self.field_coeffs)
         self.value_bound = self._worst_case_magnitude()
         if not _skip_overflow_check and 2 * self.value_bound >= modulus.p:
@@ -243,7 +241,6 @@ class InverseCdfPoly:
         """
         return cls(
             epsilon=None,
-            degree=len(field_coeffs) - 1,
             clamp=None,
             scale_bits=scale_bits,
             field_coeffs=field_coeffs,
@@ -306,9 +303,7 @@ def fit_inverse_cdf_poly(
     *,
     n_parties: int = 1,
     seed_bits: int = 20,
-    scale_bits: Optional[int] = None,
     ks_samples: int = 100_000,
-    ks_seed: int = 0,
 ) -> InverseCdfPoly:
     """Least-squares polynomial quantile on Chebyshev nodes, field-encoded.
 
@@ -316,7 +311,8 @@ def fit_inverse_cdf_poly(
     the CDF argument clipped to [q, 1-q] so the log singularities never enter
     the fit (sacrificing 2q of tail mass).  The recorded ks_distance samples
     the full seed -> polynomial pipeline against the exact Laplace CDF, so it
-    already includes seed quantization.
+    already includes seed quantization; its generator is default_rng(0).
+    The fixed-point scale comes from `_auto_scale_bits`.
     """
     if d < 1:
         raise ValueError(f"degree must be >= 1, got {d}")
@@ -324,13 +320,13 @@ def fit_inverse_cdf_poly(
         raise ValueError(f"clamp fraction must lie in (0, 1/2), got {q}")
     if seed_bits < 1:
         raise ValueError("seed_bits must be >= 1")
+    if n_parties < 1:
+        raise ValueError(f"need at least 1 party, got {n_parties}")
     modulus = p if isinstance(p, PrimeModulus) else PrimeModulus(p)
     eps = params.epsilon
     M = 1 << seed_bits
     w_max = n_parties * (M - 1)
-    if scale_bits is None:
-        scale_bits = _auto_scale_bits(eps, d, w_max)
-    scale = 1 << scale_bits
+    scale_bits = _auto_scale_bits(eps, d, w_max)
 
     n_nodes = max(8 * (d + 1), 512)
     t_nodes = np.cos(np.pi * (2 * np.arange(n_nodes) + 1) / (2 * n_nodes))
@@ -368,7 +364,6 @@ def fit_inverse_cdf_poly(
 
     poly = InverseCdfPoly(
         epsilon=eps,
-        degree=d,
         clamp=q,
         scale_bits=scale_bits,
         field_coeffs=field_coeffs,
@@ -379,6 +374,6 @@ def fit_inverse_cdf_poly(
         cheb_coeffs=cheb_coeffs,
         max_abs_error=max_abs_error,
     )
-    rng = np.random.default_rng(ks_seed)
+    rng = np.random.default_rng(0)
     poly.ks_distance = ks_distance(poly.sample_noise(rng, ks_samples), params)
     return poly

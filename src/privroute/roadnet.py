@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,7 +31,7 @@ class DelayFunction:
     t0 is the free-flow travel time (seconds), capacity c the nominal
     throughput (vehicles per second in this library's internal units).
     Positive, nondecreasing and differentiable on x >= 0 whenever t0, c > 0,
-    alpha >= 0 and beta >= 1.
+    alpha >= 0 and beta >= 1, all finite.
     """
 
     t0: float
@@ -40,14 +40,14 @@ class DelayFunction:
     beta: float = 4.0
 
     def __post_init__(self):
-        if not self.t0 > 0:
-            raise ValueError(f"free-flow time must be positive, got {self.t0}")
-        if not self.capacity > 0:
-            raise ValueError(f"capacity must be positive, got {self.capacity}")
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be nonnegative, got {self.alpha}")
-        if self.beta < 1:
-            raise ValueError(f"beta must be >= 1, got {self.beta}")
+        if not 0 < self.t0 < math.inf:
+            raise ValueError(f"free-flow time must be positive and finite, got {self.t0}")
+        if not 0 < self.capacity < math.inf:
+            raise ValueError(f"capacity must be positive and finite, got {self.capacity}")
+        if not 0 <= self.alpha < math.inf:
+            raise ValueError(f"alpha must be nonnegative and finite, got {self.alpha}")
+        if not 1 <= self.beta < math.inf:
+            raise ValueError(f"beta must be >= 1 and finite, got {self.beta}")
 
 
 @dataclass(frozen=True)
@@ -72,8 +72,7 @@ class RoadNetwork:
     shares its tables.
     """
 
-    def __init__(self, nodes: Sequence[int], edges: Sequence[Edge],
-                 allow_self_loops: bool = False):
+    def __init__(self, nodes: Sequence[int], edges: Sequence[Edge]):
         self.nodes = tuple(nodes)
         self.edges = tuple(edges)
         node_set = set(self.nodes)
@@ -81,7 +80,7 @@ class RoadNetwork:
         for e in self.edges:
             if e.tail not in node_set or e.head not in node_set:
                 raise ValueError(f"edge {e.id} references unknown node {e.tail}->{e.head}")
-            if e.tail == e.head and not allow_self_loops:
+            if e.tail == e.head:
                 raise ValueError(f"edge {e.id} is a self-loop at node {e.tail}")
             out[e.tail].append(e.id)
         self.out_edges = {n: tuple(ids) for n, ids in out.items()}
@@ -249,7 +248,6 @@ def verify_accuracy_guarantee(
     s_grid: Sequence[float],
     trials: int = 10_000,
     seed: int = 0,
-    rng: Optional[np.random.Generator] = None,
 ) -> dict:
     """Monte Carlo check of the accuracy guarantee at each count in s_grid.
 
@@ -259,8 +257,9 @@ def verify_accuracy_guarantee(
     p_fail itself does not enter the simulation.
     """
     del p_fail  # recorded in the caller's comparison, not used to sample
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    rng = np.random.default_rng(seed)
     params = LaplaceParams(epsilon)
     results = {}
     for s in s_grid:

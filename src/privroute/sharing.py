@@ -232,7 +232,7 @@ def reconstruct_shamir(shares: ShamirShareSet) -> FieldElement:
 
 
 def smpa(
-    private_inputs: Sequence[FieldElement], rng, phase: str = "smpa"
+    private_inputs: Sequence[FieldElement], rng
 ) -> tuple[AdditiveShareSet, list[Message]]:
     """Secure multi-party addition.
 
@@ -253,16 +253,13 @@ def smpa(
 
     transcript: list[Message] = []
     held = _smpa_phase(
-        [x.value for x in private_inputs], [rng] * n, p, transcript, phase=phase
+        [x.value for x in private_inputs], [rng] * n, p, transcript
     )
     return AdditiveShareSet(tuple(held), modulus), transcript
 
 
 def smpm(
-    x_shares: AdditiveShareSet,
-    y_shares: AdditiveShareSet,
-    rng,
-    phase: str = "smpm",
+    x_shares: AdditiveShareSet, y_shares: AdditiveShareSet, rng
 ) -> tuple[AdditiveShareSet, list[Message]]:
     """Secure multi-party multiplication of two additively shared values.
 
@@ -295,7 +292,6 @@ def smpm(
     weights = _lagrange_weights_at_zero_ints(list(range(1, n + 1)), p)
     transcript: list[Message] = []
     theta = _smpm_phase(
-        x_shares.values, y_shares.values, [rng] * n, p, (n - 1) // 2, weights,
-        transcript, phase=phase,
+        x_shares.values, y_shares.values, [rng] * n, p, (n - 1) // 2, weights, transcript
     )
     return AdditiveShareSet(tuple(theta), x_shares.modulus), transcript

@@ -7,7 +7,9 @@ Estimates refresh every `refresh_period` seconds: the non-private run
 publishes tau(counts); the private run publishes tau(max(0, counts + Z))
 with Z either exact Laplace noise (fast path, default) or the output of the
 full multi-party round (`noise="mpc"`, small scenarios only: the round costs
-O(edges * parties^2 * degree) per refresh).
+O(edges * parties^2 * degree) per refresh).  The round's polynomial has degree
+MPC_DEGREE and each party draws its seed from MPC_SEED_BITS bits, in the
+Mersenne field 2^521 - 1; modest values keep the round affordable.
 
 Each step departs its vehicles, then pops edge exits in (exit time, vehicle
 id) order until the next exit lies past the step's end; a vehicle leaving one
@@ -38,6 +40,10 @@ from .protocol import PartyInput, run_round
 from .roadnet import RoadNetwork, _tau_vector
 from .tntp import DEFAULT_DEMAND_SCALE, OdDemand
 
+MPC_DEGREE = 7
+MPC_SEED_BITS = 16
+DRAIN_FACTOR = 2.0  # a run stops at DRAIN_FACTOR * horizon, even with vehicles left
+
 
 class Unreachable(ValueError):
     """No path exists between the requested endpoints."""
@@ -52,14 +58,8 @@ class SimConfig:
     horizon: float = 7200.0
     refresh_period: float = 120.0
     demand_multiplier: float = 1.0
-    demand_scale: float = DEFAULT_DEMAND_SCALE
     seed: int = 0
-    drain_factor: float = 2.0  # hard stop at drain_factor * horizon
     debug_checks: bool = False
-    # full-protocol noise knobs (the field is 2^521 - 1); modest defaults
-    # keep the round affordable
-    mpc_degree: int = 7
-    mpc_seed_bits: int = 16
 
     def __post_init__(self):
         if self.mode not in ("private", "non-private"):
@@ -165,25 +165,20 @@ class _DemandTable:
 
 
 def draw_demand(
-    od: OdDemand | _DemandTable,
-    multiplier: float,
-    timestep: float,
-    rng: np.random.Generator,
-    demand_scale: float = DEFAULT_DEMAND_SCALE,
+    table: _DemandTable, multiplier: float, timestep: float, rng: np.random.Generator
 ) -> list[tuple]:
     """Poisson departures for one timestep: a list of (origin, destination).
 
-    Each OD pair draws independently with mean
-    rate * demand_scale * multiplier * timestep/3600; rates are the raw table
-    values and demand_scale maps them to vehicles/hour.  `od` is an OdDemand,
-    or the _DemandTable a simulation builds from one once per run.
+    Each OD pair in `table` (built once per run by a Simulation) draws
+    independently with mean
+    rate * DEFAULT_DEMAND_SCALE * multiplier * timestep/3600; rates are the
+    raw table values and DEFAULT_DEMAND_SCALE maps them to vehicles/hour.
     """
     if multiplier < 0:
         raise ValueError("multiplier must be nonnegative")
-    table = od if isinstance(od, _DemandTable) else _DemandTable(od)
     if not table.pairs:
         return []
-    lam = table.rates * (demand_scale * multiplier * timestep / 3600.0)
+    lam = table.rates * (DEFAULT_DEMAND_SCALE * multiplier * timestep / 3600.0)
     counts = rng.poisson(lam)
     # self pairs draw (keeping the stream) but never depart
     drawn = np.flatnonzero(counts * table.moves)
@@ -286,10 +281,10 @@ class Simulation:
         if poly is None:
             poly = fit_inverse_cdf_poly(
                 LaplaceParams(cfg.epsilon),
-                cfg.mpc_degree,
+                MPC_DEGREE,
                 MERSENNE_521,
                 n_parties=n,
-                seed_bits=cfg.mpc_seed_bits,
+                seed_bits=MPC_SEED_BITS,
                 ks_samples=10_000,
             )
             self._mpc_polys[n] = poly
@@ -338,8 +333,7 @@ class Simulation:
                 st, o, d = heapq.heappop(scheduled)
                 departures.append((max(st, t), o, d))
             departures += [(t, o, d) for o, d in draw_demand(
-                self._demand, cfg.demand_multiplier, cfg.timestep, self.demand_rng,
-                cfg.demand_scale,
+                self._demand, cfg.demand_multiplier, cfg.timestep, self.demand_rng
             )]
             route_of = self._route
             for time, o, d in departures:
@@ -416,7 +410,7 @@ class Simulation:
 
     def run(self) -> "RunResult":
         cfg = self.config
-        hard_stop = cfg.drain_factor * cfg.horizon
+        hard_stop = DRAIN_FACTOR * cfg.horizon
         while self.clock < cfg.horizon or (self.in_transit and self.clock < hard_stop):
             self.step()
         return RunResult(

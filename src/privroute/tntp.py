@@ -10,12 +10,13 @@ is deliberately tolerant: `~` comment lines, blank lines and extra columns
 are ignored.
 
 By convention the dataset's free-flow times are minutes and capacities
-vehicles per hour; with `convert_units=True` (default) both are converted to
-the library's internal seconds / vehicles-per-second.
+vehicles per hour; `parse_net` converts both to the library's internal
+seconds / vehicles-per-second unless told to keep the raw numbers.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Optional
@@ -78,18 +79,22 @@ def _read_metadata(lines) -> tuple[dict, int]:
     return meta, i + 1
 
 
-def parse_net(text: str, convert_units: bool = True,
-              allow_self_loops: bool = False) -> RoadNetwork:
+def parse_net(text: str, convert_units: bool = True) -> RoadNetwork:
     """Build a RoadNetwork from `_net.tntp` content.
 
     With convert_units, free-flow times (minutes) become seconds and
     capacities (vehicles/hour) become vehicles/second; pass False to keep the
-    file's raw numbers (useful for format-level tests).
+    file's raw numbers (useful for format-level tests).  Every malformed
+    input raises ParseError: a bad header count, a record DelayFunction
+    rejects, and a self-loop or unknown node RoadNetwork rejects.
     """
     lines = text.splitlines()
     meta, start = _read_metadata(lines)
-    declared_nodes = int(meta["NUMBER OF NODES"]) if "NUMBER OF NODES" in meta else None
-    declared_links = int(meta["NUMBER OF LINKS"]) if "NUMBER OF LINKS" in meta else None
+    try:
+        declared_nodes = int(meta["NUMBER OF NODES"]) if "NUMBER OF NODES" in meta else None
+        declared_links = int(meta["NUMBER OF LINKS"]) if "NUMBER OF LINKS" in meta else None
+    except ValueError as exc:
+        raise ParseError(f"bad metadata count ({exc})") from None
 
     edges = []
     max_node = 0
@@ -107,20 +112,13 @@ def parse_net(text: str, convert_units: bool = True,
             tail, head = int(fields[0]), int(fields[1])
             capacity, length = float(fields[2]), float(fields[3])
             fftime, b, power = float(fields[4]), float(fields[5]), float(fields[6])
+            if convert_units:
+                fftime *= MINUTES_TO_SECONDS
+                capacity /= HOURS_TO_SECONDS
+            delay = DelayFunction(t0=fftime, capacity=capacity, alpha=b, beta=power)
         except ValueError as exc:
-            raise ParseError(f"bad numeric field ({exc}): {line!r}", lineno + 1) from None
-        if convert_units:
-            fftime *= MINUTES_TO_SECONDS
-            capacity /= HOURS_TO_SECONDS
-        edges.append(
-            Edge(
-                id=len(edges),
-                tail=tail,
-                head=head,
-                delay=DelayFunction(t0=fftime, capacity=capacity, alpha=b, beta=power),
-                length=length,
-            )
-        )
+            raise ParseError(f"bad link record ({exc}): {line!r}", lineno + 1) from None
+        edges.append(Edge(id=len(edges), tail=tail, head=head, delay=delay, length=length))
         max_node = max(max_node, tail, head)
 
     n_nodes = declared_nodes if declared_nodes is not None else max_node
@@ -132,10 +130,13 @@ def parse_net(text: str, convert_units: bool = True,
         raise MetadataMismatch(
             f"header declares {declared_links} links, found {len(edges)}"
         )
-    return RoadNetwork(range(1, n_nodes + 1), edges, allow_self_loops=allow_self_loops)
+    try:
+        return RoadNetwork(range(1, n_nodes + 1), edges)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
 
 
-def write_net(network: RoadNetwork, convert_units: bool = True) -> str:
+def write_net(network: RoadNetwork) -> str:
     """Inverse of parse_net, for fixtures and round-trip tests."""
     out = [
         f"<NUMBER OF NODES> {network.n_nodes}",
@@ -145,8 +146,8 @@ def write_net(network: RoadNetwork, convert_units: bool = True) -> str:
         "~ \tInit node \tTerm node \tCapacity \tLength \tFree Flow Time \tB\tPower\tSpeed limit \tToll \tType\t;",
     ]
     for e in network.edges:
-        fftime = e.delay.t0 / MINUTES_TO_SECONDS if convert_units else e.delay.t0
-        cap = e.delay.capacity * HOURS_TO_SECONDS if convert_units else e.delay.capacity
+        fftime = e.delay.t0 / MINUTES_TO_SECONDS
+        cap = e.delay.capacity * HOURS_TO_SECONDS
         out.append(
             f"\t{e.tail}\t{e.head}\t{cap:.10g}\t{e.length:.10g}\t{fftime:.10g}"
             f"\t{e.delay.alpha:.10g}\t{e.delay.beta:.10g}\t0\t0\t1\t;"
@@ -187,8 +188,9 @@ def parse_trips(text: str) -> OdDemand:
                 rate = float(rate_s.strip())
             except ValueError as exc:
                 raise ParseError(f"bad demand entry ({exc}): {chunk!r}", lineno + 1) from None
-            if rate < 0:
-                raise ParseError(f"negative demand rate: {chunk!r}", lineno + 1)
+            if not 0 <= rate < math.inf:
+                raise ParseError(f"demand rate must be nonnegative and finite: {chunk!r}",
+                                 lineno + 1)
             rates[(origin, dest)] = rate
     return OdDemand(rates)
 
@@ -215,9 +217,9 @@ def write_trips(od: OdDemand) -> str:
     return "\n".join(out) + "\n"
 
 
-def parse_net_file(path, **kwargs) -> RoadNetwork:
+def parse_net_file(path) -> RoadNetwork:
     with open(path, "r") as f:
-        return parse_net(f.read(), **kwargs)
+        return parse_net(f.read())
 
 
 def parse_trips_file(path) -> OdDemand:
@@ -225,9 +227,9 @@ def parse_trips_file(path) -> OdDemand:
         return parse_trips(f.read())
 
 
-def load_sioux_falls(convert_units: bool = True) -> tuple[RoadNetwork, OdDemand]:
+def load_sioux_falls() -> tuple[RoadNetwork, OdDemand]:
     """The bundled Sioux Falls benchmark: 24 nodes, 76 edges, 528 OD pairs."""
     pkg = resources.files("privroute.data")
-    net = parse_net((pkg / "siouxfalls_net.tntp").read_text(), convert_units=convert_units)
+    net = parse_net((pkg / "siouxfalls_net.tntp").read_text())
     od = parse_trips((pkg / "siouxfalls_trips.tntp").read_text())
     return net, od

@@ -240,3 +240,60 @@ def test_protocol_demo_zero_edges_fails_before_fit(tmp_path, capsys, monkeypatch
     assert code == 2
     assert "--edges" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("parties", ["0", "2"])
+def test_protocol_demo_too_few_parties_fails_before_fit(tmp_path, capsys, monkeypatch, parties):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("the noise polynomial was fitted")
+
+    monkeypatch.setattr(cli, "fit_inverse_cdf_poly", no_fit)
+    out = tmp_path / "demo"
+    assert main(["protocol-demo", "--parties", parties, "--out", str(out)]) == 2
+    assert "--parties" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fit_noise_zero_parties_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "fit"
+    assert main(["fit-noise", "--parties", "0", "--out", str(out)]) == 2
+    assert "at least 1 party" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_accuracy_zero_trials_is_a_config_error(capsys):
+    assert main(["verify-accuracy", "--trials", "0"]) == 2
+    assert "trials must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("<NUMBER OF NODES> 3", "<NUMBER OF NODES> two", "metadata count"),
+    ("2 3 2000 1 1 0.15", "2 3 2000 1 0 0.15", "line 5"),  # zero free-flow time
+    ("2 3 2000 1 1 0.15", "2 2 2000 1 1 0.15", "self-loop"),
+], ids=["metadata-count", "zero-free-flow", "self-loop"])
+@pytest.mark.parametrize("command", ["simulate", "critical-counts"])
+def test_malformed_net_exits_3_before_writing(tiny_files, tmp_path, capsys,
+                                              command, old, new, message):
+    net, trips = tiny_files
+    assert old in TINY_NET
+    net.write_text(TINY_NET.replace(old, new))
+    out = tmp_path / "o"
+    argv = [command, "--net", str(net), "--out", str(out)]
+    if command == "simulate":
+        argv += ["--trips", str(trips)]
+    assert main(argv) == 3
+    assert message in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("net_kind", ["directory", "not-text"])
+def test_unreadable_net_exits_3_before_writing(tiny_files, tmp_path, net_kind):
+    net, trips = tiny_files
+    if net_kind == "directory":
+        net = tmp_path
+    else:
+        net.write_bytes(b"\xff\xfe" + TINY_NET.encode())
+    out = tmp_path / "o"
+    code = main(["simulate", "--net", str(net), "--trips", str(trips), "--out", str(out)])
+    assert code == 3
+    assert not (out / "manifest.json").exists()

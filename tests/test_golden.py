@@ -4,7 +4,8 @@ map or the simulator must leave unchanged.
 Every value below was recorded from an earlier implementation: the first
 Sioux Falls pair, the round and smpa/smpm before the share loops and the tau
 bisection were merged into one copy each, the other simulator pins before the
-event loop moved onto plain lists and per-step exit buckets.  A change here
+event loop moved onto plain lists and per-step exit buckets, the MPC run
+while its degree and seed bits were still config fields.  A change here
 means trajectories, field totals or transcripts moved.
 """
 
@@ -111,7 +112,7 @@ SHORT_EDGE_DIGESTS = {
 def test_short_edges_tied_and_boundary_exits_pinned(mode):
     od = OdDemand({(1, 6): 360.0, (2, 6): 180.0, (1, 5): 360.0, (2, 4): 180.0, (6, 3): 360.0})
     config = SimConfig(mode=mode, epsilon=0.5, horizon=300.0, refresh_period=30.0,
-                       demand_scale=1.0, seed=11, debug_checks=True)
+                       demand_multiplier=6.0, seed=11, debug_checks=True)
     sim = Simulation(_short_edge_network(), od, config)
     sim.inject(1, 5, 0.0)
     sim.inject(2, 5, 0.0)
@@ -138,6 +139,41 @@ def test_short_edges_tied_and_boundary_exits_pinned(mode):
     assert any(a // step == b // step
                for v in result.vehicles for a, b in zip(v.entry_times, v.entry_times[2:]))
     assert len(set(exits)) < len(exits)
+
+
+def _triangle():
+    # 1 -> 2 -> 3 with a slower direct 1 -> 3
+    edges = [Edge(i, u, v, DelayFunction(t0=t0, capacity=10.0))
+             for i, (u, v, t0) in enumerate([(1, 2, 60.0), (2, 3, 60.0), (1, 3, 180.0)])]
+    return RoadNetwork([1, 2, 3], edges)
+
+
+# the triangle's 240 s private run with full-protocol noise at the default
+# MPC degree and seed bits: 41 vehicles, five refreshes run a round.  The
+# noise there moves no route, so the rounds' noisy counts are pinned as well:
+# they change with the degree or the seed bits.
+MPC_TRIANGLE_DIGEST = "aaf380c4c819f2956d52eaf1b168836397abd2e070a195506530bee28cd07a81"
+MPC_TRIANGLE_NOISY_DIGEST = "4aa69676711993bb09941bf47a1a88875484f4d12c2088684f12f58bc4b00155"
+
+
+def test_mpc_noise_trajectories_pinned(monkeypatch):
+    rounds, noisy = [], []
+
+    def counting_round(*args, **kwargs):
+        rounds.append(len(args[0]))
+        result = run_round(*args, **kwargs)
+        noisy.append(result.noisy_counts)
+        return result
+
+    monkeypatch.setattr("privroute.sim.run_round", counting_round)
+    od = OdDemand({(1, 3): 400.0, (2, 3): 200.0})
+    config = SimConfig(mode="private", noise="mpc", epsilon=0.5, horizon=240.0, seed=2,
+                       demand_multiplier=6.0, refresh_period=60.0)
+    result = Simulation(_triangle(), od, config).run()
+    assert rounds == [11, 16, 15, 17, 5]
+    assert len(result.vehicles) == 41 and result.n_incomplete == 0
+    assert trajectory_digest(result) == MPC_TRIANGLE_DIGEST
+    assert hashlib.sha256(repr(noisy).encode()).hexdigest() == MPC_TRIANGLE_NOISY_DIGEST
 
 
 def test_seeded_round_pinned():

@@ -219,6 +219,12 @@ def test_fit_rejects_narrow_modulus():
         fit_inverse_cdf_poly(LaplaceParams(0.1), 15, MERSENNE_61, seed_bits=20)
 
 
+@pytest.mark.parametrize("n_parties", [0, -1])
+def test_fit_rejects_fewer_than_one_party(n_parties):
+    with pytest.raises(ValueError, match="at least 1 party"):
+        fit_inverse_cdf_poly(LaplaceParams(0.1), 3, MERSENNE_521, n_parties=n_parties)
+
+
 def test_fit_sampled_noise_matches_distribution(np_rng):
     params = LaplaceParams(0.2)
     poly = fit_inverse_cdf_poly(params, 15, MERSENNE_521, n_parties=5, seed_bits=20)

@@ -32,6 +32,8 @@ def test_delay_function_validation():
         DelayFunction(t0=1.0, capacity=1.0, alpha=-0.1)
     with pytest.raises(ValueError):
         DelayFunction(t0=1.0, capacity=1.0, beta=0.5)
+    with pytest.raises(ValueError, match="finite"):
+        DelayFunction(t0=math.inf, capacity=1.0)
 
 
 def test_travel_time_examples():
@@ -136,6 +138,12 @@ def test_verify_accuracy_guarantee_vacuous_delta():
     assert all(stats["success_rate"] == 1.0 for stats in results.values())
 
 
+def test_verify_accuracy_guarantee_rejects_no_trials():
+    road = DelayFunction(t0=1.0, capacity=130.0)
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        verify_accuracy_guarantee(road, 0.2, 0.1, 0.1, [1], trials=0)
+
+
 def test_derivative_bound_and_count_flow_identity():
     # dtau/ds <= 1/F^-1(s), and tau(y) * F^-1(y) = y
     rng = np.random.default_rng(11)
@@ -189,6 +197,5 @@ def test_network_structure():
     assert net.out_edges[1] == (0,)
     with pytest.raises(ValueError):
         RoadNetwork([1, 2], [Edge(0, 1, 1, d)])  # self-loop
-    RoadNetwork([1, 2], [Edge(0, 1, 1, d)], allow_self_loops=True)
     with pytest.raises(ValueError):
         RoadNetwork([1, 2], [Edge(0, 1, 5, d)])  # unknown node

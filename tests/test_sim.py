@@ -10,6 +10,7 @@ from privroute.sim import (
     SimConfig,
     Simulation,
     Unreachable,
+    _DemandTable,
     compare_runs,
     draw_demand,
     run_experiment,
@@ -99,17 +100,17 @@ def test_shortest_path_against_brute_force():
 # -- demand -------------------------------------------------------------------
 
 def test_draw_demand_zero_multiplier(np_rng):
-    od = OdDemand({(1, 2): 100.0})
+    od = _DemandTable(OdDemand({(1, 2): 100.0}))
     assert draw_demand(od, 0.0, 10.0, np_rng) == []
 
 
 def test_draw_demand_mean_rate():
-    od = OdDemand({(1, 2): 3600.0, (2, 3): 7200.0})
+    od = _DemandTable(OdDemand({(1, 2): 3600.0, (2, 3): 7200.0}))
     rng = np.random.default_rng(0)
     total12 = total23 = 0
     steps = 3000
     for _ in range(steps):
-        for o, d in draw_demand(od, 1.0, 10.0, rng, demand_scale=1.0):
+        for o, d in draw_demand(od, 6.0, 10.0, rng):
             if (o, d) == (1, 2):
                 total12 += 1
             else:
@@ -131,15 +132,12 @@ def test_draw_demand_matches_per_pair_loop():
                 out.extend([(o, d)] * int(k))
         return out
 
-    from privroute.sim import _DemandTable
-
     od = OdDemand({(2, 3): 900.0, (1, 1): 500.0, (1, 2): 0.0, (3, 1): 1800.0})
     table = _DemandTable(od)
-    a, b, c = (np.random.default_rng(3) for _ in range(3))
+    a, b = (np.random.default_rng(3) for _ in range(2))
     for _ in range(50):
         expected = reference(od, 2.0, 10.0, a)
-        assert draw_demand(od, 2.0, 10.0, b, demand_scale=1.0) == expected
-        assert draw_demand(table, 2.0, 10.0, c, demand_scale=1.0) == expected
+        assert draw_demand(table, 12.0, 10.0, b) == expected
 
 
 def test_unknown_od_node_fails_at_construction():
@@ -157,8 +155,8 @@ def test_unreachable_od_pair_fails_at_construction():
 
 
 def test_draw_demand_skips_self_pairs(np_rng):
-    od = OdDemand({(1, 1): 1e6})
-    assert draw_demand(od, 1.0, 10.0, np_rng, demand_scale=1.0) == []
+    od = _DemandTable(OdDemand({(1, 1): 1e6}))
+    assert draw_demand(od, 6.0, 10.0, np_rng) == []
 
 
 # -- stepping -----------------------------------------------------------------
@@ -176,8 +174,7 @@ def test_no_demand_steps_only_clock():
 def test_single_vehicle_arrives_after_ceil_steps():
     # t0 = 30 s on an uncongested edge, 10 s steps: in transit for 3 steps
     net = RoadNetwork([1, 2], [Edge(0, 1, 2, _delay(30.0, cap=1000.0))])
-    cfg = SimConfig(horizon=10.0, timestep=10.0, refresh_period=10.0, seed=0,
-                    drain_factor=10.0)
+    cfg = SimConfig(horizon=30.0, timestep=10.0, refresh_period=10.0, seed=0)
     sim = Simulation(net, OdDemand({}), cfg)
     sim.inject(1, 2, time=0.0)
     sim.run()
@@ -208,8 +205,7 @@ def test_exit_pops_in_its_step_after_many_short_steps():
 def test_traversal_time_reflects_existing_occupancy():
     # second vehicle enters while the first is still on the road
     net = RoadNetwork([1, 2], [Edge(0, 1, 2, _delay(30.0, cap=0.05))])
-    cfg = SimConfig(horizon=20.0, timestep=10.0, refresh_period=10.0, seed=0,
-                    drain_factor=10.0)
+    cfg = SimConfig(horizon=30.0, timestep=10.0, refresh_period=10.0, seed=0)
     sim = Simulation(net, OdDemand({}), cfg)
     sim.inject(1, 2, time=0.0)
     sim.inject(1, 2, time=10.0)
@@ -289,8 +285,7 @@ def test_mpc_noise_mode_small_network(monkeypatch):
     od = OdDemand({(1, 3): 400.0, (2, 3): 200.0})
     cfg = SimConfig(
         mode="private", noise="mpc", epsilon=0.5, horizon=240.0, seed=2,
-        demand_multiplier=1.0, demand_scale=1.0, refresh_period=60.0,
-        mpc_degree=3, mpc_seed_bits=8,
+        demand_multiplier=6.0, refresh_period=60.0,
     )
     rounds = []
 

@@ -59,6 +59,33 @@ def test_parse_net_reports_line_numbers():
     assert err.value.line == 6
 
 
+def test_parse_net_rejects_non_integer_header_count():
+    with pytest.raises(ParseError, match="bad metadata count"):
+        parse_net(SINGLE_LINK.replace("<NUMBER OF NODES> 2", "<NUMBER OF NODES> two"))
+
+
+@pytest.mark.parametrize("record", [
+    "1 2 1000 1 0 0.15 4 0 0 1 ;",  # zero free-flow time
+    "1 2 0 1 2 0.15 4 0 0 1 ;",  # zero capacity
+    "1 2 1000 1 2 -0.15 4 0 0 1 ;",  # negative alpha
+    "1 2 1000 1 2 0.15 0.5 0 0 1 ;",  # power below 1
+    "1 2 1000 1 inf 0.15 4 0 0 1 ;",  # infinite free-flow time
+])
+def test_parse_net_rejects_bad_delay_record_with_line(record):
+    with pytest.raises(ParseError) as err:
+        parse_net(SINGLE_LINK.replace("1 2 1000 1 2 0.15 4 0 0 1 ;", record))
+    assert err.value.line == 5
+
+
+@pytest.mark.parametrize("record, message", [
+    ("1 1 1000 1 2 0.15 4 0 0 1 ;", "self-loop"),
+    ("0 2 1000 1 2 0.15 4 0 0 1 ;", "unknown node"),
+])
+def test_parse_net_network_errors_are_parse_errors(record, message):
+    with pytest.raises(ParseError, match=message):
+        parse_net(SINGLE_LINK.replace("1 2 1000 1 2 0.15 4 0 0 1 ;", record))
+
+
 def test_parse_net_tolerates_extra_columns_and_blank_lines():
     text = SINGLE_LINK + "\n\n2 1 500 1 3 0.2 4 0 0 1 99 extra ;\n"
     text = text.replace("<NUMBER OF LINKS> 1", "<NUMBER OF LINKS> 2")
@@ -92,6 +119,9 @@ def test_parse_trips_errors():
     assert err.value.line == 2
     with pytest.raises(ParseError):
         parse_trips("Origin 1\n 2 : -4.0;\n")
+    for rate in ("inf", "nan"):
+        with pytest.raises(ParseError, match="finite"):
+            parse_trips(f"Origin 1\n 2 : {rate};\n")
 
 
 def test_trips_round_trip():
