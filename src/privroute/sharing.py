@@ -126,19 +126,20 @@ def _smpa_phase(secrets, rngs, p, messages=None, edge=0, phase="smpa") -> list:
 
     Party i deals shares of secrets[i-1] from rngs[i-1] to the other parties
     in increasing index and keeps the remainder; each party's output is the
-    sum of what it holds.  Sends are appended to `messages` when given.
+    sum of what it holds, added up unreduced and reduced once.  Sends are
+    appended to `messages` when given.
     """
     n = len(secrets)
-    held = [0] * n
+    rows = []
     for i in range(1, n + 1):
-        *dealt, keep = _deal_additive(secrets[i - 1], n, p, rngs[i - 1])
-        receivers = [j for j in range(1, n + 1) if j != i]
-        for j, v in zip(receivers, dealt):
-            held[j - 1] = (held[j - 1] + v) % p
-            if messages is not None:
-                messages.append(Message(edge, phase, i, j, v))
-        held[i - 1] = (held[i - 1] + keep) % p
-    return held
+        *row, keep = _deal_additive(secrets[i - 1], n, p, rngs[i - 1])
+        row.insert(i - 1, keep)  # row[j-1] is what party j holds from party i
+        rows.append(row)
+        if messages is not None:
+            messages.extend(
+                Message(edge, phase, i, j, v) for j, v in enumerate(row, 1) if j != i
+            )
+    return [sum(held) % p for held in zip(*rows)]
 
 
 def _smpm_phase(x, y, rngs, p, degree, lam, messages=None, edge=0, phase="smpm") -> list:
@@ -155,18 +156,20 @@ def _smpm_phase(x, y, rngs, p, degree, lam, messages=None, edge=0, phase="smpm")
     per-pair evaluations the transcript needs.
     """
     n = len(x)
-    cx_sum = cy_sum = [0] * (degree + 1)  # rebound below, never mutated
+    cxs, cys = [], []
     for i in range(1, n + 1):
         rng = rngs[i - 1]
         cx = _sample_poly(x[i - 1], degree, p, rng)
         cy = _sample_poly(y[i - 1], degree, p, rng)
-        cx_sum = [a + b for a, b in zip(cx_sum, cx)]
-        cy_sum = [a + b for a, b in zip(cy_sum, cy)]
+        cxs.append(cx)
+        cys.append(cy)
         if messages is not None:
             for j in range(1, n + 1):
                 if j != i:
                     messages.append(Message(edge, phase, i, j, _eval_poly(cx, j, p)))
                     messages.append(Message(edge, phase, i, j, _eval_poly(cy, j, p)))
+    cx_sum = [sum(c) for c in zip(*cxs)]
+    cy_sum = [sum(c) for c in zip(*cys)]
     return [
         lam[j - 1] * _eval_poly(cx_sum, j, p) % p * _eval_poly(cy_sum, j, p) % p
         for j in range(1, n + 1)

@@ -5,7 +5,9 @@ Every value below was recorded from an earlier implementation: the first
 Sioux Falls pair, the round and smpa/smpm before the share loops and the tau
 bisection were merged into one copy each, the other simulator pins before the
 event loop moved onto plain lists and per-step exit buckets, the MPC run
-while its degree and seed bits were still config fields.  A change here
+while its degree and seed bits were still config fields, the round at the
+benchmark's shape before seeded party streams drew through their own
+`randrange` and the share loops reduced once per party.  A change here
 means trajectories, field totals or transcripts moved.
 """
 
@@ -188,6 +190,24 @@ def test_seeded_round_pinned():
     assert messages_digest(
         result.transcript.messages, ("edge", "phase", "sender", "receiver", "value")
     ) == "1ca20ca3fab5c635112d33a3c374b4aed9573644d2b46d01db54ccdd22d71e71"
+
+
+def test_seeded_round_pinned_at_benchmark_shape():
+    # round_sf's party count and degree: even n (Shamir degree 9), and 16 seed
+    # bits, so randrange(2**16) draws 17 bits and rejects about half of them
+    poly = InverseCdfPoly.from_field_coeffs(
+        [-40, 7, -3, 1, 5, -2, 1, 3], modulus=M521, n_parties=20, seed_range=2**16,
+        scale_bits=4,
+    )
+    assert poly.degree == 7
+    inputs = [PartyInput.on_edge(i + 1, i % 5 - 1, 4) for i in range(20)]
+    result = run_round(inputs, poly, seed=2026, record_transcript=False)
+    assert result.field_totals == (
+        207237358748080318132383021236861959457076,
+        115628929086512470243767347476497504866658,
+        103046254974865046505928986239651393989014,
+        104964537126871211906034197682767017469124,
+    )
 
 
 def test_smpa_pinned():

@@ -1,15 +1,17 @@
 """Property tests: secure addition and multiplication reconstruct exactly, a
-zero-noise round publishes the true counts, and relabeling parties changes no
-output, over randomly drawn instances."""
+zero-noise round publishes the true counts, relabeling parties changes no
+output, and a seeded party stream draws what `random.Random` draws, over
+randomly drawn instances."""
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from privroute.field import MERSENNE_61, MERSENNE_521, PrimeModulus
 from privroute.laplace import InverseCdfPoly
-from privroute.protocol import PartyInput, run_round
+from privroute.protocol import PartyInput, _PartyStream, run_round
 from privroute.sharing import reconstruct_additive, share_additive, smpa, smpm
 
 PRIMES = (7, 101, MERSENNE_61, MERSENNE_521)
@@ -86,3 +88,25 @@ def test_relabeling_parties_preserves_field_totals(n, m, degree, seed, data):
         return run_round(inputs, poly, seed=seed, record_transcript=False).field_totals
 
     assert totals(permuted) == totals(where)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**64),
+    st.lists(
+        # 2**k + 1 rejects almost half its draws, so the redraw loop runs
+        st.one_of(st.integers(1, 2**600), st.integers(0, 599).map(lambda k: 2**k + 1)),
+        min_size=1, max_size=20,
+    ),
+)
+def test_party_stream_draws_like_random(seed, bounds):
+    stream, stdlib = _PartyStream(seed), random.Random(seed)
+    assert [stream.randrange(n) for n in bounds] == [stdlib.randrange(n) for n in bounds]
+    assert stream.getstate() == stdlib.getstate()
+
+
+def test_party_stream_rejects_empty_range():
+    stream = _PartyStream(0)
+    for n in (0, -3):
+        with pytest.raises(ValueError):
+            stream.randrange(n)

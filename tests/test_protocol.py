@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import secrets
 from collections import Counter
 
 import numpy as np
@@ -45,6 +46,13 @@ def test_party_input_validation():
         PartyInput(1, (1, 1, 0))
     with pytest.raises(InvalidInput):
         PartyInput(1, (0, 2, 0))
+    # equal to 1 but not ints: each once passed here and broke run_round
+    # partway through with an OverflowError
+    with pytest.raises(InvalidInput):
+        PartyInput(1, (1.0, 0))
+    with pytest.raises(InvalidInput):
+        PartyInput(1, tuple(np.eye(2, dtype=np.int64)[0]))
+    PartyInput(1, (True, False))  # bools are ints
 
 
 def test_on_edge_checks_the_edge():
@@ -59,6 +67,25 @@ def test_zero_noise_round_reports_exact_counts():
     inputs = [PartyInput.on_edge(i, 0, 3) for i in range(1, 6)]
     result = run_round(inputs, _zero_poly(5), seed=7)
     assert result.noisy_counts == (5.0, 0.0, 0.0)
+
+
+def test_unseeded_round_gives_each_party_a_system_random(monkeypatch):
+    # seeded streams can be rebuilt from the seed; without one, every party
+    # must draw from its own operating-system source
+    seen = []
+    smpa_phase = protocol._smpa_phase
+
+    def spy(values, rngs, *args):
+        seen.append(list(rngs))
+        return smpa_phase(values, rngs, *args)
+
+    monkeypatch.setattr(protocol, "_smpa_phase", spy)
+    inputs = [PartyInput.on_edge(i, 0, 1) for i in range(1, 4)]
+    assert run_round(inputs, _zero_poly(3)).noisy_counts == (3.0,)
+    assert seen
+    for rngs in seen:
+        assert len({id(r) for r in rngs}) == 3
+        assert all(isinstance(r, secrets.SystemRandom) for r in rngs)
 
 
 def test_zero_noise_with_off_network_party():

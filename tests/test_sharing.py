@@ -22,6 +22,7 @@ from privroute.sharing import (
     TooFewParties,
     _eval_poly,
     _sample_poly,
+    _smpa_phase,
     _smpm_phase,
     reconstruct_additive,
     reconstruct_shamir,
@@ -345,3 +346,39 @@ def test_smpm_phase_one_output_path(n, p):
     assert len(recorded) == 2 * n * (n - 1)
     assert recorded == reference_messages
     assert sum(silent) % p == sum(x) * sum(y) % p
+
+
+def _smpa_per_pair(secrets, rngs, p, phase="smpa"):
+    """Reference: every receiver adds each share it is sent, reducing each time."""
+    n = len(secrets)
+    held = [0] * n
+    messages = []
+    for i in range(1, n + 1):
+        drawn = [rngs[i - 1].randrange(p) for _ in range(n - 1)]
+        keep = (secrets[i - 1] - sum(drawn)) % p
+        receivers = [j for j in range(1, n + 1) if j != i]
+        for j, v in zip(receivers, drawn):
+            held[j - 1] = (held[j - 1] + v) % p
+            messages.append(Message(0, phase, i, j, v))
+        held[i - 1] = (held[i - 1] + keep) % p
+    return held, messages
+
+
+@pytest.mark.parametrize("p", [7, MERSENNE_521])
+@pytest.mark.parametrize("n", [2, 3, 7, 20])
+def test_smpa_phase_matches_per_pair_reference(n, p):
+    # shares summed unreduced and reduced once equal a reduction after every
+    # addition, whether or not messages are recorded
+    secrets = [random.Random(n).randrange(p) for _ in range(n)]
+
+    def streams():
+        return [random.Random(f"{n}:{p}:{i}") for i in range(n)]
+
+    silent = _smpa_phase(secrets, streams(), p)
+    recorded = []
+    loud = _smpa_phase(secrets, streams(), p, recorded)
+    reference, reference_messages = _smpa_per_pair(secrets, streams(), p)
+    assert silent == loud == reference
+    assert recorded == reference_messages
+    assert len(recorded) == n * (n - 1)
+    assert sum(silent) % p == sum(secrets) % p
