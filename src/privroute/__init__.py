@@ -7,13 +7,7 @@ costs on a real benchmark network.
 """
 
 from .field import FieldElement, PrimeModulus, lagrange_weights_at_zero, mod_inverse
-from .laplace import (
-    InverseCdfPoly,
-    LaplaceParams,
-    fit_inverse_cdf_poly,
-    inverse_cdf_exact,
-    laplace_pdf,
-)
+from .laplace import InverseCdfPoly, LaplaceParams, fit_inverse_cdf_poly
 from .protocol import PartyInput, ProtocolTranscript, RoundResult, coalition_view, run_round
 from .roadnet import (
     DelayFunction,

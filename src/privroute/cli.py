@@ -206,7 +206,7 @@ def cmd_protocol_demo(args) -> int:
         PartyInput.on_edge(i + 1, rng_locations[i], args.edges)
         for i in range(args.parties)
     ]
-    result = run_round(inputs, poly, seed=args.seed)
+    result = run_round(inputs, poly, seed=args.seed, record_transcript=True)
     true_counts = [rng_locations.count(e) for e in range(args.edges)]
     outdir = Path(args.out)
     _write_manifest(outdir, "protocol-demo", vars(args))

@@ -32,10 +32,6 @@ import numpy.polynomial.chebyshev as _cheb
 from .field import PrimeModulus
 
 
-class DomainError(ValueError):
-    """Raised for inverse-CDF arguments at or beyond the log singularities."""
-
-
 class OverflowRisk(ValueError):
     """Raised when an encoded polynomial evaluation could wrap past +-p/2."""
 
@@ -51,12 +47,6 @@ class LaplaceParams:
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
 
 
-def laplace_pdf(z: float, params: LaplaceParams) -> float:
-    """Density (eps/2) * exp(-eps*|z|)."""
-    eps = params.epsilon
-    return eps / 2.0 * math.exp(-eps * abs(z))
-
-
 def laplace_cdf(z, params: LaplaceParams):
     """Distribution function; accepts scalars or numpy arrays."""
     eps = params.epsilon
@@ -69,18 +59,6 @@ def laplace_cdf(z, params: LaplaceParams):
 def _quantile_vector(v: np.ndarray, eps: float) -> np.ndarray:
     """Laplace quantile of each v in (0,1), vectorized."""
     return np.where(v <= 0.5, np.log(2.0 * v) / eps, -np.log(2.0 * (1.0 - v)) / eps)
-
-
-def inverse_cdf_exact(u, params: LaplaceParams, p: int) -> float:
-    """Laplace quantile of a seed u uniform on (0, p).
-
-    (1/eps) * ln(2u/p) on the lower half, mirrored on the upper half.
-    Monotone in u and antisymmetric about u = p/2; u = 0 and u = p are
-    rejected because the logarithms diverge there.
-    """
-    if not 0 < u < p:
-        raise DomainError(f"u must lie strictly inside (0, {p}), got {u}")
-    return float(_quantile_vector(u / p, params.epsilon))
 
 
 def sample_laplace_vector(epsilon: float, generator: np.random.Generator, size) -> np.ndarray:

@@ -18,9 +18,11 @@ and each party draws from its own stream.  By default every stream is a
 `secrets.SystemRandom`, so nothing published can rebuild the shares; a round
 `seed` derives reproducible streams instead (for tests and simulation only),
 under which relabeling parties permutes nothing but names.  Seeded streams
-are `random.Random`s whose `randrange(n)` is a one-frame copy of the
-stdlib's draw (same values, same final state); the share loops call nothing
-but `rng.randrange`, so injected test rngs need only that method.
+are plain `random.Random`s.  The share loops draw through `sharing._draw`:
+one `getrandbits` run per party per phase, with replacement draws for the
+values `randrange` would reject, so every party gets the same values and
+ends in the same state as with one `randrange` call per value.  An injected
+rng with only `randrange` (the tests' scripted rngs) is called per value.
 
 Steps 1-3 run `sharing._smpa_phase` and `sharing._smpm_phase`, the same
 int-level cores behind `sharing.smpa`/`smpm`, here with one rng per party.
@@ -32,8 +34,9 @@ exactly the order the exhaustive secrecy tests of `smpa`/`smpm` enumerate.
 Shamir evaluation is linear, so each multiplication step evaluates the sum of
 the parties' coefficient vectors once per receiver: O(N*h) Horner steps per
 power for Shamir degree h, the same shares as N^2 per-pair evaluations would
-give.  Recording a transcript adds those O(N^2*h) per-pair evaluations, since
-each message is one of them.
+give.  Recording a transcript (`record_transcript=True`; off by default,
+since it holds every point-to-point share) adds those O(N^2*h) per-pair
+evaluations, since each message is one of them.
 """
 
 from __future__ import annotations
@@ -143,37 +146,17 @@ class RoundResult:
     n_parties: int
 
 
-class _PartyStream(random.Random):
-    """A seeded party stream whose `randrange(n)` takes one Python frame.
-
-    The body is CPython's `_randbelow_with_getrandbits`, which the stdlib's
-    `randrange(n)` reaches through `_randbelow` after an `_index` call: the
-    same `getrandbits(n.bit_length())` calls, redrawn while the value is at
-    least n, so the values and the final `getstate()` equal the stdlib's.
-    Only the one-argument form exists; a round draws nothing else.
-    """
-
-    def randrange(self, n):
-        if n <= 0:
-            # getrandbits(0) is 0, so the loop below would never end
-            raise ValueError(f"empty range for randrange({n})")
-        k = n.bit_length()
-        r = self.getrandbits(k)
-        while r >= n:
-            r = self.getrandbits(k)
-        return r
-
-
 def party_streams(seed: int, n_parties: int) -> list[random.Random]:
     """Independent per-party rngs derived from one round seed.
 
     Each is a `random.Random` seeded from the round seed and the party
-    index, drawing exactly the values a plain `random.Random` with that seed
-    would; its `randrange(n)` skips the stdlib's argument handling, about
-    half of a 521-bit draw's cost, over a round's ~10^5 draws.
+    index.  The share loops draw from it through `sharing._draw`: one
+    `getrandbits` run per party per phase, with replacement draws for the
+    values `randrange` would reject, so a party gets the same values and
+    ends in the same state as with one `randrange` call per value.
     """
     return [
-        _PartyStream(f"privroute-round:{seed}:party:{i}") for i in range(1, n_parties + 1)
+        random.Random(f"privroute-round:{seed}:party:{i}") for i in range(1, n_parties + 1)
     ]
 
 
@@ -183,7 +166,7 @@ def run_round(
     *,
     seed: Optional[int] = None,
     rngs: Optional[Sequence] = None,
-    record_transcript: bool = True,
+    record_transcript: bool = False,
 ) -> RoundResult:
     """Execute one full estimation round across all edges.
 
@@ -191,7 +174,9 @@ def run_round(
     per-party streams are derived from `seed` when given, and are
     independent `secrets.SystemRandom` instances when not.  An edge whose
     field total decodes beyond `poly.value_bound` raises `DecodeOverflow`
-    instead of publishing a wrapped value.
+    instead of publishing a wrapped value.  `transcript` is None unless
+    `record_transcript` is set: the messages include every point-to-point
+    share, enough to rebuild each party's inputs.
     """
     n = len(inputs)
     if n < 3:
@@ -223,6 +208,7 @@ def run_round(
     d = poly.degree
     scale = poly.scale
     chat = poly.encoded_coeffs
+    constant = [chat[0]] + [0] * (n - 1)  # the constant term enters exactly once
     lam = _lagrange_weights_at_zero_ints(list(range(1, n + 1)), pp)
     transcript = ProtocolTranscript(n, m, d) if record_transcript else None
     messages = None if transcript is None else transcript.messages
@@ -243,14 +229,11 @@ def run_round(
             powers.append(
                 _smpm_phase(powers[z - 1], beta_1, rngs, pp, lam, messages, e, phase_power(z))
             )
-        theta = []
-        for i in range(1, n + 1):
-            t = scale * alpha[i - 1] % pp
-            if i == 1:
-                t = (t + chat[0]) % pp  # constant term enters exactly once
-            for z in range(1, d + 1):
-                t = (t + chat[z] * powers[z][i - 1]) % pp
-            theta.append(t)
+        # each party's terms are added unreduced and reduced once
+        theta = [
+            (const + scale * a + sum(c * s for c, s in zip(chat[1:], shares))) % pp
+            for const, a, *shares in zip(constant, alpha, *powers[1:])
+        ]
         if messages is not None:
             for i in range(1, n + 1):
                 for j in range(1, n + 1):

@@ -16,6 +16,7 @@ the secret itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple, Sequence
 
 from .field import (
@@ -100,16 +101,40 @@ class ShamirShareSet:
 # ---------------------------------------------------------------------------
 
 
+def _draw(rng, bound: int, count: int) -> list[int]:
+    """The next `count` values of `rng.randrange(bound)`, drawn in one run.
+
+    `randrange(bound)` calls `getrandbits(bound.bit_length())` until a value
+    falls below `bound`.  Drawing `count` values at once, dropping the ones
+    out of range and drawing replacements keeps the accepted values in stream
+    order and stops at the last accepted one, so the values and the rng's
+    final state equal those of `count` `randrange` calls.  An rng with only
+    `randrange` (the tests' scripted rngs) is called once per value.
+    """
+    if bound < 1:
+        # getrandbits(0) is 0, so the replacements below would never end
+        raise ValueError(f"empty range for randrange({bound})")
+    getrandbits = getattr(rng, "getrandbits", None)
+    if getrandbits is None:
+        return [rng.randrange(bound) for _ in range(count)]
+    k = bound.bit_length()
+    vals = list(map(getrandbits, repeat(k, count)))
+    while vals and max(vals) >= bound:
+        vals = [v for v in vals if v < bound]
+        vals += map(getrandbits, repeat(k, count - len(vals)))
+    return vals
+
+
 def _deal_additive(secret: int, n: int, p: int, rng) -> list[int]:
     """Shares for parties 1..N; parties 1..N-1 get fresh uniforms, N the remainder."""
-    drawn = [rng.randrange(p) for _ in range(n - 1)]
+    drawn = _draw(rng, p, n - 1)
     last = (secret - sum(drawn)) % p
     return drawn + [last]
 
 
 def _sample_poly(secret: int, degree: int, p: int, rng) -> list[int]:
     """Coefficients [secret, C_1..C_degree] with the C's uniform on Z_p."""
-    return [secret % p] + [rng.randrange(p) for _ in range(degree)]
+    return [secret % p] + _draw(rng, p, degree)
 
 
 def _eval_poly(coeffs: Sequence[int], x: int, p: int) -> int:
@@ -146,7 +171,8 @@ def _smpm_phase(x, y, rngs, p, lam, messages=None, edge=0, phase="smpm") -> list
     """Secure multiplication: additive shares of x*y from additive shares x, y.
 
     Party i Shamir-shares x[i-1] then y[i-1] with polynomials of degree
-    floor((N-1)/2) drawn from rngs[i-1]; `lam` are the Lagrange weights at
+    floor((N-1)/2) whose coefficients come from one draw of rngs[i-1], X's
+    before Y's; `lam` are the Lagrange weights at
     zero for indices 1..N, which turn the summed product evaluations into
     additive shares.
 
@@ -160,9 +186,9 @@ def _smpm_phase(x, y, rngs, p, lam, messages=None, edge=0, phase="smpm") -> list
     degree = (n - 1) // 2
     cxs, cys = [], []
     for i in range(1, n + 1):
-        rng = rngs[i - 1]
-        cx = _sample_poly(x[i - 1], degree, p, rng)
-        cy = _sample_poly(y[i - 1], degree, p, rng)
+        drawn = _draw(rngs[i - 1], p, 2 * degree)
+        cx = [x[i - 1] % p, *drawn[:degree]]
+        cy = [y[i - 1] % p, *drawn[degree:]]
         cxs.append(cx)
         cys.append(cy)
         if messages is not None:

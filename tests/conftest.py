@@ -1,5 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+
+
+def laplace_pdf(z, params):
+    """Laplace density (eps/2) * exp(-eps*|z|) for `LaplaceParams` params."""
+    eps = params.epsilon
+    return eps / 2.0 * math.exp(-eps * abs(z))
 
 
 class ScriptedRng:

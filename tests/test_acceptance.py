@@ -22,7 +22,6 @@ from privroute.laplace import (
     LaplaceParams,
     fit_inverse_cdf_poly,
     ks_distance,
-    laplace_pdf,
     sample_laplace_vector,
 )
 from privroute.protocol import PartyInput, run_round

@@ -183,7 +183,7 @@ def test_seeded_round_pinned():
         [-40, 7, -3, 1], modulus=M521, n_parties=5, seed_range=16, scale_bits=4
     )
     inputs = [PartyInput.on_edge(i + 1, e, 3) for i, e in enumerate([0, 2, 2, -1, 1])]
-    result = run_round(inputs, poly, seed=7)
+    result = run_round(inputs, poly, seed=7, record_transcript=True)
     assert result.field_totals == (29896, 46781, 64157)
     assert result.noisy_counts == (1868.5, 2923.8125, 4009.8125)
     assert len(result.transcript.messages) == 420

@@ -6,19 +6,17 @@ from scipy import integrate
 
 from privroute.field import MERSENNE_61, MERSENNE_521, PrimeModulus
 from privroute.laplace import (
-    DomainError,
     InverseCdfPoly,
     LaplaceParams,
     OverflowRisk,
     fit_inverse_cdf_poly,
-    inverse_cdf_exact,
     ks_distance,
     laplace_cdf,
-    laplace_pdf,
     sample_laplace_vector,
     seed_sum_cdf,
     seed_sum_pmf,
 )
+from conftest import laplace_pdf
 
 M61 = PrimeModulus(MERSENNE_61)
 
@@ -48,41 +46,7 @@ def test_params_validation():
             LaplaceParams(bad)
 
 
-# -- exact inverse CDF ----------------------------------------------------------
-
-def test_inverse_cdf_median_is_zero():
-    assert inverse_cdf_exact(50, LaplaceParams(1.0), 100) == 0.0
-    assert inverse_cdf_exact(MERSENNE_61 / 2, LaplaceParams(0.3), MERSENNE_61) == 0.0
-
-
-def test_inverse_cdf_known_point():
-    p = 1000
-    u = p / (2 * math.e)
-    assert inverse_cdf_exact(u, LaplaceParams(1.0), p) == pytest.approx(-1.0, abs=1e-12)
-
-
-def test_inverse_cdf_domain_errors():
-    params = LaplaceParams(1.0)
-    for u in (0, 100, -3, 101):
-        with pytest.raises(DomainError):
-            inverse_cdf_exact(u, params, 100)
-
-
-def test_inverse_cdf_antisymmetric_and_monotone():
-    p = 2**20  # float-exact scale so u and p - u are both representable
-    params = LaplaceParams(0.5)
-    us = np.arange(1, p)
-    vals = np.log(np.where(us <= p / 2, 2 * us / p, 1.0)) / 0.5 - np.log(
-        np.where(us > p / 2, 2 * (1 - us / p), 1.0)
-    ) / 0.5
-    sampled = np.array([inverse_cdf_exact(int(u), params, p) for u in us[::1000]])
-    assert np.all(np.diff(sampled) >= 0)
-    np.testing.assert_allclose(sampled, vals[::1000], rtol=1e-12)
-    for u in range(1, 5000, 97):
-        assert inverse_cdf_exact(p - u, params, p) == pytest.approx(
-            -inverse_cdf_exact(u, params, p), rel=1e-12, abs=1e-12
-        )
-
+# -- Laplace quantile of a uniform seed -------------------------------------------
 
 def test_inverse_cdf_pushforward_matches_density(np_rng):
     p = MERSENNE_61

@@ -1,7 +1,7 @@
 """Property tests: secure addition and multiplication reconstruct exactly, a
 zero-noise round publishes the true counts, relabeling parties changes no
-output, and a seeded party stream draws what `random.Random` draws, over
-randomly drawn instances."""
+output, and a batched share draw returns what `random.Random.randrange`
+returns, over randomly drawn instances."""
 
 import random
 
@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from privroute.field import MERSENNE_61, MERSENNE_521, PrimeModulus
 from privroute.laplace import InverseCdfPoly
-from privroute.protocol import PartyInput, _PartyStream, run_round
-from privroute.sharing import reconstruct_additive, share_additive, smpa, smpm
+from privroute.protocol import PartyInput, run_round
+from privroute.sharing import _draw, reconstruct_additive, share_additive, smpa, smpm
 
 PRIMES = (7, 101, MERSENNE_61, MERSENNE_521)
 M521 = PrimeModulus(MERSENNE_521)
@@ -94,19 +94,23 @@ def test_relabeling_parties_preserves_field_totals(n, m, degree, seed, data):
 @given(
     st.integers(0, 2**64),
     st.lists(
-        # 2**k + 1 rejects almost half its draws, so the redraw loop runs
-        st.one_of(st.integers(1, 2**600), st.integers(0, 599).map(lambda k: 2**k + 1)),
-        min_size=1, max_size=20,
+        st.tuples(
+            # 2**k + 1 rejects almost half its draws, so replacements are drawn
+            st.one_of(st.integers(1, 2**600), st.integers(0, 599).map(lambda k: 2**k + 1)),
+            st.integers(0, 40),
+        ),
+        min_size=1, max_size=4,
     ),
 )
-def test_party_stream_draws_like_random(seed, bounds):
-    stream, stdlib = _PartyStream(seed), random.Random(seed)
-    assert [stream.randrange(n) for n in bounds] == [stdlib.randrange(n) for n in bounds]
-    assert stream.getstate() == stdlib.getstate()
+def test_draw_matches_randrange(seed, calls):
+    batched, stdlib = random.Random(seed), random.Random(seed)
+    for bound, count in calls:
+        assert _draw(batched, bound, count) == [stdlib.randrange(bound) for _ in range(count)]
+    assert batched.getstate() == stdlib.getstate()
 
 
-def test_party_stream_rejects_empty_range():
-    stream = _PartyStream(0)
-    for n in (0, -3):
+def test_draw_rejects_empty_range():
+    # without the guard getrandbits(0) returns 0 and replacements never end
+    for bound in (0, -3):
         with pytest.raises(ValueError):
-            stream.randrange(n)
+            _draw(random.Random(0), bound, 1)

@@ -120,8 +120,8 @@ def test_determinism_same_seed():
         LaplaceParams(0.3), 3, MERSENNE_521, n_parties=4, seed_bits=8, ks_samples=1000
     )
     inputs = [PartyInput.on_edge(i, i % 2, 2) for i in range(1, 5)]
-    a = run_round(inputs, poly, seed=99)
-    b = run_round(inputs, poly, seed=99)
+    a = run_round(inputs, poly, seed=99, record_transcript=True)
+    b = run_round(inputs, poly, seed=99, record_transcript=True)
     assert a.noisy_counts == b.noisy_counts
     assert a.field_totals == b.field_totals
     assert a.transcript.messages == b.transcript.messages
@@ -190,7 +190,7 @@ def test_transcript_schedule():
         LaplaceParams(0.3), d, MERSENNE_521, n_parties=n, seed_bits=8, ks_samples=1000
     )
     inputs = [PartyInput.on_edge(i, 0, m) for i in range(1, n + 1)]
-    tr = run_round(inputs, poly, seed=1).transcript
+    tr = run_round(inputs, poly, seed=1, record_transcript=True).transcript
     per_edge = tr.expected_messages_per_edge()
     assert per_edge == 2 * n * (n - 1) + (d - 1) * 2 * n * (n - 1) + n * (n - 1)
     assert len(tr.messages) == m * per_edge
@@ -208,7 +208,7 @@ def test_coalition_view_contents():
         LaplaceParams(0.3), d, MERSENNE_521, n_parties=n, seed_bits=8, ks_samples=1000
     )
     inputs = [PartyInput.on_edge(i, 0, m) for i in range(1, n + 1)]
-    tr = run_round(inputs, poly, seed=1).transcript
+    tr = run_round(inputs, poly, seed=1, record_transcript=True).transcript
 
     # empty coalition: exactly the public theta broadcasts
     public = coalition_view(tr, [])
@@ -325,7 +325,7 @@ def test_run_round_matches_algebraic_model():
             ScriptedRng([(p, v31), (p, v32), (2, t3), (p, u31), (p, u32)]),
         ]
         inputs = [PartyInput(i + 1, (s,)) for i, s in enumerate((s1, s2, s3))]
-        result = run_round(inputs, poly, rngs=rngs)
+        result = run_round(inputs, poly, rngs=rngs, record_transcript=True)
         assert all(r.exhausted for r in rngs)
 
         alpha = [
