@@ -151,6 +151,14 @@ class InverseCdfPoly:
         scale_bits: int = 0,
         check_overflow: bool = True,
     ):
+        # each would otherwise surface only partway through a round
+        # (randrange of an empty range, a negative shift count)
+        if seed_range < 1:
+            raise ValueError(f"seed_range must be at least 1, got {seed_range}")
+        if n_parties < 1:
+            raise ValueError(f"n_parties must be at least 1, got {n_parties}")
+        if scale_bits < 0:
+            raise ValueError(f"scale_bits must be non-negative, got {scale_bits}")
         self.scale_bits = scale_bits
         self.scale = 1 << scale_bits
         self.field_coeffs = tuple(int(c) for c in field_coeffs)
@@ -160,7 +168,6 @@ class InverseCdfPoly:
         self.seed_range = seed_range
         self.epsilon = self.clamp = self.max_abs_error = self.ks_distance = None
         self._cheb_coeffs = None
-        self.encoded_coeffs = tuple(c % modulus.p for c in self.field_coeffs)
         self.value_bound = self._worst_case_magnitude()
         if check_overflow and 2 * self.value_bound >= modulus.p:
             raise OverflowRisk(

@@ -18,25 +18,29 @@ and each party draws from its own stream.  By default every stream is a
 `secrets.SystemRandom`, so nothing published can rebuild the shares; a round
 `seed` derives reproducible streams instead (for tests and simulation only),
 under which relabeling parties permutes nothing but names.  Seeded streams
-are plain `random.Random`s.  The share loops draw through `sharing._draw`:
-one `getrandbits` run per party per phase, with replacement draws for the
-values `randrange` would reject, so every party gets the same values and
-ends in the same state as with one `randrange` call per value.  An injected
-rng with only `randrange` (the tests' scripted rngs) is called per value.
+are plain `random.Random`s, and no rng may serve two parties.
 
-Steps 1-3 run `sharing._smpa_phase` and `sharing._smpm_phase`, the same
-int-level cores behind `sharing.smpa`/`smpm`, here with one rng per party.
-Per-party draw order, per edge: count-share deals (receivers in increasing
-index), seed summand, seed-share deals, then for each power z the Shamir
-coefficients for X before Y.  With a single rng shared by all parties this is
-exactly the order the exhaustive secrecy tests of `smpa`/`smpm` enumerate.
+Drawing is split from arithmetic.  For each edge, each party draws in its
+stream order: the count-share deals (receivers in increasing index), the
+seed summand, then one run holding the seed-share deals and, for each power
+z, the Shamir coefficients for X before Y.  The runs go through
+`sharing._draw`, which takes them in one `getrandbits` run with replacement
+draws for the values `randrange` would reject, so every party gets the same
+values and ends in the same state as with one `randrange` call per value.
+An injected rng with only `randrange` (the tests' scripted rngs) is called
+per value.  Steps 1-3 then run `sharing._smpa_phase` and
+`sharing._smpm_phase`, the same int-level cores behind `sharing.smpa`/`smpm`,
+on the drawn values.  With a single rng shared by all parties, `smpa`/`smpm`
+draw party by party, the order their exhaustive secrecy tests enumerate.
 
 Shamir evaluation is linear, so each multiplication step evaluates the sum of
 the parties' coefficient vectors once per receiver: O(N*h) Horner steps per
 power for Shamir degree h, the same shares as N^2 per-pair evaluations would
-give.  Recording a transcript (`record_transcript=True`; off by default,
-since it holds every point-to-point share) adds those O(N^2*h) per-pair
-evaluations, since each message is one of them.
+give.  X's and Y's sums share one int, so one Horner pass gives both values,
+and the Lagrange weights enter as their signed values +-C(N, j), so each
+receiver reduces once.  Recording a transcript (`record_transcript=True`;
+off by default, since it holds every point-to-point share) adds those
+O(N^2*h) per-pair evaluations, since each message is one of them.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from typing import Optional, Sequence
 
 from .field import PrimeModulus, _lagrange_weights_at_zero_ints
 from .laplace import InverseCdfPoly
-from .sharing import Message, TooFewParties, _smpa_phase, _smpm_phase
+from .sharing import Message, TooFewParties, _draw, _smpa_phase, _smpm_phase
 
 class InvalidInput(ValueError):
     """Raised for location vectors that are not one-hot (or all-zero)."""
@@ -150,10 +154,11 @@ def party_streams(seed: int, n_parties: int) -> list[random.Random]:
     """Independent per-party rngs derived from one round seed.
 
     Each is a `random.Random` seeded from the round seed and the party
-    index.  The share loops draw from it through `sharing._draw`: one
-    `getrandbits` run per party per phase, with replacement draws for the
-    values `randrange` would reject, so a party gets the same values and
-    ends in the same state as with one `randrange` call per value.
+    index.  `run_round` draws from it through `sharing._draw`: per edge, a
+    run of count deals, the seed summand, then one run of seed deals and
+    Shamir coefficients, with replacement draws for the values `randrange`
+    would reject, so a party gets the same values and ends in the same state
+    as with one `randrange` call per value.
     """
     return [
         random.Random(f"privroute-round:{seed}:party:{i}") for i in range(1, n_parties + 1)
@@ -170,8 +175,9 @@ def run_round(
 ) -> RoundResult:
     """Execute one full estimation round across all edges.
 
-    `rngs` injects one rng per party (tests enumerate these); otherwise the
-    per-party streams are derived from `seed` when given, and are
+    `rngs` injects one rng per party (tests enumerate these), a distinct
+    object for each, or `ValueError` is raised before any draw; otherwise
+    the per-party streams are derived from `seed` when given, and are
     independent `secrets.SystemRandom` instances when not.  An edge whose
     field total decodes beyond `poly.value_bound` raises `DecodeOverflow`
     instead of publishing a wrapped value.  `transcript` is None unless
@@ -202,36 +208,52 @@ def run_round(
             rngs = party_streams(seed, n)
     elif len(rngs) != n:
         raise ValueError(f"need one rng per party, got {len(rngs)} for {n} parties")
+    elif len({id(rng) for rng in rngs}) != n:
+        # parties draw independently; a shared rng would interleave their draws
+        raise ValueError("each party needs its own rng; one rng serves two parties")
 
     pp = modulus.p
     M = poly.seed_range
     d = poly.degree
     scale = poly.scale
-    chat = poly.encoded_coeffs
-    constant = [chat[0]] + [0] * (n - 1)  # the constant term enters exactly once
+    coeffs = poly.field_coeffs  # signed and short; theta mod p is the same
+    constant = [coeffs[0]] + [0] * (n - 1)  # the constant term enters exactly once
+    # at indices 1..N the weights are +-C(N, j): signed, they are short ints
     lam = _lagrange_weights_at_zero_ints(list(range(1, n + 1)), pp)
+    lam = [modulus.signed(w) for w in lam]
     transcript = ProtocolTranscript(n, m, d) if record_transcript else None
     messages = None if transcript is None else transcript.messages
+    deals = n - 1
+    per_power = 2 * ((n - 1) // 2)  # X's then Y's Shamir coefficients
+    seed_draws = deals + max(d - 1, 0) * per_power
 
     totals = []
     values = []
     for e in range(m):
+        # each party's draws for the edge, in its stream order: count deals,
+        # seed summand, then seed deals and each power's coefficients in one run
+        count_deals, summands, drawn = [], [], []
+        for rng in rngs:
+            count_deals.append(_draw(rng, pp, deals))
+            summands.append(rng.randrange(M))
+            drawn.append(_draw(rng, pp, seed_draws))
         alpha = _smpa_phase(
             [by_id[i].location[e] for i in range(1, n + 1)],
-            rngs, pp, messages, e, PHASE_COUNT,
+            count_deals, pp, messages, e, PHASE_COUNT,
         )
         beta_1 = _smpa_phase(
-            [rng.randrange(M) for rng in rngs],
-            rngs, pp, messages, e, PHASE_UNIFORM,
+            summands, [r[:deals] for r in drawn], pp, messages, e, PHASE_UNIFORM,
         )
         powers = [None, beta_1]
         for z in range(2, d + 1):
-            powers.append(
-                _smpm_phase(powers[z - 1], beta_1, rngs, pp, lam, messages, e, phase_power(z))
-            )
+            start = deals + (z - 2) * per_power
+            powers.append(_smpm_phase(
+                powers[z - 1], beta_1, [r[start:start + per_power] for r in drawn],
+                pp, lam, messages, e, phase_power(z),
+            ))
         # each party's terms are added unreduced and reduced once
         theta = [
-            (const + scale * a + sum(c * s for c, s in zip(chat[1:], shares))) % pp
+            (const + scale * a + sum(c * s for c, s in zip(coeffs[1:], shares))) % pp
             for const, a, *shares in zip(constant, alpha, *powers[1:])
         ]
         if messages is not None:

@@ -6,8 +6,10 @@ round of Shamir re-sharing.  Both return the messages exchanged so tests can
 inspect exactly what each party saw.
 
 The int-level cores `_smpa_phase` and `_smpm_phase` are the only share loops
-in the package: `protocol.run_round` runs them with one rng per party, and
-`smpa`/`smpm` run them with a single rng shared by every party.
+in the package.  They do arithmetic only: each takes the values every party
+drew, and its caller draws them.  `protocol.run_round` draws from one rng per
+party, one run per party per edge; `smpa`/`smpm` draw from a single rng
+shared by every party, party by party.
 
 Party indices run 1..N.  Index 0 is never used: a share at index 0 would be
 the secret itself.
@@ -125,11 +127,9 @@ def _draw(rng, bound: int, count: int) -> list[int]:
     return vals
 
 
-def _deal_additive(secret: int, n: int, p: int, rng) -> list[int]:
-    """Shares for parties 1..N; parties 1..N-1 get fresh uniforms, N the remainder."""
-    drawn = _draw(rng, p, n - 1)
-    last = (secret - sum(drawn)) % p
-    return drawn + [last]
+def _deal_additive(secret: int, drawn: list[int], p: int) -> list[int]:
+    """Shares for parties 1..N: the N-1 drawn uniforms, then the remainder."""
+    return drawn + [(secret - sum(drawn)) % p]
 
 
 def _sample_poly(secret: int, degree: int, p: int, rng) -> list[int]:
@@ -146,10 +146,10 @@ def _eval_poly(coeffs: Sequence[int], x: int, p: int) -> int:
     return acc % p
 
 
-def _smpa_phase(secrets, rngs, p, messages=None, edge=0, phase="smpa") -> list:
+def _smpa_phase(secrets, dealt, p, messages=None, edge=0, phase="smpa") -> list:
     """Secure addition: additive shares of sum(secrets), one per party.
 
-    Party i deals shares of secrets[i-1] from rngs[i-1] to the other parties
+    Party i deals dealt[i-1] (its N-1 uniforms on Z_p) to the other parties
     in increasing index and keeps the remainder; each party's output is the
     sum of what it holds, added up unreduced and reduced once.  Sends are
     appended to `messages` when given.
@@ -157,7 +157,7 @@ def _smpa_phase(secrets, rngs, p, messages=None, edge=0, phase="smpa") -> list:
     n = len(secrets)
     rows = []
     for i in range(1, n + 1):
-        *row, keep = _deal_additive(secrets[i - 1], n, p, rngs[i - 1])
+        *row, keep = _deal_additive(secrets[i - 1], dealt[i - 1], p)
         row.insert(i - 1, keep)  # row[j-1] is what party j holds from party i
         rows.append(row)
         if messages is not None:
@@ -167,41 +167,50 @@ def _smpa_phase(secrets, rngs, p, messages=None, edge=0, phase="smpa") -> list:
     return [sum(held) % p for held in zip(*rows)]
 
 
-def _smpm_phase(x, y, rngs, p, lam, messages=None, edge=0, phase="smpm") -> list:
+def _smpm_phase(x, y, coeffs, p, lam, messages=None, edge=0, phase="smpm") -> list:
     """Secure multiplication: additive shares of x*y from additive shares x, y.
 
     Party i Shamir-shares x[i-1] then y[i-1] with polynomials of degree
-    floor((N-1)/2) whose coefficients come from one draw of rngs[i-1], X's
-    before Y's; `lam` are the Lagrange weights at
-    zero for indices 1..N, which turn the summed product evaluations into
-    additive shares.
+    h = floor((N-1)/2); coeffs[i-1] holds its 2h uniforms on Z_p, X's
+    higher coefficients before Y's.  `lam` are the Lagrange weights at zero
+    for indices 1..N, as any integers congruent to them mod p (the round
+    passes the signed ones, +-C(N, j), which are short); they turn the
+    summed product evaluations into additive shares.
 
     Evaluation is linear, so what receiver j sums equals the summed
     polynomial evaluated at j: the outputs take one evaluation per receiver
-    of the summed coefficients, O(N*degree) Horner steps.  Sends are
-    appended to `messages` when given, which adds the O(N^2*degree)
+    of the summed coefficients, O(N*h) Horner steps.  X's and Y's summed
+    coefficients share one int, Y's shifted past a lane that holds any
+    unreduced X(j) < p * (h+1) * N^(h+1), so one Horner pass gives both.
+    Sends are appended to `messages` when given, which adds the O(N^2*h)
     per-pair evaluations the transcript needs.
     """
     n = len(x)
     degree = (n - 1) // 2
-    cxs, cys = [], []
-    for i in range(1, n + 1):
-        drawn = _draw(rngs[i - 1], p, 2 * degree)
-        cx = [x[i - 1] % p, *drawn[:degree]]
-        cy = [y[i - 1] % p, *drawn[degree:]]
-        cxs.append(cx)
-        cys.append(cy)
-        if messages is not None:
+    if messages is not None:
+        for i in range(1, n + 1):
+            drawn = coeffs[i - 1]
+            cx = [x[i - 1] % p, *drawn[:degree]]
+            cy = [y[i - 1] % p, *drawn[degree:]]
             for j in range(1, n + 1):
                 if j != i:
                     messages.append(Message(edge, phase, i, j, _eval_poly(cx, j, p)))
                     messages.append(Message(edge, phase, i, j, _eval_poly(cy, j, p)))
-    cx_sum = [sum(c) for c in zip(*cxs)]
-    cy_sum = [sum(c) for c in zip(*cys)]
-    return [
-        lam[j - 1] * _eval_poly(cx_sum, j, p) % p * _eval_poly(cy_sum, j, p) % p
-        for j in range(1, n + 1)
-    ]
+    sums = [sum(c) for c in zip(*coeffs)]
+    lane = p.bit_length() + ((degree + 1) * n ** (degree + 1)).bit_length()
+    mask = (1 << lane) - 1
+    packed = [cx + (cy << lane) for cx, cy in zip(sums[:degree], sums[degree:])]
+    packed.reverse()
+    # the constant terms may be summed before reducing: X(j) moves by a
+    # multiple of p, which the final reduction removes
+    packed.append(sum(x) % p + (sum(y) % p << lane))
+    theta = []
+    for j in range(1, n + 1):
+        acc = 0
+        for c in packed:
+            acc = acc * j + c
+        theta.append(lam[j - 1] * (acc & mask) * (acc >> lane) % p)
+    return theta
 
 
 def _reconstruct_shamir_ints(points: Sequence[tuple], k: int, p: int) -> int:
@@ -223,7 +232,8 @@ def share_additive(secret: FieldElement, n_parties: int, rng) -> AdditiveShareSe
     """
     if n_parties < 2:
         raise TooFewParties(f"additive sharing needs >= 2 parties, got {n_parties}")
-    vals = _deal_additive(secret.value, n_parties, secret.modulus.p, rng)
+    p = secret.modulus.p
+    vals = _deal_additive(secret.value, _draw(rng, p, n_parties - 1), p)
     return AdditiveShareSet(tuple(vals), secret.modulus)
 
 
@@ -283,9 +293,8 @@ def smpa(
             raise PartyCountMismatch("inputs use different moduli")
 
     transcript: list[Message] = []
-    held = _smpa_phase(
-        [x.value for x in private_inputs], [rng] * n, p, transcript
-    )
+    dealt = [_draw(rng, p, n - 1) for _ in range(n)]
+    held = _smpa_phase([x.value for x in private_inputs], dealt, p, transcript)
     return AdditiveShareSet(tuple(held), modulus), transcript
 
 
@@ -321,6 +330,7 @@ def smpm(
 
     p = x_shares.modulus.p
     weights = _lagrange_weights_at_zero_ints(list(range(1, n + 1)), p)
+    coeffs = [_draw(rng, p, 2 * ((n - 1) // 2)) for _ in range(n)]
     transcript: list[Message] = []
-    theta = _smpm_phase(x_shares.values, y_shares.values, [rng] * n, p, weights, transcript)
+    theta = _smpm_phase(x_shares.values, y_shares.values, coeffs, p, weights, transcript)
     return AdditiveShareSet(tuple(theta), x_shares.modulus), transcript

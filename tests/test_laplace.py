@@ -196,7 +196,25 @@ def test_from_field_coeffs_identity():
         [0, 1], modulus=mod, n_parties=3, seed_range=4
     )
     assert poly.evaluate_real(7) == 7.0
-    assert poly.encoded_coeffs == (0, 1)
+    assert poly.field_coeffs == (0, 1)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (dict(seed_range=0), "seed_range"),
+        (dict(seed_range=-4), "seed_range"),
+        (dict(n_parties=0), "n_parties"),
+        (dict(n_parties=-2), "n_parties"),
+        (dict(scale_bits=-1), "scale_bits"),
+    ],
+)
+def test_poly_rejects_shapes_no_round_can_run(bad, message):
+    # seed_range=-4 once built a polynomial with value_bound -12 that failed
+    # partway through a round; scale_bits=-1 failed on a negative shift
+    kwargs = dict(modulus=PrimeModulus(MERSENNE_521), n_parties=3, seed_range=4)
+    with pytest.raises(ValueError, match=message):
+        InverseCdfPoly([0, 1], **{**kwargs, **bad})
 
 
 def test_from_field_coeffs_overflow_check():

@@ -1,7 +1,8 @@
 """Property tests: secure addition and multiplication reconstruct exactly, a
 zero-noise round publishes the true counts, relabeling parties changes no
-output, and a batched share draw returns what `random.Random.randrange`
-returns, over randomly drawn instances."""
+output, a batched share draw returns what `random.Random.randrange` returns,
+and a seeded round leaves each party's stream where one `randrange` call per
+value leaves it, over randomly drawn instances."""
 
 import random
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from privroute.field import MERSENNE_61, MERSENNE_521, PrimeModulus
 from privroute.laplace import InverseCdfPoly
-from privroute.protocol import PartyInput, run_round
+from privroute.protocol import PartyInput, party_streams, run_round
 from privroute.sharing import _draw, reconstruct_additive, share_additive, smpa, smpm
 
 PRIMES = (7, 101, MERSENNE_61, MERSENNE_521)
@@ -88,6 +89,31 @@ def test_relabeling_parties_preserves_field_totals(n, m, degree, seed, data):
         return run_round(inputs, poly, seed=seed, record_transcript=False).field_totals
 
     assert totals(permuted) == totals(where)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(3, 12), st.integers(1, 3), st.integers(1, 5),
+    st.integers(1, 2**20), st.integers(0, 2**32 - 1), st.data(),
+)
+def test_round_leaves_streams_where_per_phase_randrange_does(n, m, degree, M, seed, data):
+    # each party draws once per edge; its stream must end where the draws of
+    # every phase in turn, one randrange call per value, leave it
+    where = data.draw(st.lists(st.integers(-1, m - 1), min_size=n, max_size=n))
+    poly = InverseCdfPoly([0] * (degree + 1), modulus=M521, n_parties=n, seed_range=M)
+    inputs = [PartyInput.on_edge(i + 1, e, m) for i, e in enumerate(where)]
+    rngs = party_streams(seed, n)
+    run_round(inputs, poly, rngs=rngs)
+    p, h = M521.p, (n - 1) // 2
+    for i, rng in enumerate(rngs, 1):
+        reference = random.Random(f"privroute-round:{seed}:party:{i}")
+        for _ in range(m):
+            [reference.randrange(p) for _ in range(n - 1)]  # count deals
+            reference.randrange(M)  # seed summand
+            [reference.randrange(p) for _ in range(n - 1)]  # seed deals
+            for _ in range(2, degree + 1):
+                [reference.randrange(p) for _ in range(2 * h)]  # X's, then Y's
+        assert rng.getstate() == reference.getstate()
 
 
 @settings(max_examples=200, deadline=None)

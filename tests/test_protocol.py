@@ -73,19 +73,27 @@ def test_unseeded_round_gives_each_party_a_system_random(monkeypatch):
     # seeded streams can be rebuilt from the seed; without one, every party
     # must draw from its own operating-system source
     seen = []
-    smpa_phase = protocol._smpa_phase
+    draw = protocol._draw
 
-    def spy(values, rngs, *args):
-        seen.append(list(rngs))
-        return smpa_phase(values, rngs, *args)
+    def spy(rng, *args):
+        seen.append(rng)
+        return draw(rng, *args)
 
-    monkeypatch.setattr(protocol, "_smpa_phase", spy)
+    monkeypatch.setattr(protocol, "_draw", spy)
     inputs = [PartyInput.on_edge(i, 0, 1) for i in range(1, 4)]
     assert run_round(inputs, _zero_poly(3)).noisy_counts == (3.0,)
-    assert seen
-    for rngs in seen:
-        assert len({id(r) for r in rngs}) == 3
-        assert all(isinstance(r, secrets.SystemRandom) for r in rngs)
+    assert len({id(r) for r in seen}) == 3
+    assert all(isinstance(r, secrets.SystemRandom) for r in seen)
+
+
+def test_run_round_rejects_an_rng_shared_by_two_parties():
+    # parties draw independently, so one rng object serving two of them is
+    # refused before anything is drawn from it
+    inputs = [PartyInput.on_edge(i, 0, 1) for i in range(1, 4)]
+    shared = ScriptedRng([])
+    with pytest.raises(ValueError, match="its own rng"):
+        run_round(inputs, _zero_poly(3), rngs=[ScriptedRng([]), shared, shared])
+    assert shared.pos == 0
 
 
 def test_zero_noise_with_off_network_party():

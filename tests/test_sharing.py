@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from collections import Counter
 
@@ -20,6 +21,7 @@ from privroute.sharing import (
     ShamirShareSet,
     Message,
     TooFewParties,
+    _draw,
     _eval_poly,
     _sample_poly,
     _smpa_phase,
@@ -338,9 +340,12 @@ def test_smpm_phase_one_output_path(n, p):
     def streams():
         return [random.Random(f"{n}:{p}:{i}") for i in range(n)]
 
-    silent = _smpm_phase(x, y, streams(), p, lam)
+    # the phase takes each party's coefficients drawn in advance from its
+    # stream; the reference draws X's then Y's from the same streams
+    coeffs = [_draw(rng, p, 2 * degree) for rng in streams()]
+    silent = _smpm_phase(x, y, coeffs, p, lam)
     recorded = []
-    loud = _smpm_phase(x, y, streams(), p, lam, recorded)
+    loud = _smpm_phase(x, y, coeffs, p, lam, recorded)
     reference, reference_messages = _smpm_per_pair(x, y, streams(), p, degree, lam)
     assert silent == loud == reference
     assert len(recorded) == 2 * n * (n - 1)
@@ -374,11 +379,31 @@ def test_smpa_phase_matches_per_pair_reference(n, p):
     def streams():
         return [random.Random(f"{n}:{p}:{i}") for i in range(n)]
 
-    silent = _smpa_phase(secrets, streams(), p)
+    dealt = [_draw(rng, p, n - 1) for rng in streams()]
+    silent = _smpa_phase(secrets, dealt, p)
     recorded = []
-    loud = _smpa_phase(secrets, streams(), p, recorded)
+    loud = _smpa_phase(secrets, dealt, p, recorded)
     reference, reference_messages = _smpa_per_pair(secrets, streams(), p)
     assert silent == loud == reference
     assert recorded == reference_messages
     assert len(recorded) == n * (n - 1)
     assert sum(silent) % p == sum(secrets) % p
+
+
+@pytest.mark.parametrize("p", [7, 101, MERSENNE_61, MERSENNE_521])
+@pytest.mark.parametrize("n", [3, 4, 20, 41])
+def test_smpm_phase_worst_case_lanes(n, p):
+    # every share and coefficient at p - 1 makes each unreduced X(j) as large
+    # as it can be; were X's lane too narrow it would carry into Y's
+    degree = (n - 1) // 2
+    x = y = [p - 1] * n
+    # the Lagrange weights at zero for indices 1..n, as signed integers; they
+    # need not be field weights (n >= p repeats indices mod 7) to test lanes
+    lam = [(-1) ** (j + 1) * math.comb(n, j) for j in range(1, n + 1)]
+    if n < p:
+        assert [w % p for w in lam] == _lagrange_weights_at_zero_ints(range(1, n + 1), p)
+    coeffs = [[p - 1] * (2 * degree)] * n
+    reference, _ = _smpm_per_pair(
+        x, y, [ScriptedRng([p - 1] * (2 * degree)) for _ in range(n)], p, degree, lam
+    )
+    assert _smpm_phase(x, y, coeffs, p, lam) == reference
