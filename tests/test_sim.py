@@ -1,9 +1,15 @@
+import gc
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import privroute
 from privroute.protocol import run_round
 from privroute.roadnet import DelayFunction, Edge, RoadNetwork
 from privroute.sim import (
@@ -154,6 +160,35 @@ def test_unreachable_od_pair_fails_at_construction():
     Simulation(net, OdDemand({(1, 3): 10.0, (3, 1): 0.0}), SimConfig(seed=1))
 
 
+def test_inject_rejects_unknown_node():
+    sim = Simulation(_line_network(), OdDemand({}), SimConfig(seed=1))
+    with pytest.raises(ValueError, match="node 9"):
+        sim.inject(1, 9)
+    assert not sim._scheduled
+
+
+def test_inject_rejects_unreachable_pair_before_any_step():
+    sim = Simulation(_line_network(), OdDemand({}), SimConfig(seed=1))
+    sim.inject(1, 3, time=0.0)
+    with pytest.raises(Unreachable, match="no path from 3 to 1"):
+        sim.inject(3, 1, time=50.0)
+    assert sim.step_index == 0 and len(sim._scheduled) == 1
+
+
+@pytest.mark.parametrize("time", [100.0, 250.0, math.nan])
+def test_inject_rejects_departure_at_or_past_horizon(time):
+    sim = Simulation(_line_network(), OdDemand({}), SimConfig(horizon=100.0, seed=1))
+    with pytest.raises(ValueError, match="never happens"):
+        sim.inject(1, 3, time=time)
+    assert not sim._scheduled
+    sim.inject(1, 3, time=99.0)
+    sim.run()
+    assert [v.depart for v in sim.vehicles] == [99.0]
+    # once the clock has reached the horizon, nothing departs any more
+    with pytest.raises(ValueError, match="never happens"):
+        sim.inject(1, 3, time=0.0)
+
+
 def test_draw_demand_skips_self_pairs(np_rng):
     od = _DemandTable(OdDemand({(1, 1): 1e6}))
     assert draw_demand(od, 6.0, 10.0, np_rng) == []
@@ -226,8 +261,43 @@ def test_vehicle_conservation_debug_checks():
         horizon=240.0, seed=3, demand_multiplier=0.05, debug_checks=True
     )
     sim = Simulation(net, od, cfg)
-    sim.run()  # per-step invariant assertions run inside
+    sim.run()  # per-step invariant checks run inside
     assert sim.arrived + sim.in_transit == len(sim.vehicles)
+
+
+# builds a one-vehicle run, corrupts its counts, and prints the error the next
+# step's invariant check raises
+CORRUPT_COUNTS = """
+import sys
+from privroute.roadnet import DelayFunction, Edge, RoadNetwork
+from privroute.sim import SimConfig, Simulation
+from privroute.tntp import OdDemand
+
+edges = [Edge(i, i + 1, i + 2, DelayFunction(t0=60.0, capacity=10.0)) for i in range(2)]
+sim = Simulation(RoadNetwork([1, 2, 3], edges), OdDemand({}),
+                 SimConfig(horizon=100.0, seed=1, debug_checks=True))
+sim.inject(1, 3)
+sim.step()
+sim.counts[1] += 1
+try:
+    sim.step()
+except RuntimeError as exc:
+    print(f"optimize={sys.flags.optimize}: {exc}")
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_debug_checks_catch_corrupted_counts(flags):
+    # `python -O` strips assert statements; the invariant checks must not be
+    # among them
+    src = str(Path(privroute.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, *flags, "-c", CORRUPT_COUNTS], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == (
+        f"optimize={len(flags)}: simulator invariant broken after 2 steps: "
+        "counts drifted from vehicle state\n"
+    )
 
 
 def test_infinite_epsilon_reproduces_nonprivate_exactly():
@@ -352,3 +422,61 @@ def test_config_validation():
     ):
         with pytest.raises(ValueError):
             SimConfig(**bad)
+
+
+# -- garbage collector ---------------------------------------------------------
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_pauses_gc_and_leaves_it_as_found(monkeypatch, enabled):
+    seen = []
+    step = Simulation.step
+
+    def recording_step(self):
+        seen.append(gc.isenabled())
+        step(self)
+
+    monkeypatch.setattr(Simulation, "step", recording_step)
+    sim = Simulation(_line_network(), OdDemand({(1, 3): 100.0}),
+                     SimConfig(horizon=120.0, seed=1, demand_multiplier=5.0))
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        sim.run()
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert sim.vehicles and seen and not any(seen)
+
+
+def test_run_restores_gc_when_a_step_raises(monkeypatch):
+    def failing_refresh(self):
+        raise RuntimeError("refresh failed")
+
+    monkeypatch.setattr(Simulation, "_refresh", failing_refresh)
+    sim = Simulation(_line_network(), OdDemand({}), SimConfig(horizon=120.0, seed=1))
+    assert gc.isenabled()
+    with pytest.raises(RuntimeError, match="refresh failed"):
+        sim.run()
+    assert gc.isenabled()
+
+
+def test_runs_leave_no_cyclic_garbage():
+    # run() pauses the collector because a run makes no reference cycles, so
+    # a collection during it can free nothing.  Check that premise on an
+    # exact-noise Sioux Falls pair and a run with full-protocol noise.
+    net, od = load_sioux_falls()
+    mpc = SimConfig(mode="private", noise="mpc", epsilon=0.5, horizon=240.0, seed=2,
+                    demand_multiplier=6.0, refresh_period=60.0)
+    gc.collect()
+    gc.disable()
+    try:
+        _, result_np, _ = run_experiment(
+            net, od, SimConfig(horizon=600.0, seed=5, demand_multiplier=0.2)
+        )
+        result_mpc = Simulation(_triangle(), OdDemand({(1, 3): 400.0, (2, 3): 200.0}),
+                                mpc).run()
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert len(result_np.vehicles) > 1000 and len(result_mpc.vehicles) > 10
+    assert unreachable == 0
