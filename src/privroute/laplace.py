@@ -113,7 +113,8 @@ def seed_sum_cdf(w, n_parties: int, seed_range: int) -> np.ndarray:
     mean = n * (M - 1) / 2.0
     var = n * (M * M - 1) / 12.0
     t = (w - mean) / math.sqrt(2.0 * var)
-    return 0.5 * (1.0 + np.vectorize(math.erf)(t))
+    erf = np.fromiter(map(math.erf, t.ravel().tolist()), dtype=float, count=t.size)
+    return 0.5 * (1.0 + erf.reshape(t.shape))
 
 
 def seed_sum_pmf(n_parties: int, seed_range: int) -> np.ndarray:

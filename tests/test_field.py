@@ -2,8 +2,10 @@ import random
 
 import pytest
 
+from privroute import field
 from privroute.field import (
     MERSENNE_61,
+    MERSENNE_521,
     DuplicateIndex,
     FieldElement,
     MismatchedModuli,
@@ -16,10 +18,64 @@ from privroute.field import (
 
 
 def test_modulus_rejects_composites():
-    for n in (0, 1, 4, 6, 9, 2**61 - 3, 561, 341550071728321):
-        if not is_probable_prime(n):
-            with pytest.raises(ValueError):
-                PrimeModulus(n)
+    # 2047 = 23 * 89 is a strong pseudoprime to base 2; 2^67 - 1 is Cole's
+    for n in (0, 1, 4, 6, 9, 2**61 - 3, 561, 341550071728321, 2047, 2**67 - 1):
+        assert not is_probable_prime(n)
+        with pytest.raises(ValueError):
+            PrimeModulus(n)
+
+
+MERSENNE_EXPONENTS = {2, 3, 5, 7, 13, 17, 19, 31, 61, 89, 107, 127, 521, 607, 1279}
+
+
+def test_mersenne_numbers_proved_for_every_exponent_below_1300():
+    assert [k for k in range(1, 1300) if is_probable_prime(2**k - 1)] == sorted(
+        MERSENNE_EXPONENTS
+    )
+
+
+def _lucas_lehmer_reference(k):
+    n, s = (1 << k) - 1, 4
+    for _ in range(k - 2):
+        s = (s * s - 2) % n
+    return s
+
+
+def test_lucas_lehmer_fold_matches_plain_reduction():
+    # the shift-and-mask fold must land in [0, n) after every squaring;
+    # a residue left at n instead of 0 would call a Mersenne prime composite
+    for k in (3, 5, 7, 11, 13, 23, 29, 31, 37, 61, 67, 89, 127, 131, 521):
+        s = field._lucas_lehmer(k)
+        assert 0 <= s < (1 << k) - 1
+        assert s == _lucas_lehmer_reference(k)
+        assert (s == 0) == (k in MERSENNE_EXPONENTS)
+
+
+def test_only_mersenne_numbers_take_the_lucas_lehmer_path(monkeypatch):
+    ll_exponents, mr_moduli = [], []
+    real_ll, real_mr = field._lucas_lehmer, field._miller_rabin_round
+
+    def spy_ll(k):
+        ll_exponents.append(k)
+        return real_ll(k)
+
+    def spy_mr(n, *args):
+        mr_moduli.append(n)
+        return real_mr(n, *args)
+
+    monkeypatch.setattr(field, "_lucas_lehmer", spy_ll)
+    monkeypatch.setattr(field, "_miller_rabin_round", spy_mr)
+    # none has a factor among the fixed witnesses, so each reaches Miller-Rabin
+    for n, prime in [(101, True), (341550071728321, False), (2**64 - 59, True),
+                     (2**127 + 45, True), (MERSENNE_61 * ((1 << 89) - 1), False)]:
+        mr_moduli.clear()
+        assert is_probable_prime(n) is prime
+        assert mr_moduli and set(mr_moduli) == {n}
+    assert ll_exponents == []
+    # the exponent 521 gets Miller-Rabin, the Mersenne number only Lucas-Lehmer
+    mr_moduli.clear()
+    assert is_probable_prime(MERSENNE_521)
+    assert ll_exponents == [521] and set(mr_moduli) == {521}
 
 
 def test_modulus_accepts_primes():

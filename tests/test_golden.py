@@ -7,8 +7,10 @@ bisection were merged into one copy each, the other simulator pins before the
 event loop moved onto plain lists and per-step exit buckets, the MPC run
 while its degree and seed bits were still config fields, the round at the
 benchmark's shape before seeded party streams drew through their own
-`randrange` and the share loops reduced once per party.  A change here
-means trajectories, field totals or transcripts moved.
+`randrange` and the share loops reduced once per party, the fitted
+polynomials at the benchmark's two round shapes while the fit still checked
+2^521 - 1 with Miller-Rabin.  A change here means trajectories, field
+totals, transcripts or fitted coefficients moved.
 """
 
 import hashlib
@@ -17,7 +19,7 @@ import random
 import pytest
 
 from privroute.field import MERSENNE_61, MERSENNE_521, PrimeModulus
-from privroute.laplace import InverseCdfPoly
+from privroute.laplace import InverseCdfPoly, LaplaceParams, fit_inverse_cdf_poly
 from privroute.protocol import PartyInput, run_round
 from privroute.sharing import AdditiveShareSet, reconstruct_additive, smpa, smpm
 from privroute.roadnet import DelayFunction, Edge, RoadNetwork
@@ -208,6 +210,27 @@ def test_seeded_round_pinned_at_benchmark_shape():
         103046254974865046505928986239651393989014,
         104964537126871211906034197682767017469124,
     )
+
+
+# sha256 of repr((field_coeffs, scale_bits, ks_distance, max_abs_error)) from
+# fit_inverse_cdf_poly(LaplaceParams(eps), d, 2^521 - 1, 1e-4, ...) at the
+# benchmark's round_small and round_sf shapes; n = 20 takes seed_sum_cdf's
+# normal (erf) branch, n = 5 its Irwin-Hall one
+FIT_PINS = {
+    (0.2, 15, 5, 20, 100_000):
+        "4bebbe2e5ff50a78bb36cf6c280389d94de2fabe02c6d8fcc3a9cc1931ce602b",
+    (0.1, 7, 20, 16, 10_000):
+        "4a485df0dd63e2f65ad36f77143070a1e370b17724c202e58bbfaccc456c6045",
+}
+
+
+@pytest.mark.parametrize("shape", list(FIT_PINS), ids=["round_small", "round_sf"])
+def test_fitted_poly_pinned_at_benchmark_shapes(shape):
+    eps, d, n, seed_bits, ks_samples = shape
+    poly = fit_inverse_cdf_poly(LaplaceParams(eps), d, MERSENNE_521, 1e-4, n_parties=n,
+                                seed_bits=seed_bits, ks_samples=ks_samples)
+    key = repr((poly.field_coeffs, poly.scale_bits, poly.ks_distance, poly.max_abs_error))
+    assert hashlib.sha256(key.encode()).hexdigest() == FIT_PINS[shape]
 
 
 def test_smpa_pinned():

@@ -129,8 +129,8 @@ def test_seed_sum_cdf_single_party_uniform():
     np.testing.assert_allclose(seed_sum_cdf(w, 1, M), (w + 0.5) / M)
 
 
-def test_seed_sum_pmf_matches_cdf():
-    n, M = 4, 8
+@pytest.mark.parametrize("n, M", [(4, 8), (20, 16)])  # Irwin-Hall, normal (erf)
+def test_seed_sum_pmf_matches_cdf(n, M):
     pmf = seed_sum_pmf(n, M)
     assert pmf.shape == (n * (M - 1) + 1,)
     assert pmf.sum() == pytest.approx(1.0)
@@ -139,6 +139,12 @@ def test_seed_sum_pmf_matches_cdf():
     exact_mid = np.cumsum(pmf) - pmf / 2
     approx = seed_sum_cdf(w, n, M)
     assert np.max(np.abs(exact_mid - approx)) < 0.02
+    # a scalar gives a 0-d value and a 2-d array keeps its shape, same values
+    assert np.ndim(seed_sum_cdf(w[5], n, M)) == 0
+    assert seed_sum_cdf(w[5], n, M) == approx[5]
+    grid = seed_sum_cdf(w[:6].reshape(2, 3), n, M)
+    assert grid.shape == (2, 3)
+    assert np.array_equal(grid.ravel(), approx[:6])
 
 
 # -- polynomial fit ----------------------------------------------------------------
