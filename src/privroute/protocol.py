@@ -37,10 +37,14 @@ Shamir evaluation is linear, so each multiplication step evaluates the sum of
 the parties' coefficient vectors once per receiver: O(N*h) Horner steps per
 power for Shamir degree h, the same shares as N^2 per-pair evaluations would
 give.  X's and Y's sums share one int, so one Horner pass gives both values,
-and the Lagrange weights enter as their signed values +-C(N, j), so each
-receiver reduces once.  Recording a transcript (`record_transcript=True`;
-off by default, since it holds every point-to-point share) adds those
-O(N^2*h) per-pair evaluations, since each message is one of them.
+and the Lagrange weights enter as their signed values +-C(N, j).  A share is
+reduced only where it leaves its party: each power's shares stay unreduced
+(the next power reads only their sum mod p, and the transcript sends them
+reduced), and each party's theta, summed from those unreduced terms, is
+reduced once before the broadcast.  Recording a transcript
+(`record_transcript=True`; off by default, since it holds every
+point-to-point share) adds those O(N^2*h) per-pair evaluations, since each
+message is one of them.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ import json
 import random
 import secrets
 from dataclasses import dataclass
+from operator import mul
 from typing import Optional, Sequence
 
 from .field import PrimeModulus, _lagrange_weights_at_zero_ints
@@ -251,9 +256,10 @@ def run_round(
                 powers[z - 1], beta_1, [r[start:start + per_power] for r in drawn],
                 pp, lam, messages, e, phase_power(z),
             ))
-        # each party's terms are added unreduced and reduced once
+        # each party's terms, its power shares among them, are added
+        # unreduced and reduced once, where the theta leaves the party
         theta = [
-            (const + scale * a + sum(c * s for c, s in zip(coeffs[1:], shares))) % pp
+            (const + scale * a + sum(map(mul, coeffs[1:], shares))) % pp
             for const, a, *shares in zip(constant, alpha, *powers[1:])
         ]
         if messages is not None:

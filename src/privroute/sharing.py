@@ -175,15 +175,24 @@ def _smpm_phase(x, y, coeffs, p, lam, messages=None, edge=0, phase="smpm") -> li
     higher coefficients before Y's.  `lam` are the Lagrange weights at zero
     for indices 1..N, as any integers congruent to them mod p (the round
     passes the signed ones, +-C(N, j), which are short); they turn the
-    summed product evaluations into additive shares.
+    summed product evaluations into additive shares.  The shares x, y are
+    read only mod p, so they may be any integers congruent to the shares,
+    such as a previous call's outputs.
 
     Evaluation is linear, so what receiver j sums equals the summed
     polynomial evaluated at j: the outputs take one evaluation per receiver
     of the summed coefficients, O(N*h) Horner steps.  X's and Y's summed
     coefficients share one int, Y's shifted past a lane that holds any
     unreduced X(j) < p * (h+1) * N^(h+1), so one Horner pass gives both.
-    Sends are appended to `messages` when given, which adds the O(N^2*h)
-    per-pair evaluations the transcript needs.
+    Sends are appended to `messages` when given, reduced mod p, which adds
+    the O(N^2*h) per-pair evaluations the transcript needs.
+
+    Output j is lam[j-1] * X(j) * Y(j), left unreduced: an integer congruent
+    mod p to receiver j's share, negative when lam[j-1] is, and bounded by
+    |theta_j| < max|lam| * (p * (h+1) * N^(h+1))^2, which for the signed
+    weights is C(N, floor(N/2)) * (p * (h+1) * N^(h+1))^2.  A share is
+    reduced where it leaves its party, so the caller reduces before it
+    publishes or sends one.
     """
     n = len(x)
     degree = (n - 1) // 2
@@ -209,7 +218,7 @@ def _smpm_phase(x, y, coeffs, p, lam, messages=None, edge=0, phase="smpm") -> li
         acc = 0
         for c in packed:
             acc = acc * j + c
-        theta.append(lam[j - 1] * (acc & mask) * (acc >> lane) % p)
+        theta.append(lam[j - 1] * (acc & mask) * (acc >> lane))
     return theta
 
 
@@ -311,6 +320,8 @@ def smpm(
     sharing of x*y.  The outputs come from the summed coefficients, one
     evaluation per party (O(N*h) Horner steps for degree h); the returned
     transcript adds the O(N^2*h) per-pair evaluations of the messages.
+    `_smpm_phase` leaves each theta_i unreduced; the returned shares are
+    reduced into [0, p), since they leave the parties here.
 
     With even N the per-party degree floor((N-1)/2) tolerates one colluder
     fewer than (N-1)/2; the scheme additionally assumes more than half the
@@ -333,4 +344,4 @@ def smpm(
     coeffs = [_draw(rng, p, 2 * ((n - 1) // 2)) for _ in range(n)]
     transcript: list[Message] = []
     theta = _smpm_phase(x_shares.values, y_shares.values, coeffs, p, weights, transcript)
-    return AdditiveShareSet(tuple(theta), x_shares.modulus), transcript
+    return AdditiveShareSet(tuple(t % p for t in theta), x_shares.modulus), transcript

@@ -156,7 +156,11 @@ def write_net(network: RoadNetwork) -> str:
 
 
 def parse_trips(text: str) -> OdDemand:
-    """Build OdDemand from `_trips.tntp` content (rates kept in file units)."""
+    """Build OdDemand from `_trips.tntp` content (rates kept in file units).
+
+    An (origin, destination) pair may appear once; a repeat raises
+    ParseError with its line number.
+    """
     lines = text.splitlines()
     _, start = _read_metadata(lines)
     rates: dict = {}
@@ -191,7 +195,12 @@ def parse_trips(text: str) -> OdDemand:
             if not 0 <= rate < math.inf:
                 raise ParseError(f"demand rate must be nonnegative and finite: {chunk!r}",
                                  lineno + 1)
-            rates[(origin, dest)] = rate
+            pair = (origin, dest)
+            if pair in rates:
+                # keeping either rate would drop the other's demand silently
+                raise ParseError(f"repeated demand entry for origin {origin}, "
+                                 f"destination {dest}: {chunk!r}", lineno + 1)
+            rates[pair] = rate
     return OdDemand(rates)
 
 

@@ -93,7 +93,8 @@ def test_simulate_non_finite_or_negative_config_fails_before_writing(
 @pytest.mark.parametrize("trips, message", [
     ("Origin 1\n 4 : 100.0;\n", "node 4"),  # node 4 is not in the network
     ("Origin 3\n 1 : 100.0;\n", "no path from 3 to 1"),
-], ids=["unknown-node", "unreachable"])
+    (TINY_TRIPS + "Origin 1\n 3 : 100.0;\n", "line 8: repeated demand entry"),
+], ids=["unknown-node", "unreachable", "repeated-pair"])
 def test_simulate_bad_demand_fails_before_writing(tiny_files, tmp_path, capsys,
                                                    trips, message):
     net, _ = tiny_files

@@ -1,9 +1,11 @@
 """Property tests: secure addition and multiplication reconstruct exactly, a
 zero-noise round publishes the true counts, relabeling parties changes no
 output, a batched share draw returns what `random.Random.randrange` returns,
-and a seeded round leaves each party's stream where one `randrange` call per
-value leaves it, over randomly drawn instances."""
+a seeded round leaves each party's stream where one `randrange` call per
+value leaves it, and the share loops read their share inputs only mod p,
+over randomly drawn instances."""
 
+import math
 import random
 
 import pytest
@@ -13,7 +15,15 @@ from hypothesis import strategies as st
 from privroute.field import MERSENNE_61, MERSENNE_521, PrimeModulus
 from privroute.laplace import InverseCdfPoly
 from privroute.protocol import PartyInput, party_streams, run_round
-from privroute.sharing import _draw, reconstruct_additive, share_additive, smpa, smpm
+from privroute.sharing import (
+    _draw,
+    _smpa_phase,
+    _smpm_phase,
+    reconstruct_additive,
+    share_additive,
+    smpa,
+    smpm,
+)
 
 PRIMES = (7, 101, MERSENNE_61, MERSENNE_521)
 M521 = PrimeModulus(MERSENNE_521)
@@ -50,6 +60,34 @@ def test_smpm_reconstructs_product(instance, data):
     product, transcript = smpm(xs, ys, rng)
     assert reconstruct_additive(product).value == a * b % modulus.p
     assert len(transcript) == 2 * n * (n - 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(PRIMES), st.integers(3, 12), st.integers(0, 2**32 - 1), st.data()
+)
+def test_share_loops_read_share_inputs_mod_p(p, n, seed, data):
+    # each power of the round's ladder takes the previous power's unreduced
+    # outputs, so shifting a share by any multiple of p must change nothing
+    rng = random.Random(seed)
+    x = [rng.randrange(p) for _ in range(n)]
+    y = [rng.randrange(p) for _ in range(n)]
+    dealt = [_draw(rng, p, n - 1) for _ in range(n)]
+    coeffs = [_draw(rng, p, 2 * ((n - 1) // 2)) for _ in range(n)]
+    lam = [(-1) ** (j + 1) * math.comb(n, j) for j in range(1, n + 1)]
+    multiples = st.lists(st.integers(-(2**80), 2**80), min_size=n, max_size=n)
+
+    def shifted(shares):
+        return [v + k * p for v, k in zip(shares, data.draw(multiples))]
+
+    sent, sent_shifted = [], []
+    assert _smpa_phase(x, dealt, p, sent) == _smpa_phase(shifted(x), dealt, p, sent_shifted)
+    assert sent == sent_shifted
+    sent, sent_shifted = [], []
+    assert _smpm_phase(x, y, coeffs, p, lam, sent) == _smpm_phase(
+        shifted(x), shifted(y), coeffs, p, lam, sent_shifted
+    )
+    assert sent == sent_shifted
 
 
 @settings(max_examples=60, deadline=None)

@@ -330,7 +330,7 @@ def _smpm_per_pair(x, y, rngs, p, degree, lam, phase="smpm"):
 @pytest.mark.parametrize("n", [3, 4, 7, 20])
 def test_smpm_phase_one_output_path(n, p):
     # the outputs come from the summed coefficients whether or not messages
-    # are recorded, and equal what per-pair evaluation gives
+    # are recorded, and equal what per-pair evaluation gives mod p
     inputs = random.Random(n)
     x = [inputs.randrange(p) for _ in range(n)]
     y = [inputs.randrange(p) for _ in range(n)]
@@ -347,7 +347,8 @@ def test_smpm_phase_one_output_path(n, p):
     recorded = []
     loud = _smpm_phase(x, y, coeffs, p, lam, recorded)
     reference, reference_messages = _smpm_per_pair(x, y, streams(), p, degree, lam)
-    assert silent == loud == reference
+    assert silent == loud
+    assert [t % p for t in silent] == reference
     assert len(recorded) == 2 * n * (n - 1)
     assert recorded == reference_messages
     assert sum(silent) % p == sum(x) * sum(y) % p
@@ -406,4 +407,39 @@ def test_smpm_phase_worst_case_lanes(n, p):
     reference, _ = _smpm_per_pair(
         x, y, [ScriptedRng([p - 1] * (2 * degree)) for _ in range(n)], p, degree, lam
     )
-    assert _smpm_phase(x, y, coeffs, p, lam) == reference
+    assert [t % p for t in _smpm_phase(x, y, coeffs, p, lam)] == reference
+
+
+
+@pytest.mark.parametrize("worst", [False, True])
+@pytest.mark.parametrize("p", [7, 101, MERSENNE_61, MERSENNE_521])
+@pytest.mark.parametrize("n", [3, 4, 7, 20, 41])
+def test_smpm_phase_unreduced_outputs(n, p, worst):
+    # outputs are left unreduced: each is congruent to the per-pair
+    # reference's share and lies inside the bound the docstring states for
+    # the signed weights; smpm() reduces its shares into [0, p)
+    degree = (n - 1) // 2
+    lam = [(-1) ** (j + 1) * math.comb(n, j) for j in range(1, n + 1)]
+    bound = math.comb(n, n // 2) * (p * (degree + 1) * n ** (degree + 1)) ** 2
+    if worst:
+        x = y = [p - 1] * n
+        coeffs = [[p - 1] * (2 * degree)] * n
+        streams = [ScriptedRng([p - 1] * (2 * degree)) for _ in range(n)]
+    else:
+        inputs = random.Random(f"{n}:{p}")
+        x = [inputs.randrange(p) for _ in range(n)]
+        y = [inputs.randrange(p) for _ in range(n)]
+        coeffs = [_draw(random.Random(f"{n}:{p}:{i}"), p, 2 * degree) for i in range(n)]
+        streams = [random.Random(f"{n}:{p}:{i}") for i in range(n)]
+    reference, _ = _smpm_per_pair(x, y, streams, p, degree, lam)
+    theta = _smpm_phase(x, y, coeffs, p, lam)
+    assert [t % p for t in theta] == reference
+    assert all(abs(t) < bound for t in theta)
+    if n < p:
+        modulus = PrimeModulus(p)
+        rng = ScriptedRng([p - 1] * (n * 2 * degree)) if worst else random.Random(n)
+        prod, _ = smpm(
+            AdditiveShareSet(tuple(x), modulus), AdditiveShareSet(tuple(y), modulus), rng
+        )
+        assert all(0 <= v < p for v in prod.values)
+        assert reconstruct_additive(prod).value == sum(x) * sum(y) % p

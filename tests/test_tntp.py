@@ -124,6 +124,21 @@ def test_parse_trips_errors():
             parse_trips(f"Origin 1\n 2 : {rate};\n")
 
 
+def test_parse_trips_rejects_repeated_pair():
+    # a repeat under a second header for the same origin counts too
+    text = "Origin 1\n 2 : 5.0;  3 : 1.0;\nOrigin 2\n 1 : 4.0;\nOrigin 1\n 2 : 7.0;\n"
+    with pytest.raises(ParseError, match="repeated demand entry") as err:
+        parse_trips(text)
+    assert err.value.line == 6
+    with pytest.raises(ParseError) as err:
+        parse_trips("Origin 1\n 2 : 5.0; 2 : 5.0;\n")
+    assert err.value.line == 2
+    # the same destination under different origins is no repeat
+    assert parse_trips("Origin 1\n 3 : 1.0;\nOrigin 2\n 3 : 2.0;\n").rates == {
+        (1, 3): 1.0, (2, 3): 2.0,
+    }
+
+
 def test_trips_round_trip():
     _, od = load_sioux_falls()
     again = parse_trips(write_trips(od))
