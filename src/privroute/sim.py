@@ -17,7 +17,13 @@ edge enters the next at its exit time, so it can cross several edges in one
 step.  Pending exits sit in one heap of (exit_time, vid) pairs, pushed at each
 edge entry.  Per-edge counts are plain Python lists, and traversal times come
 from the network's tau tables (`RoadNetwork.tau_by_count`, float lists shared
-by every run on the network), so an edge entry touches no numpy scalar.
+by every run on the network), so an edge entry touches no numpy scalar.  Edge
+entry times go into one flat `array('d')` per run, a block of `len(route)`
+slots per vehicle, and `Vehicle.entry_times` reads a vehicle's block back as
+a list.  A baseline Sioux Falls pair keeps about 1.16M entry times for 482k
+vehicles.  Held as per-vehicle lists of boxed floats, they and `compare_runs`'
+two lists of travel times raised the pair's peak resident set from about 164
+to 210 MB (`BENCH_sf_paired_rss.json`).
 
 Paired runs share the demand stream: the demand and noise generators are
 independent substreams of one seed, so flipping the mode or epsilon never
@@ -25,12 +31,11 @@ perturbs who departs when.  The run is single-threaded and deterministic
 given the config.
 
 `Simulation.run` pauses CPython's cyclic garbage collector for its step loop.
-A run builds one `Vehicle` and one `entry_times` list per departure, frees
-none of them and makes no reference cycles, so a full collection during the
-loop re-traverses every vehicle built so far and finds nothing: on a Sioux
-Falls pair that was 16-20% of the time.  The collector's previous state is
-restored when the loop ends, and the next collection scans the run's objects
-once.
+A run builds one `Vehicle` per departure, frees none of them and makes no
+reference cycles, so a full collection during the loop re-traverses every
+vehicle built so far and finds nothing: on a Sioux Falls pair that was
+16-20% of the time.  The collector's previous state is restored when the loop
+ends, and the next collection scans the run's objects once.
 """
 
 from __future__ import annotations
@@ -38,7 +43,8 @@ from __future__ import annotations
 import gc
 import heapq
 import math
-from dataclasses import asdict, dataclass, replace
+from array import array
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -94,17 +100,28 @@ class SimConfig:
             raise ValueError("noise 'mpc' needs a finite epsilon to fit its noise polynomial")
 
 
-@dataclass
+@dataclass(slots=True)
 class Vehicle:
-    __slots__ = ("id", "origin", "dest", "depart", "route", "pos", "entry_times", "arrival")
+    """One departure.  Its edge-entry times live in its run's shared buffer:
+    `len(route)` slots from `_start`, filled as it enters each edge.  The
+    buffer takes no part in repr or equality."""
+
     id: int
     origin: int
     dest: int
     depart: float
     route: tuple
     pos: int
-    entry_times: list
     arrival: Optional[float]
+    _start: int = field(repr=False, compare=False)
+    _buffer: array = field(repr=False, compare=False)
+
+    @property
+    def entry_times(self) -> list:
+        """Time of entry to each edge entered so far, as a new list: one per
+        route edge once arrived, `pos + 1` while in transit."""
+        start = self._start
+        return self._buffer[start:start + min(self.pos + 1, len(self.route))].tolist()
 
     @property
     def travel_time(self) -> Optional[float]:
@@ -248,6 +265,11 @@ class Simulation:
         self.step_index = 0
         self.steps_per_refresh = round(config.refresh_period / config.timestep)
         self.vehicles: list[Vehicle] = []
+        # every vehicle's entry times, in blocks reserved at departure; the
+        # array grows by doubling (unwritten slots hold NaN) and `run` trims
+        # it to the `_reserved` slots in use
+        self._entry_buffer = array("d")
+        self._reserved = 0
         self.in_transit = 0
         self.arrived = 0
         self._heap: list = []  # pending exits as (exit_time, vehicle id)
@@ -286,8 +308,10 @@ class Simulation:
         if cfg.mode == "non-private":
             noisy = counts
         elif cfg.noise == "exact" or self.in_transit < 3:
-            # fewer than 3 parties cannot run the multiplication ladder;
-            # fall back to the statistically equivalent direct sampler
+            # fewer than 3 parties cannot run the multiplication ladder; the
+            # fallback draws exact Laplace noise, whereas the fitted
+            # polynomial's law differs at the simulator's party counts
+            # (ROADMAP item 4)
             z = sample_laplace_vector(cfg.epsilon, self.noise_rng, self.network.n_edges)
             noisy = counts + z
         else:
@@ -348,6 +372,7 @@ class Simulation:
         t_end = t + cfg.timestep
 
         vehicles = self.vehicles
+        buffer = self._entry_buffer
         entering: list = []  # departed vehicles with a nonempty route, by id
         if t < cfg.horizon:
             departures = []
@@ -359,15 +384,20 @@ class Simulation:
                 self._demand, cfg.demand_multiplier, cfg.timestep, self.demand_rng
             )]
             route_of = self._route
+            reserved = self._reserved
             for time, o, d in departures:
                 route = route_of(o, d)
-                v = Vehicle(len(vehicles), o, d, time, route, 0, [], None)
+                v = Vehicle(len(vehicles), o, d, time, route, 0, None, reserved, buffer)
                 vehicles.append(v)
                 if route:
+                    reserved += len(route)
                     entering.append(v)
                 else:
                     v.arrival = time
                     self.arrived += 1
+            if reserved > len(buffer):
+                buffer += array("d", [math.nan]) * max(reserved - len(buffer), len(buffer))
+            self._reserved = reserved
 
         heap = self._heap
         heappush, heappop = heapq.heappush, heapq.heappop
@@ -408,7 +438,7 @@ class Simulation:
             counts[edge] = c + 1
             if time < horizon:
                 entries_horizon[edge] += 1
-            v.entry_times.append(time)
+            buffer[v._start + v.pos] = time
             heappush(heap, (time + table[c], v.id))
         self.in_transit += n_entering - arrived
         self.arrived += arrived
@@ -443,10 +473,10 @@ class Simulation:
         reaches DRAIN_FACTOR * horizon.
 
         The cyclic garbage collector is off during the loop: each departure
-        builds one `Vehicle` and one list, the loop frees none of them and
-        makes no reference cycles, so a collection could only re-traverse
-        them.  The collector is back in its previous state however the loop
-        ends.
+        builds one `Vehicle`, the loop frees none of them and makes no
+        reference cycles, so a collection could only re-traverse them.  The
+        collector is back in its previous state however the loop ends.  The
+        entry-time buffer is then trimmed to the slots reserved.
         """
         cfg = self.config
         hard_stop = DRAIN_FACTOR * cfg.horizon
@@ -458,6 +488,7 @@ class Simulation:
         finally:
             if gc_was_enabled:
                 gc.enable()
+        del self._entry_buffer[self._reserved:]
         return RunResult(
             vehicles=self.vehicles,
             entries_horizon=np.array(self.entries_horizon, dtype=np.int64),
@@ -542,7 +573,7 @@ def compare_runs(result_np: RunResult, result_p: RunResult) -> Metrics:
     va, vb = result_np.vehicles, result_p.vehicles
     if len(va) != len(vb):
         raise ValueError("paired runs diverged in demand; seeds were not shared")
-    tt_np, tt_p, unchanged, no_increase = [], [], 0, 0
+    tt_np, tt_p, unchanged, no_increase = array("d"), array("d"), 0, 0
     for a, b in zip(va, vb):
         if a.origin != b.origin or a.dest != b.dest or a.depart != b.depart:
             raise ValueError("paired runs diverged in demand; seeds were not shared")
@@ -557,8 +588,8 @@ def compare_runs(result_np: RunResult, result_p: RunResult) -> Metrics:
         if time_b <= time_a + 1e-9:
             no_increase += 1
     n = len(tt_np)
-    mean_np = float(np.mean(tt_np)) if n else 0.0
-    mean_p = float(np.mean(tt_p)) if n else 0.0
+    mean_np = float(np.mean(np.frombuffer(tt_np))) if n else 0.0
+    mean_p = float(np.mean(np.frombuffer(tt_p))) if n else 0.0
     util = result_np.utilization()
     return Metrics(
         travel_time_s=mean_np,

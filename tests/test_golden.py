@@ -9,8 +9,10 @@ while its degree and seed bits were still config fields, the round at the
 benchmark's shape before seeded party streams drew through their own
 `randrange` and the share loops reduced once per party, the fitted
 polynomials at the benchmark's two round shapes while the fit still checked
-2^521 - 1 with Miller-Rabin.  A change here means trajectories, field
-totals, transcripts or fitted coefficients moved.
+2^521 - 1 with Miller-Rabin, the first pair's entry times and metrics while
+each vehicle still kept its own entry-time list.  A change here means
+trajectories, entry times, metrics, field totals, transcripts or fitted
+coefficients moved.
 """
 
 import hashlib
@@ -59,6 +61,27 @@ def test_sioux_falls_trajectories_pinned():
     _, result_np, result_p = run_experiment(network, od, config)
     assert len(result_np.vehicles) == 19778
     assert (trajectory_digest(result_np), trajectory_digest(result_p)) == SIOUX_FALLS_SEED_1
+
+
+# the same pair's entry times (sha256 over each vehicle's repr(entry_times),
+# non-private run then private, about 2.8k vehicles per run still in transit
+# at the drain limit) and its metrics (sha256 of repr(Metrics.as_dict()))
+SIOUX_FALLS_SEED_1_ENTRIES = "a39f5ee5b529e90c2381fb64980098b1ecd153d01ccd1bcb15fa5fb082df0978"
+SIOUX_FALLS_SEED_1_METRICS = "91b393153bb79782b739d864843ace19c90c3c8e9927537db073f91fda2afd5b"
+
+
+def test_sioux_falls_entry_times_and_metrics_pinned():
+    network, od = load_sioux_falls()
+    config = SimConfig(demand_multiplier=2.0, seed=1, horizon=600.0)
+    metrics, result_np, result_p = run_experiment(network, od, config)
+    assert result_np.n_incomplete > 1000
+    h = hashlib.sha256()
+    for result in (result_np, result_p):
+        for v in result.vehicles:
+            h.update((repr(v.entry_times) + "\n").encode())
+    assert h.hexdigest() == SIOUX_FALLS_SEED_1_ENTRIES
+    key = repr(metrics.as_dict()).encode()
+    assert hashlib.sha256(key).hexdigest() == SIOUX_FALLS_SEED_1_METRICS
 
 
 def test_sioux_falls_warm_tau_tables_pinned():

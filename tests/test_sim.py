@@ -255,6 +255,54 @@ def test_traversal_time_reflects_existing_occupancy():
     )
 
 
+def test_arrived_entry_times_filled_and_ordered():
+    # entry times sit in one buffer per run with NaN in slots not yet
+    # written; an arrived vehicle must have written every one of its slots
+    net, od = load_sioux_falls()
+    cfg = SimConfig(horizon=600.0, seed=8, demand_multiplier=0.5)
+    _, result_np, result_p = run_experiment(net, od, cfg)
+    arrived = 0
+    for result in (result_np, result_p):
+        for v in result.vehicles:
+            if v.arrival is None or not v.route:
+                continue
+            arrived += 1
+            times = v.entry_times
+            assert len(times) == len(v.route)
+            assert not any(math.isnan(x) for x in times)
+            assert times[0] == v.depart
+            assert all(a <= b for a, b in zip(times, times[1:]))
+            assert times[-1] <= v.arrival
+    assert arrived > 5000
+
+
+def test_entry_times_in_transit_empty_route_and_copies():
+    # 60 s edges and a 30 s horizon: the run stops at the 60 s drain limit
+    # with the vehicle on the second of its three edges
+    cfg = SimConfig(horizon=30.0, timestep=10.0, refresh_period=10.0, seed=0)
+    runs = []
+    for _ in range(2):
+        sim = Simulation(_line_network(4), OdDemand({}), cfg)
+        sim.inject(1, 4, 0.0)
+        sim.inject(2, 2, 5.0)
+        runs.append(sim.run())
+    moving, parked = runs[0].vehicles
+    assert runs[0].n_incomplete == 1 and moving.arrival is None
+    assert moving.pos == 1 and moving.entry_times == [0.0, 60.0]
+    assert parked.route == () and parked.arrival == 5.0 and parked.entry_times == []
+
+    times = moving.entry_times
+    times.append(1.0)
+    times[0] = 99.0
+    assert moving.entry_times == [0.0, 60.0]
+    with pytest.raises(AttributeError):
+        moving.entry_times = []
+
+    # repr and equality cover the vehicle's own fields, not the run's buffer
+    assert len(repr(moving)) < 120 and "nan" not in repr(moving)
+    assert runs[0].vehicles == runs[1].vehicles
+
+
 def test_vehicle_conservation_debug_checks():
     net, od = load_sioux_falls()
     cfg = SimConfig(
