@@ -17,13 +17,19 @@ edge enters the next at its exit time, so it can cross several edges in one
 step.  Pending exits sit in one heap of (exit_time, vid) pairs, pushed at each
 edge entry.  Per-edge counts are plain Python lists, and traversal times come
 from the network's tau tables (`RoadNetwork.tau_by_count`, float lists shared
-by every run on the network), so an edge entry touches no numpy scalar.  Edge
-entry times go into one flat `array('d')` per run, a block of `len(route)`
-slots per vehicle, and `Vehicle.entry_times` reads a vehicle's block back as
-a list.  A baseline Sioux Falls pair keeps about 1.16M entry times for 482k
-vehicles.  Held as per-vehicle lists of boxed floats, they and `compare_runs`'
-two lists of travel times raised the pair's peak resident set from about 164
-to 210 MB (`BENCH_sf_paired_rss.json`).
+by every run on the network), so an edge entry touches no numpy scalar.
+
+A run keeps its vehicles in a `VehicleColumns`, one column per field indexed
+by vehicle id: `array('d')` departure and arrival times (NaN in transit),
+`array('q')` origins, destinations and entry-buffer starts, a list of route
+tuples (shared through the route cache) and a list of route positions.  Edge
+entry times go into one flat `array('d')`, a block of `len(route)` slots per
+vehicle.  The step loop, `compare_runs` and the invariant check read the
+columns; indexing or iterating the table builds `Vehicle` values on demand.
+A baseline Sioux Falls pair departs about 480k vehicles.  Kept as one slotted
+`Vehicle` per departure, with a boxed id, block start and arrival, each cost
+about 192 B; the columns take about 56 B, and the pair's peak resident set
+fell from 163 to 101 MB (`BENCH_sf_paired_columns.json`).
 
 Paired runs share the demand stream: the demand and noise generators are
 independent substreams of one seed, so flipping the mode or epsilon never
@@ -31,11 +37,11 @@ perturbs who departs when.  The run is single-threaded and deterministic
 given the config.
 
 `Simulation.run` pauses CPython's cyclic garbage collector for its step loop.
-A run builds one `Vehicle` per departure, frees none of them and makes no
-reference cycles, so a full collection during the loop re-traverses every
-vehicle built so far and finds nothing: on a Sioux Falls pair that was
-16-20% of the time.  The collector's previous state is restored when the loop
-ends, and the next collection scans the run's objects once.
+The loop allocates route tuples, shortest-path trees and exit-heap entries but
+makes no reference cycles, so a collection there frees nothing.  On a baseline
+pair with the pause removed the collector ran 223 times (once in full) for
+0.26 s of a 7 s pair.  The collector's previous state is restored when the
+loop ends.
 """
 
 from __future__ import annotations
@@ -43,8 +49,11 @@ from __future__ import annotations
 import gc
 import heapq
 import math
+import operator
 from array import array
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, replace
+from itertools import accumulate, compress
 from typing import Optional
 
 import numpy as np
@@ -102,9 +111,10 @@ class SimConfig:
 
 @dataclass(slots=True)
 class Vehicle:
-    """One departure.  Its edge-entry times live in its run's shared buffer:
-    `len(route)` slots from `_start`, filled as it enters each edge.  The
-    buffer takes no part in repr or equality."""
+    """One departure, as its run's columns held it when this value was built.
+    Its edge-entry times live in the run's shared buffer: `len(route)` slots
+    from `_start`, filled as it enters each edge.  The buffer takes no part
+    in repr or equality."""
 
     id: int
     origin: int
@@ -126,6 +136,60 @@ class Vehicle:
     @property
     def travel_time(self) -> Optional[float]:
         return None if self.arrival is None else self.arrival - self.depart
+
+
+class VehicleColumns(Sequence):
+    """A run's vehicles, one column per field, indexed by vehicle id.
+
+    Only the run appends and writes to the columns.  As a Sequence it is
+    read-only: each index or iteration builds a new `Vehicle` from the
+    columns as they are then, and a slice is a list of them.  `arrivals` holds
+    NaN while a vehicle is in transit.  Two VehicleColumns are equal when
+    their vehicles are.
+    """
+
+    __slots__ = ("origins", "dests", "departs", "arrivals", "starts", "routes",
+                 "positions", "entry_buffer")
+
+    def __init__(self):
+        self.origins = array("q")
+        self.dests = array("q")
+        self.departs = array("d")
+        self.arrivals = array("d")
+        self.starts = array("q")  # first entry-buffer slot of each vehicle
+        self.routes: list = []  # tuples shared through Simulation._route's cache
+        self.positions: list = []  # index into the route of the current edge
+        # every vehicle's entry times, in blocks of len(route) slots reserved
+        # at departure (Simulation.step grows it, Simulation.run trims it)
+        self.entry_buffer = array("d")
+
+    def __len__(self) -> int:
+        return len(self.routes)
+
+    def _vehicle(self, i: int) -> Vehicle:
+        arrival = self.arrivals[i]
+        return Vehicle(i, self.origins[i], self.dests[i], self.departs[i], self.routes[i],
+                       self.positions[i], None if math.isnan(arrival) else arrival,
+                       self.starts[i], self.entry_buffer)
+
+    def __getitem__(self, index):
+        n = len(self)
+        if isinstance(index, slice):
+            return [self._vehicle(i) for i in range(*index.indices(n))]
+        i = operator.index(index)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError(f"vehicle index {index} out of range for {n} vehicles")
+        return self._vehicle(i)
+
+    def __iter__(self):
+        return map(self._vehicle, range(len(self)))
+
+    def __eq__(self, other):
+        if not isinstance(other, VehicleColumns):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
 
 
 def shortest_path(
@@ -264,11 +328,9 @@ class Simulation:
         self.clock = 0.0
         self.step_index = 0
         self.steps_per_refresh = round(config.refresh_period / config.timestep)
-        self.vehicles: list[Vehicle] = []
-        # every vehicle's entry times, in blocks reserved at departure; the
-        # array grows by doubling (unwritten slots hold NaN) and `run` trims
-        # it to the `_reserved` slots in use
-        self._entry_buffer = array("d")
+        self.vehicles = VehicleColumns()
+        # entry-buffer slots reserved so far; the buffer grows by doubling
+        # (unwritten slots hold NaN) and `run` trims it to these
         self._reserved = 0
         self.in_transit = 0
         self.arrived = 0
@@ -337,12 +399,11 @@ class Simulation:
             self._mpc_polys[n] = poly
         # one party per vehicle in transit, in vehicle-id order: the exit
         # heap holds exactly one entry for each
-        vehicles = self.vehicles
+        routes, positions = self.vehicles.routes, self.vehicles.positions
         n_edges = self.network.n_edges
         inputs = []
         for pid, vid in enumerate(sorted(vid for _, vid in self._heap), 1):
-            v = vehicles[vid]
-            inputs.append(PartyInput.on_edge(pid, v.route[v.pos], n_edges))
+            inputs.append(PartyInput.on_edge(pid, routes[vid][positions[vid]], n_edges))
         round_seed = (cfg.seed << 20) ^ self._mpc_refresh_index
         self._mpc_refresh_index += 1
         result = run_round(inputs, poly, seed=round_seed, record_transcript=False)
@@ -371,9 +432,11 @@ class Simulation:
             self._refresh()
         t_end = t + cfg.timestep
 
-        vehicles = self.vehicles
-        buffer = self._entry_buffer
-        entering: list = []  # departed vehicles with a nonempty route, by id
+        vs = self.vehicles
+        routes, positions, starts = vs.routes, vs.positions, vs.starts
+        arrivals, departs = vs.arrivals, vs.departs
+        buffer = vs.entry_buffer
+        entering: list = []  # ids of departed vehicles with a nonempty route
         if t < cfg.horizon:
             departures = []
             scheduled = self._scheduled
@@ -383,21 +446,27 @@ class Simulation:
             departures += [(t, o, d) for o, d in draw_demand(
                 self._demand, cfg.demand_multiplier, cfg.timestep, self.demand_rng
             )]
-            route_of = self._route
-            reserved = self._reserved
-            for time, o, d in departures:
-                route = route_of(o, d)
-                v = Vehicle(len(vehicles), o, d, time, route, 0, None, reserved, buffer)
-                vehicles.append(v)
-                if route:
-                    reserved += len(route)
-                    entering.append(v)
-                else:
-                    v.arrival = time
-                    self.arrived += 1
-            if reserved > len(buffer):
-                buffer += array("d", [math.nan]) * max(reserved - len(buffer), len(buffer))
-            self._reserved = reserved
+            if departures:
+                first = len(routes)
+                times, origins, dests = zip(*departures)
+                new_routes = list(map(self._route, origins, dests))
+                new_starts = list(accumulate(map(len, new_routes), initial=self._reserved))
+                self._reserved = reserved = new_starts.pop()
+                routes += new_routes
+                positions += [0] * len(new_routes)
+                starts.extend(new_starts)
+                vs.origins.extend(origins)
+                vs.dests.extend(dests)
+                departs.extend(times)
+                arrivals.extend(array("d", [math.nan]) * len(new_routes))
+                for vid, route in enumerate(new_routes, first):
+                    if route:
+                        entering.append(vid)
+                    else:  # origin == destination: arrived at departure
+                        arrivals[vid] = departs[vid]
+                        self.arrived += 1
+                if reserved > len(buffer):
+                    buffer += array("d", [math.nan]) * max(reserved - len(buffer), len(buffer))
 
         heap = self._heap
         heappush, heappop = heapq.heappush, heapq.heappop
@@ -413,22 +482,25 @@ class Simulation:
         i = 0
         while True:
             if i < n_entering:
-                v = entering[i]
+                vid = entering[i]
                 i += 1
-                time = v.depart
+                time = departs[vid]
+                route = routes[vid]
+                pos = 0
             elif heap and heap[0][0] <= t_end:
                 time, vid = heappop(heap)
-                v = vehicles[vid]
-                route = v.route
-                counts[route[v.pos]] -= 1
-                v.pos += 1
-                if v.pos == len(route):
-                    v.arrival = time
+                route = routes[vid]
+                pos = positions[vid]
+                counts[route[pos]] -= 1
+                pos += 1
+                positions[vid] = pos
+                if pos == len(route):
+                    arrivals[vid] = time
                     arrived += 1
                     continue
             else:
                 break
-            edge = v.route[v.pos]
+            edge = route[pos]
             # traversal time reflects the vehicles already on the road, not
             # the entrant itself: an empty road is traversed in exactly t0
             c = counts[edge]
@@ -438,8 +510,8 @@ class Simulation:
             counts[edge] = c + 1
             if time < horizon:
                 entries_horizon[edge] += 1
-            buffer[v._start + v.pos] = time
-            heappush(heap, (time + table[c], v.id))
+            buffer[starts[vid] + pos] = time
+            heappush(heap, (time + table[c], vid))
         self.in_transit += n_entering - arrived
         self.arrived += arrived
 
@@ -451,9 +523,10 @@ class Simulation:
     def _check_invariants(self) -> None:
         recount = [0] * len(self.counts)
         transit = 0
-        for v in self.vehicles:
-            if v.arrival is None:
-                recount[v.route[v.pos]] += 1
+        vs = self.vehicles
+        for route, pos, arrival in zip(vs.routes, vs.positions, vs.arrivals):
+            if math.isnan(arrival):
+                recount[route[pos]] += 1
                 transit += 1
         checks = (
             (recount == self.counts, "counts drifted from vehicle state"),
@@ -472,9 +545,8 @@ class Simulation:
         """Step until the horizon, then until the road drains or the clock
         reaches DRAIN_FACTOR * horizon.
 
-        The cyclic garbage collector is off during the loop: each departure
-        builds one `Vehicle`, the loop frees none of them and makes no
-        reference cycles, so a collection could only re-traverse them.  The
+        The cyclic garbage collector is off during the loop: the loop makes
+        no reference cycles, so a collection could free nothing.  The
         collector is back in its previous state however the loop ends.  The
         entry-time buffer is then trimmed to the slots reserved.
         """
@@ -488,7 +560,7 @@ class Simulation:
         finally:
             if gc_was_enabled:
                 gc.enable()
-        del self._entry_buffer[self._reserved:]
+        del self.vehicles.entry_buffer[self._reserved:]
         return RunResult(
             vehicles=self.vehicles,
             entries_horizon=np.array(self.entries_horizon, dtype=np.int64),
@@ -500,7 +572,7 @@ class Simulation:
 
 @dataclass
 class RunResult:
-    vehicles: list
+    vehicles: Sequence  # a VehicleColumns, shared with the Simulation
     entries_horizon: np.ndarray
     capacities: np.ndarray
     config: SimConfig
@@ -569,27 +641,29 @@ def run_experiment(
 
 
 def compare_runs(result_np: RunResult, result_p: RunResult) -> Metrics:
-    """Metrics over vehicles that completed in both runs, matched by id."""
+    """Metrics over vehicles that completed in both runs, matched by id.
+
+    Raises ValueError when the two runs' departures (origin, destination,
+    time) differ, which means their demand streams were not shared.
+    """
     va, vb = result_np.vehicles, result_p.vehicles
-    if len(va) != len(vb):
+    depart = np.frombuffer(va.departs)
+    if len(va) != len(vb) or va.origins != vb.origins or va.dests != vb.dests or (
+        not np.array_equal(depart, np.frombuffer(vb.departs))
+    ):
         raise ValueError("paired runs diverged in demand; seeds were not shared")
-    tt_np, tt_p, unchanged, no_increase = array("d"), array("d"), 0, 0
-    for a, b in zip(va, vb):
-        if a.origin != b.origin or a.dest != b.dest or a.depart != b.depart:
-            raise ValueError("paired runs diverged in demand; seeds were not shared")
-        if a.arrival is None or b.arrival is None:
-            continue
-        time_a = a.arrival - a.depart
-        time_b = b.arrival - b.depart
-        tt_np.append(time_a)
-        tt_p.append(time_b)
-        if a.route == b.route:
-            unchanged += 1
-        if time_b <= time_a + 1e-9:
-            no_increase += 1
+    arrival_np = np.frombuffer(va.arrivals)
+    arrival_p = np.frombuffer(vb.arrivals)
+    both = ~(np.isnan(arrival_np) | np.isnan(arrival_p))
+    # travel times of the vehicles that arrived in both runs, in id order
+    tt_np = (arrival_np - depart)[both]
+    tt_p = (arrival_p - depart)[both]
     n = len(tt_np)
-    mean_np = float(np.mean(np.frombuffer(tt_np))) if n else 0.0
-    mean_p = float(np.mean(np.frombuffer(tt_p))) if n else 0.0
+    flags = both.tolist()
+    unchanged = sum(map(operator.eq, compress(va.routes, flags), compress(vb.routes, flags)))
+    no_increase = int(np.count_nonzero(tt_p <= tt_np + 1e-9))
+    mean_np = float(np.mean(tt_np)) if n else 0.0
+    mean_p = float(np.mean(tt_p)) if n else 0.0
     util = result_np.utilization()
     return Metrics(
         travel_time_s=mean_np,

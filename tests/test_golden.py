@@ -10,16 +10,19 @@ benchmark's shape before seeded party streams drew through their own
 `randrange` and the share loops reduced once per party, the fitted
 polynomials at the benchmark's two round shapes while the fit still checked
 2^521 - 1 with Miller-Rabin, the first pair's entry times and metrics while
-each vehicle still kept its own entry-time list.  A change here means
-trajectories, entry times, metrics, field totals, transcripts or fitted
-coefficients moved.
+each vehicle still kept its own entry-time list, the `simulate --trace`
+vehicle CSVs while each run still kept a list of `Vehicle` objects.  A change
+here means trajectories, entry times, metrics, vehicle CSVs, field totals,
+transcripts or fitted coefficients moved.
 """
 
 import hashlib
 import random
+from importlib import resources
 
 import pytest
 
+from privroute.cli import main
 from privroute.field import MERSENNE_61, MERSENNE_521, PrimeModulus
 from privroute.laplace import InverseCdfPoly, LaplaceParams, fit_inverse_cdf_poly
 from privroute.protocol import PartyInput, run_round
@@ -82,6 +85,27 @@ def test_sioux_falls_entry_times_and_metrics_pinned():
     assert h.hexdigest() == SIOUX_FALLS_SEED_1_ENTRIES
     key = repr(metrics.as_dict()).encode()
     assert hashlib.sha256(key).hexdigest() == SIOUX_FALLS_SEED_1_METRICS
+
+
+# sha256 of the vehicle CSVs `simulate --trace` writes for a 300 s Sioux
+# Falls pair (multiplier 2.0, seed 1): 9,952 vehicles per run, 5,604 of them
+# still in transit at the drain limit, so blank arrivals are covered
+SIOUX_FALLS_CSV = {
+    "nonprivate": "e873823c89cc286767211462941baf57b0b8d87ed89bdd41a730d26ef1ad4169",
+    "private": "d92c69085167ae5948e0a9104ce4a86fe9ad6add5a8afc9d436670e0f5b632f8",
+}
+
+
+def test_sioux_falls_trace_csv_pinned(tmp_path):
+    data = resources.files("privroute.data")
+    assert main([
+        "simulate", "--net", str(data / "siouxfalls_net.tntp"),
+        "--trips", str(data / "siouxfalls_trips.tntp"), "--demand", "2.0",
+        "--horizon", "300", "--seed", "1", "--out", str(tmp_path), "--trace",
+    ]) == 0
+    digests = {name: hashlib.sha256((tmp_path / f"vehicles_{name}.csv").read_bytes()).hexdigest()
+               for name in SIOUX_FALLS_CSV}
+    assert digests == SIOUX_FALLS_CSV
 
 
 def test_sioux_falls_warm_tau_tables_pinned():

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from privroute.sim import (
     SimConfig,
     Simulation,
     Unreachable,
+    VehicleColumns,
     _DemandTable,
     compare_runs,
     draw_demand,
@@ -303,6 +305,85 @@ def test_entry_times_in_transit_empty_route_and_copies():
     assert runs[0].vehicles == runs[1].vehicles
 
 
+# -- the vehicle table ----------------------------------------------------------
+
+def _three_vehicle_run():
+    # two vehicles through the 60 s line, one parked (origin == destination)
+    sim = Simulation(_line_network(), OdDemand({}), SimConfig(horizon=100.0, seed=1))
+    sim.inject(1, 3, 0.0)
+    sim.inject(2, 3, 5.0)
+    sim.inject(2, 2, 7.0)
+    sim.run()
+    return sim
+
+
+def test_vehicle_columns_is_a_sequence():
+    empty = Simulation(_line_network(), OdDemand({}), SimConfig(horizon=100.0, seed=1))
+    empty.run()
+    assert isinstance(empty.vehicles, VehicleColumns) and not empty.vehicles
+    assert len(empty.vehicles) == 0 and list(empty.vehicles) == [] and empty.vehicles[:] == []
+    with pytest.raises(IndexError):
+        empty.vehicles[0]
+
+    vs = _three_vehicle_run().vehicles
+    first, second, parked = vs
+    assert len(vs) == 3 and vs
+    assert [v.id for v in vs] == [0, 1, 2] and list(vs) == [vs[0], vs[1], vs[2]]
+    assert (first.origin, second.depart, parked.route) == (1, 5.0, ())
+    assert vs[-1] == parked and vs[-3] == first
+    for bad in (3, -4):
+        with pytest.raises(IndexError):
+            vs[bad]
+    with pytest.raises(TypeError):
+        vs["0"]
+    assert vs[1:] == [second, parked] and vs[::-2] == [parked, first] and vs[5:] == []
+    assert second in vs and vs.index(parked) == 2
+
+    # tables are equal when their vehicles are; a list of them is not a table
+    assert vs == _three_vehicle_run().vehicles and vs != list(vs)
+    other = Simulation(_line_network(), OdDemand({}), SimConfig(horizon=100.0, seed=1))
+    for o, d, time in ((1, 3, 0.0), (2, 3, 6.0), (2, 2, 7.0)):
+        other.inject(o, d, time)
+    other.run()
+    assert other.vehicles != vs
+
+
+def test_vehicle_columns_read_mid_run():
+    # 60 s edges, 10 s steps: the vehicle enters its second edge at 60 s and
+    # its third at 120 s, and arrives at 180 s
+    cfg = SimConfig(horizon=100.0, timestep=10.0, refresh_period=10.0, seed=0)
+    sim = Simulation(_line_network(4), OdDemand({}), cfg)
+    sim.inject(1, 4, 0.0)
+    for _ in range(7):
+        sim.step()
+    v = sim.vehicles[0]
+    assert (v.pos, v.arrival, v.travel_time) == (1, None, None)
+    assert v.entry_times == [0.0, 60.0]
+    for _ in range(6):
+        sim.step()
+    # a built value keeps the state it was built from
+    assert v.pos == 1 and v.entry_times == [0.0, 60.0]
+    now = sim.vehicles[-1]
+    assert now.pos == 2 and now.arrival is None and now.entry_times == [0.0, 60.0, 120.0]
+    sim.run()
+    done = sim.vehicles[0]
+    assert (done.pos, done.arrival, done.entry_times) == (3, 180.0, [0.0, 60.0, 120.0])
+
+
+def test_vehicle_columns_are_read_only():
+    sim = _three_vehicle_run()
+    vs = sim.vehicles
+    before = list(vs)
+    with pytest.raises(TypeError):
+        vs[0] = vs[1]
+    with pytest.raises(TypeError):
+        del vs[0]
+    v = vs[0]
+    v.arrival, v.pos, v.route, v.depart = None, 0, (), 99.0
+    assert list(vs) == before and vs[0] != v
+    assert vs[0].arrival > 119.0 and vs[0].entry_times == before[0].entry_times == [0.0, 60.0]
+
+
 def test_vehicle_conservation_debug_checks():
     net, od = load_sioux_falls()
     cfg = SimConfig(
@@ -384,6 +465,51 @@ def test_run_experiment_self_comparison_is_zero():
     assert m.increase_s == 0.0
     assert m.routes_unchanged_pct == 100.0
     assert m.no_increase_pct == 100.0
+
+
+def _compare_by_vehicle(result_np, result_p):
+    """compare_runs as a per-vehicle loop over built Vehicle values: the
+    reference the column version must match exactly."""
+    tt_np, tt_p, unchanged, no_increase = [], [], 0, 0
+    for a, b in zip(result_np.vehicles, result_p.vehicles):
+        if a.arrival is None or b.arrival is None:
+            continue
+        tt_np.append(a.arrival - a.depart)
+        tt_p.append(b.arrival - b.depart)
+        unchanged += a.route == b.route
+        no_increase += tt_p[-1] <= tt_np[-1] + 1e-9
+    n = len(tt_np)
+    return (float(np.mean(tt_np)), float(np.mean(tt_p)), 100.0 * unchanged / n,
+            100.0 * no_increase / n, n)
+
+
+def test_compare_runs_matches_per_vehicle_loop():
+    net, od = load_sioux_falls()
+    cfg = SimConfig(demand_multiplier=2.0, seed=12, horizon=600.0)
+    metrics, result_np, result_p = run_experiment(net, od, cfg)
+    assert result_np.n_incomplete > 1000 and result_p.n_incomplete > 1000
+    got = (metrics.travel_time_s, metrics.travel_time_private_s,
+           metrics.routes_unchanged_pct, metrics.no_increase_pct, metrics.n_vehicles)
+    assert got == _compare_by_vehicle(result_np, result_p)
+    assert 0 < metrics.routes_unchanged_pct < 100 and 0 < metrics.no_increase_pct < 100
+    assert all(type(x) is float for x in got[:4]) and type(got[4]) is int
+
+
+@pytest.mark.parametrize("second", [
+    [(1, 3, 0.0)],  # fewer departures
+    [(1, 3, 0.0), (1, 3, 10.0)],  # a departure at another time
+    [(1, 3, 0.0), (2, 3, 5.0)],  # another origin
+    [(1, 3, 0.0), (1, 2, 5.0)],  # another destination
+], ids=["count", "depart", "origin", "dest"])
+def test_compare_runs_rejects_diverged_demand(second):
+    runs = []
+    for trips in ([(1, 3, 0.0), (1, 3, 5.0)], second):
+        sim = Simulation(_line_network(), OdDemand({}), SimConfig(horizon=100.0, seed=1))
+        for o, d, time in trips:
+            sim.inject(o, d, time)
+        runs.append(sim.run())
+    with pytest.raises(ValueError, match="diverged in demand"):
+        compare_runs(*runs)
 
 
 def test_run_experiment_metrics_fields():
@@ -528,3 +654,20 @@ def test_runs_leave_no_cyclic_garbage():
         gc.enable()
     assert len(result_np.vehicles) > 1000 and len(result_mpc.vehicles) > 10
     assert unreachable == 0
+
+
+def test_dropped_runs_are_freed_without_the_collector():
+    # a run's results hold no reference cycle (no view points back at its
+    # Simulation), so dropping a pair frees each run's entry buffer at once,
+    # with the collector off and no gc.collect()
+    net, od = load_sioux_falls()
+    gc.disable()
+    try:
+        results = run_experiment(net, od, SimConfig(horizon=300.0, seed=5,
+                                                    demand_multiplier=0.2))
+        buffers = [weakref.ref(r.vehicles.entry_buffer) for r in results[1:]]
+        assert all(ref() is not None and len(ref()) > 100 for ref in buffers)
+        del results
+        assert [ref() for ref in buffers] == [None, None]
+    finally:
+        gc.enable()
