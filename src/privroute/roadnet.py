@@ -65,11 +65,11 @@ class RoadNetwork:
     """Directed road graph with an adjacency index and per-edge delay data.
 
     `t0`, `capacity`, `alpha` and `beta` hold the edges' BPR parameters as
-    arrays in edge-id order.  `tau_by_count[e]` is a float list with tau at
-    counts 0, 1, 2, ... on edge e; `grow_tau` extends it on demand.
+    arrays in edge-id order.  `tau_by_count[e, s]` is tau at count s on edge
+    e, one row per edge; `grow_tau` widens the table for every edge at once.
     _tau_vector works elementwise, so an entry's value does not depend on
     when, or by which run, the table grew: every simulation on one network
-    shares its tables.
+    shares it.
     """
 
     def __init__(self, nodes: Sequence[int], edges: Sequence[Edge]):
@@ -89,7 +89,7 @@ class RoadNetwork:
         self.capacity = np.array([d.capacity for d in delays], dtype=float)
         self.alpha = np.array([d.alpha for d in delays], dtype=float)
         self.beta = np.array([d.beta for d in delays], dtype=float)
-        self.tau_by_count = [[t0] for t0 in self.t0.tolist()]
+        self.tau_by_count = self.t0[:, None].copy()  # tau(0) = t0
 
     @property
     def n_nodes(self) -> int:
@@ -99,14 +99,16 @@ class RoadNetwork:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def grow_tau(self, edge: int, count: int) -> list:
-        """Extend edge's tau table to cover 2 * count + 8 and return it."""
-        table = self.tau_by_count[edge]
-        counts = np.arange(len(table), 2 * count + 9, dtype=float)
-        table.extend(_tau_vector(
-            self.t0[edge], self.capacity[edge], self.alpha[edge], self.beta[edge], counts
-        ).tolist())
-        return table
+    def grow_tau(self, count: int) -> np.ndarray:
+        """Widen the tau table to cover counts up to 2 * count + 8 on every
+        edge, and return it."""
+        table = self.tau_by_count
+        counts = np.arange(table.shape[1], 2 * count + 9, dtype=float)
+        self.tau_by_count = np.concatenate((table, _tau_vector(
+            self.t0[:, None], self.capacity[:, None], self.alpha[:, None], self.beta[:, None],
+            counts,
+        )), axis=1)
+        return self.tau_by_count
 
 
 def _check_nonnegative(x, what: str):

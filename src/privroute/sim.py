@@ -11,25 +11,36 @@ O(edges * parties^2 * degree) per refresh).  The round's polynomial has degree
 MPC_DEGREE and each party draws its seed from MPC_SEED_BITS bits, in the
 Mersenne field 2^521 - 1; modest values keep the round affordable.
 
-Each step departs its vehicles, then pops edge exits in (exit time, vehicle
-id) order until the next exit lies past the step's end; a vehicle leaving one
-edge enters the next at its exit time, so it can cross several edges in one
-step.  Pending exits sit in one heap of (exit_time, vid) pairs, pushed at each
-edge entry.  Per-edge counts are plain Python lists, and traversal times come
-from the network's tau tables (`RoadNetwork.tau_by_count`, float lists shared
-by every run on the network), so an edge entry touches no numpy scalar.
+Each step departs its vehicles and then moves them as if one edge event at a
+time: the departures, in id order, enter their first edges, then the exits
+due by the step's end pop in (exit time, vehicle id) order; a vehicle leaving
+one edge enters the next at its exit time, so it can cross several edges in
+one step.  The step does this in numpy batches.  Pending exits are two
+arrays, exit time and vehicle id, and a batch takes the due ones and sorts
+them.  The count an entrant sees is its edge's count at batch start plus the
++1 and -1 events before it on that edge (a cumulative sum within each edge
+after a sort by edge and processing order); its exit time is its entry time
+plus a gather from the network's tau table (`RoadNetwork.tau_by_count`, one
+row per edge, shared by every run on the network).  The cut rule: an
+entrant's new exit that falls due within the step would pop inside the
+batch, so only the events before the position where it would pop commit,
+and the rest go back to the pending exits for the next batch.  When every
+free-flow time exceeds the timestep (Sioux Falls: at least 120 s against
+10 s) no batch cuts and a step is one batch.
 
 A run keeps its vehicles in a `VehicleColumns`, one column per field indexed
 by vehicle id: `array('d')` departure and arrival times (NaN in transit),
-`array('q')` origins, destinations and entry-buffer starts, a list of route
-tuples (shared through the route cache) and a list of route positions.  Edge
-entry times go into one flat `array('d')`, a block of `len(route)` slots per
-vehicle.  The step loop, `compare_runs` and the invariant check read the
-columns; indexing or iterating the table builds `Vehicle` values on demand.
-A baseline Sioux Falls pair departs about 480k vehicles.  Kept as one slotted
-`Vehicle` per departure, with a boxed id, block start and arrival, each cost
-about 192 B; the columns take about 56 B, and the pair's peak resident set
-fell from 163 to 101 MB (`BENCH_sf_paired_columns.json`).
+`array('q')` origins, destinations and route-block starts, and route
+positions.  Routes sit in one flat column of edge ids, a block of
+`len(route)` slots per vehicle, and edge entry times take the same slots of
+one flat `array('d')`.  Edge ids and positions use the smallest typecode
+that holds the network's edge count (one byte on Sioux Falls).  The step,
+`compare_runs` and the invariant check read the columns through numpy views
+that live only within one call; indexing or iterating the table builds
+`Vehicle` values on demand.  A baseline Sioux Falls pair departs about 480k
+vehicles.  Kept as one slotted `Vehicle` per departure, with a boxed id,
+block start and arrival, each cost about 192 B; the columns take about 43 B,
+entry times aside.
 
 Paired runs share the demand stream: the demand and noise generators are
 independent substreams of one seed, so flipping the mode or epsilon never
@@ -37,11 +48,11 @@ perturbs who departs when.  The run is single-threaded and deterministic
 given the config.
 
 `Simulation.run` pauses CPython's cyclic garbage collector for its step loop.
-The loop allocates route tuples, shortest-path trees and exit-heap entries but
-makes no reference cycles, so a collection there frees nothing.  On a baseline
-pair with the pause removed the collector ran 223 times (once in full) for
-0.26 s of a 7 s pair.  The collector's previous state is restored when the
-loop ends.
+The loop allocates route tuples, shortest-path trees and numpy temporaries
+but makes no reference cycles, so a collection there frees nothing.  On a
+baseline pair with the pause removed the collector ran 13 times (never in
+full) for about 1 ms of a 1.8 s pair.  The collector's previous state is
+restored when the loop ends.
 """
 
 from __future__ import annotations
@@ -53,7 +64,7 @@ import operator
 from array import array
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, replace
-from itertools import accumulate, compress
+from itertools import accumulate, chain
 from typing import Optional
 
 import numpy as np
@@ -138,8 +149,18 @@ class Vehicle:
         return None if self.arrival is None else self.arrival - self.depart
 
 
+def _index_typecode(n: int) -> str:
+    """The smallest signed `array` typecode that holds 0..n."""
+    return next(code for code in "bhiq" if n < 1 << (8 * array(code).itemsize - 1))
+
+
 class VehicleColumns(Sequence):
     """A run's vehicles, one column per field, indexed by vehicle id.
+
+    Vehicle i's route is the block `route_edges[starts[i]:starts[i + 1]]`,
+    so `starts` holds one more entry than there are vehicles; its entry
+    times take the same slots of `entry_buffer`.  Edge ids and route
+    positions use the smallest typecode that holds the network's edge count.
 
     Only the run appends and writes to the columns.  As a Sequence it is
     read-only: each index or iteration builds a new `Vehicle` from the
@@ -148,29 +169,42 @@ class VehicleColumns(Sequence):
     their vehicles are.
     """
 
-    __slots__ = ("origins", "dests", "departs", "arrivals", "starts", "routes",
+    __slots__ = ("origins", "dests", "departs", "arrivals", "starts", "route_edges",
                  "positions", "entry_buffer")
 
-    def __init__(self):
+    def __init__(self, n_edges: int):
         self.origins = array("q")
         self.dests = array("q")
         self.departs = array("d")
         self.arrivals = array("d")
-        self.starts = array("q")  # first entry-buffer slot of each vehicle
-        self.routes: list = []  # tuples shared through Simulation._route's cache
-        self.positions: list = []  # index into the route of the current edge
-        # every vehicle's entry times, in blocks of len(route) slots reserved
-        # at departure (Simulation.step grows it, Simulation.run trims it)
+        self.starts = array("q", [0])  # first slot of each route block, and the end
+        self.route_edges = array(_index_typecode(n_edges))
+        self.positions = array(self.route_edges.typecode)  # route index of the current edge
+        # every vehicle's entry times, in its route block's slots (Simulation.step
+        # grows it by doubling, Simulation.run trims it to len(route_edges))
         self.entry_buffer = array("d")
 
     def __len__(self) -> int:
-        return len(self.routes)
+        return len(self.origins)
+
+    def views(self) -> tuple:
+        """numpy views of (starts, route_edges, positions, arrivals,
+        entry_buffer).  While a view lives its array cannot grow, so callers
+        drop them before returning."""
+        return tuple(np.frombuffer(column, dtype=column.typecode) for column in (
+            self.starts, self.route_edges, self.positions, self.arrivals, self.entry_buffer))
+
+    def current_edges(self, ids: np.ndarray) -> np.ndarray:
+        """The edge each of the vehicles `ids`, all in transit, is on."""
+        starts, route_edges, positions, _, _ = self.views()
+        return route_edges[starts[ids] + positions[ids]]
 
     def _vehicle(self, i: int) -> Vehicle:
         arrival = self.arrivals[i]
-        return Vehicle(i, self.origins[i], self.dests[i], self.departs[i], self.routes[i],
-                       self.positions[i], None if math.isnan(arrival) else arrival,
-                       self.starts[i], self.entry_buffer)
+        start = self.starts[i]
+        return Vehicle(i, self.origins[i], self.dests[i], self.departs[i],
+                       tuple(self.route_edges[start:self.starts[i + 1]]), self.positions[i],
+                       None if math.isnan(arrival) else arrival, start, self.entry_buffer)
 
     def __getitem__(self, index):
         n = len(self)
@@ -323,18 +357,17 @@ class Simulation:
 
         # per-edge vehicles on the road now, and entries before the horizon
         self.counts = [0] * m
-        self.entries_horizon = [0] * m
+        self.entries_horizon = np.zeros(m, dtype=np.int64)
         self.weights = network.t0.copy()
         self.clock = 0.0
         self.step_index = 0
         self.steps_per_refresh = round(config.refresh_period / config.timestep)
-        self.vehicles = VehicleColumns()
-        # entry-buffer slots reserved so far; the buffer grows by doubling
-        # (unwritten slots hold NaN) and `run` trims it to these
-        self._reserved = 0
+        self.vehicles = VehicleColumns(m)
         self.in_transit = 0
         self.arrived = 0
-        self._heap: list = []  # pending exits as (exit_time, vehicle id)
+        # pending exits, one per vehicle in transit, in no particular order
+        self._exit_times = np.empty(0)
+        self._exit_ids = np.empty(0, dtype=np.int64)
         self._routes: dict = {}
         self._trees: dict = {}
         self._scheduled: list = []  # heap of injected (time, origin, dest)
@@ -397,13 +430,11 @@ class Simulation:
                 ks_samples=10_000,
             )
             self._mpc_polys[n] = poly
-        # one party per vehicle in transit, in vehicle-id order: the exit
-        # heap holds exactly one entry for each
-        routes, positions = self.vehicles.routes, self.vehicles.positions
+        # one party per vehicle in transit, in vehicle-id order: there is
+        # exactly one pending exit for each
         n_edges = self.network.n_edges
-        inputs = []
-        for pid, vid in enumerate(sorted(vid for _, vid in self._heap), 1):
-            inputs.append(PartyInput.on_edge(pid, routes[vid][positions[vid]], n_edges))
+        edges = self.vehicles.current_edges(np.sort(self._exit_ids)).tolist()
+        inputs = [PartyInput.on_edge(pid, edge, n_edges) for pid, edge in enumerate(edges, 1)]
         round_seed = (cfg.seed << 20) ^ self._mpc_refresh_index
         self._mpc_refresh_index += 1
         result = run_round(inputs, poly, seed=round_seed, record_transcript=False)
@@ -433,10 +464,8 @@ class Simulation:
         t_end = t + cfg.timestep
 
         vs = self.vehicles
-        routes, positions, starts = vs.routes, vs.positions, vs.starts
-        arrivals, departs = vs.arrivals, vs.departs
-        buffer = vs.entry_buffer
-        entering: list = []  # ids of departed vehicles with a nonempty route
+        enter_ids = np.empty(0, dtype=np.int64)  # departures with a nonempty route
+        enter_times = np.empty(0)
         if t < cfg.horizon:
             departures = []
             scheduled = self._scheduled
@@ -447,93 +476,132 @@ class Simulation:
                 self._demand, cfg.demand_multiplier, cfg.timestep, self.demand_rng
             )]
             if departures:
-                first = len(routes)
+                first = len(vs)
                 times, origins, dests = zip(*departures)
                 new_routes = list(map(self._route, origins, dests))
-                new_starts = list(accumulate(map(len, new_routes), initial=self._reserved))
-                self._reserved = reserved = new_starts.pop()
-                routes += new_routes
-                positions += [0] * len(new_routes)
-                starts.extend(new_starts)
+                lengths = list(map(len, new_routes))
+                vs.starts.extend(accumulate(lengths, initial=vs.starts.pop()))
+                vs.route_edges.extend(chain.from_iterable(new_routes))
+                vs.positions.frombytes(bytes(len(lengths) * vs.positions.itemsize))
                 vs.origins.extend(origins)
                 vs.dests.extend(dests)
-                departs.extend(times)
-                arrivals.extend(array("d", [math.nan]) * len(new_routes))
-                for vid, route in enumerate(new_routes, first):
-                    if route:
-                        entering.append(vid)
-                    else:  # origin == destination: arrived at departure
-                        arrivals[vid] = departs[vid]
-                        self.arrived += 1
-                if reserved > len(buffer):
-                    buffer += array("d", [math.nan]) * max(reserved - len(buffer), len(buffer))
+                vs.departs.extend(times)
+                vs.arrivals.extend(array("d", [math.nan]) * len(lengths))
+                moving = np.flatnonzero(lengths)
+                enter_ids = moving + first
+                enter_times = np.array(times)[moving]
+                for i in np.flatnonzero(np.equal(lengths, 0)).tolist():
+                    vs.arrivals[first + i] = times[i]  # origin == destination
+                    self.arrived += 1
+                buffer = vs.entry_buffer
+                if vs.starts[-1] > len(buffer):
+                    buffer += array("d", [math.nan]) * max(vs.starts[-1] - len(buffer), len(buffer))
 
-        heap = self._heap
-        heappush, heappop = heapq.heappush, heapq.heappop
-        counts = self.counts
-        entries_horizon = self.entries_horizon
-        tables = self.network.tau_by_count
-        grow = self.network.grow_tau
-        horizon = cfg.horizon
-        n_entering = len(entering)
-        arrived = 0
-        # one entry path: departures first, in id order, then each exit in
-        # (exit_time, vid) order that does not end the vehicle's route
-        i = 0
-        while True:
-            if i < n_entering:
-                vid = entering[i]
-                i += 1
-                time = departs[vid]
-                route = routes[vid]
-                pos = 0
-            elif heap and heap[0][0] <= t_end:
-                time, vid = heappop(heap)
-                route = routes[vid]
-                pos = positions[vid]
-                counts[route[pos]] -= 1
-                pos += 1
-                positions[vid] = pos
-                if pos == len(route):
-                    arrivals[vid] = time
-                    arrived += 1
-                    continue
-            else:
-                break
-            edge = route[pos]
-            # traversal time reflects the vehicles already on the road, not
-            # the entrant itself: an empty road is traversed in exactly t0
-            c = counts[edge]
-            table = tables[edge]
-            if c >= len(table):
-                table = grow(edge, c)
-            counts[edge] = c + 1
-            if time < horizon:
-                entries_horizon[edge] += 1
-            buffer[starts[vid] + pos] = time
-            heappush(heap, (time + table[c], vid))
-        self.in_transit += n_entering - arrived
-        self.arrived += arrived
-
+        if len(enter_ids) or (self._exit_times <= t_end).any():
+            self._move(enter_ids, enter_times, t_end)
         self.clock = t_end
         self.step_index += 1
         if cfg.debug_checks:
             self._check_invariants()
 
-    def _check_invariants(self) -> None:
-        recount = [0] * len(self.counts)
-        transit = 0
+    def _move(self, enter_ids: np.ndarray, enter_times: np.ndarray, t_end: float) -> None:
+        """Enter the departures `enter_ids` on their first edges, then pop
+        every exit due by t_end, as numpy batches.
+
+        A batch does what one event at a time would: the departures in id
+        order, then the due exits in (exit_time, vid) order, an exit that
+        does not end the vehicle's route entering its next edge at its exit
+        time.  An entrant's new exit due by t_end would pop inside the
+        batch, so only the events before that pop commit; the rest go back
+        to the pending exits for the next batch.
+        """
         vs = self.vehicles
-        for route, pos, arrival in zip(vs.routes, vs.positions, vs.arrivals):
-            if math.isnan(arrival):
-                recount[route[pos]] += 1
-                transit += 1
+        starts, route_edges, positions, arrivals, buffer = vs.views()
+        counts = np.array(self.counts, dtype=np.int64)
+        table = self.network.tau_by_count
+        m = len(counts)
+        pending_t, pending_v = self._exit_times, self._exit_ids
+        n_entered = len(enter_ids)
+        arrived = 0
+        while True:
+            due = pending_t <= t_end
+            exit_t, exit_v = pending_t[due], pending_v[due]
+            pending_t, pending_v = pending_t[~due], pending_v[~due]
+            order = np.lexsort((exit_v, exit_t))
+            exit_t, exit_v = exit_t[order], exit_v[order]
+            n_dep, n_exit = len(enter_ids), len(exit_v)
+            slot = starts[exit_v] + positions[exit_v]  # of the edge each exit leaves
+            left = route_edges[slot]
+            moved = np.flatnonzero(slot + 1 < starts[exit_v + 1])
+            # entrants in processing order, and the position of each
+            at = np.concatenate((np.arange(n_dep), moved + n_dep))
+            ent_v = np.concatenate((enter_ids, exit_v[moved]))
+            ent_t = np.concatenate((enter_times, exit_t[moved]))
+            ent_slot = np.concatenate((starts[enter_ids], slot[moved] + 1))
+            ent_edge = route_edges[ent_slot]
+
+            # the count an entrant sees is its edge's count at batch start
+            # plus the +1 and -1 events before it on that edge, an exit's -1
+            # coming before its own +1: traversal time reflects the vehicles
+            # already on the road, not the entrant itself
+            edge = np.concatenate((ent_edge, left))
+            delta = np.concatenate((np.ones(len(at), np.int64), np.full(n_exit, -1)))
+            key = np.concatenate((2 * at + 1, 2 * np.arange(n_dep, n_dep + n_exit)))
+            order = np.lexsort((key, edge))
+            edge, delta = edge[order], delta[order]
+            before = np.cumsum(delta) - delta
+            head = np.ones(len(edge), dtype=bool)
+            head[1:] = edge[1:] != edge[:-1]
+            group = np.maximum.accumulate(np.where(head, np.arange(len(edge)), 0))
+            seen = np.empty(len(edge), dtype=np.int64)
+            seen[order] = counts[edge] + before - before[group]
+            seen = seen[:len(at)]
+            if len(seen) and seen.max() >= table.shape[1]:
+                table = self.network.grow_tau(int(seen.max()))
+            ent_exit = ent_t + table[ent_edge, seen]
+
+            cut = n_dep + n_exit
+            early = np.flatnonzero(ent_exit <= t_end)
+            for i in early.tolist():
+                # this exit pops after the batch's exits that precede it in
+                # (time, vid) order, and after the event that filed it
+                lo = np.searchsorted(exit_t, ent_exit[i])
+                ties = exit_v[lo:np.searchsorted(exit_t, ent_exit[i], side="right")]
+                pops = n_dep + lo + np.searchsorted(ties, ent_v[i])
+                cut = min(cut, max(at[i] + 1, pops))
+            n_ent = np.searchsorted(at, cut)
+            done = cut - n_dep
+            ent_edge, ent_t, ent_exit = ent_edge[:n_ent], ent_t[:n_ent], ent_exit[:n_ent]
+            counts += np.bincount(ent_edge, minlength=m) - np.bincount(left[:done], minlength=m)
+            self.entries_horizon += np.bincount(ent_edge[ent_t < self.config.horizon], minlength=m)
+            buffer[ent_slot[:n_ent]] = ent_t
+            positions[exit_v[:done]] += 1
+            ended = np.ones(done, dtype=bool)
+            ended[moved[moved < done]] = False
+            arrivals[exit_v[:done][ended]] = exit_t[:done][ended]
+            arrived += int(np.count_nonzero(ended))
+            pending_t = np.concatenate((pending_t, exit_t[done:], ent_exit))
+            pending_v = np.concatenate((pending_v, exit_v[done:], ent_v[:n_ent]))
+            enter_ids, enter_times = enter_ids[:0], enter_times[:0]
+            if not len(early):
+                break
+        self._exit_times, self._exit_ids = pending_t, pending_v
+        self.counts = counts.tolist()
+        self.in_transit += n_entered - arrived
+        self.arrived += arrived
+
+    def _check_invariants(self) -> None:
+        vs = self.vehicles
+        transit = np.flatnonzero(np.isnan(np.frombuffer(vs.arrivals)))
+        recount = np.bincount(vs.current_edges(transit), minlength=len(self.counts))
+        pending = np.sort(self._exit_ids)
         checks = (
-            (recount == self.counts, "counts drifted from vehicle state"),
-            (transit == self.in_transit, "in_transit drifted from vehicle state"),
-            (len(self.vehicles) == self.arrived + self.in_transit, "vehicle conservation"),
-            (len(self._heap) == self.in_transit, "one pending exit per vehicle in transit"),
-            (all(x > self.clock for x, _ in self._heap), "an exit was filed too late"),
+            (recount.tolist() == self.counts, "counts drifted from vehicle state"),
+            (len(transit) == self.in_transit, "in_transit drifted from vehicle state"),
+            (len(vs) == self.arrived + self.in_transit, "vehicle conservation"),
+            (len(pending) == len(transit) and (pending == transit).all(),
+             "pending exits are not one per vehicle in transit"),
+            ((self._exit_times > self.clock).all(), "an exit was filed too late"),
         )
         for ok, what in checks:
             if not ok:
@@ -560,10 +628,10 @@ class Simulation:
         finally:
             if gc_was_enabled:
                 gc.enable()
-        del self.vehicles.entry_buffer[self._reserved:]
+        del self.vehicles.entry_buffer[len(self.vehicles.route_edges):]
         return RunResult(
             vehicles=self.vehicles,
-            entries_horizon=np.array(self.entries_horizon, dtype=np.int64),
+            entries_horizon=self.entries_horizon.copy(),
             capacities=self.network.capacity,
             config=cfg,
             n_incomplete=self.in_transit,
@@ -652,15 +720,22 @@ def compare_runs(result_np: RunResult, result_p: RunResult) -> Metrics:
         not np.array_equal(depart, np.frombuffer(vb.departs))
     ):
         raise ValueError("paired runs diverged in demand; seeds were not shared")
-    arrival_np = np.frombuffer(va.arrivals)
-    arrival_p = np.frombuffer(vb.arrivals)
+    starts_np, edges_np, _, arrival_np, _ = va.views()
+    starts_p, edges_p, _, arrival_p, _ = vb.views()
     both = ~(np.isnan(arrival_np) | np.isnan(arrival_p))
     # travel times of the vehicles that arrived in both runs, in id order
     tt_np = (arrival_np - depart)[both]
     tt_p = (arrival_p - depart)[both]
     n = len(tt_np)
-    flags = both.tolist()
-    unchanged = sum(map(operator.eq, compress(va.routes, flags), compress(vb.routes, flags)))
+    # a route is unchanged when its two blocks have one length and no slot
+    # differs; the blocks of nonempty ones line up once the rest are dropped
+    length = np.diff(starts_np)
+    same_length = both & (length == np.diff(starts_p))
+    compared = same_length & (length > 0)
+    differs = edges_np[np.repeat(compared, length)] != edges_p[np.repeat(compared, np.diff(starts_p))]
+    lengths = length[compared]
+    changed = np.logical_or.reduceat(differs, np.cumsum(lengths) - lengths) if len(lengths) else differs
+    unchanged = int(np.count_nonzero(same_length)) - int(np.count_nonzero(changed))
     no_increase = int(np.count_nonzero(tt_p <= tt_np + 1e-9))
     mean_np = float(np.mean(tt_np)) if n else 0.0
     mean_p = float(np.mean(tt_p)) if n else 0.0

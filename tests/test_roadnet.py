@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -17,8 +18,10 @@ from privroute.roadnet import (
     delta_critical_count,
     flow_to_count,
     travel_time,
+    _tau_vector,
     verify_accuracy_guarantee,
 )
+from privroute.tntp import load_sioux_falls
 
 BPR = DelayFunction(t0=1.0, capacity=100.0)
 
@@ -199,3 +202,27 @@ def test_network_structure():
         RoadNetwork([1, 2], [Edge(0, 1, 1, d)])  # self-loop
     with pytest.raises(ValueError):
         RoadNetwork([1, 2], [Edge(0, 1, 5, d)])  # unknown node
+
+
+def test_tau_table_growth_matches_one_shot_tables_bitwise():
+    # a run reads tau from one shared table that grows by whole columns as
+    # counts rise; where and how it grew must not change a single bit
+    width = 4000
+    net, _ = load_sioux_falls()
+    counts = np.arange(width, dtype=float)
+    one_shot = np.array([
+        _tau_vector(net.t0[e], net.capacity[e], net.alpha[e], net.beta[e], counts)
+        for e in range(net.n_edges)
+    ])
+    all_edges = _tau_vector(net.t0[:, None], net.capacity[:, None], net.alpha[:, None],
+                            net.beta[:, None], counts)
+    assert all_edges.tobytes() == one_shot.tobytes()
+    for seed in range(3):
+        grown, _ = load_sioux_falls()
+        assert grown.tau_by_count.shape == (grown.n_edges, 1)
+        rng = random.Random(seed)
+        while grown.tau_by_count.shape[1] < width:
+            have = grown.tau_by_count.shape[1]
+            table = grown.grow_tau(rng.randrange(have, have + 400))
+            assert table is grown.tau_by_count
+        assert grown.tau_by_count[:, :width].tobytes() == one_shot.tobytes()

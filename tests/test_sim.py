@@ -1,4 +1,5 @@
 import gc
+import heapq
 import itertools
 import math
 import os
@@ -9,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import privroute
 from privroute.protocol import run_round
@@ -237,6 +240,129 @@ def test_exit_pops_in_its_step_after_many_short_steps():
     sim.run()
     assert sim.step_index == step + 1
     assert sim.vehicles[0].arrival == start + 0.3
+
+
+class _HeapLoopSimulation(Simulation):
+    """The sequential event loop that `Simulation.step` batches, kept as the
+    reference: departures in id order, then one heap pop of (exit_time, vid)
+    at a time, each entering the vehicle's next edge.  It keeps its vehicles
+    as plain per-vehicle lists, and shares the run's refresh, routing,
+    demand draw and tau table."""
+
+    def __init__(self, network, od, config):
+        super().__init__(network, od, config)
+        self.heap = []
+        self.departs, self.routes, self.positions = [], [], []
+        self.entries, self.arrivals = [], []
+
+    def step(self):
+        cfg = self.config
+        t = self.clock
+        if self.step_index % self.steps_per_refresh == 0:
+            self._refresh()
+        t_end = t + cfg.timestep
+        entering = []
+        if t < cfg.horizon:
+            departures = []
+            while self._scheduled and self._scheduled[0][0] < t_end:
+                st_, o, d = heapq.heappop(self._scheduled)
+                departures.append((max(st_, t), o, d))
+            departures += [(t, o, d) for o, d in draw_demand(
+                self._demand, cfg.demand_multiplier, cfg.timestep, self.demand_rng)]
+            for time, o, d in departures:
+                route = self._route(o, d)
+                if route:
+                    entering.append(len(self.routes))
+                else:
+                    self.arrived += 1
+                self.departs.append(time)
+                self.routes.append(route)
+                self.positions.append(0)
+                self.entries.append([])
+                self.arrivals.append(None if route else time)
+        heap, counts = self.heap, self.counts
+        arrived = 0
+        i = 0
+        while True:
+            if i < len(entering):
+                vid = entering[i]
+                i += 1
+                time, route, pos = self.departs[vid], self.routes[vid], 0
+            elif heap and heap[0][0] <= t_end:
+                time, vid = heapq.heappop(heap)
+                route = self.routes[vid]
+                pos = self.positions[vid]
+                counts[route[pos]] -= 1
+                pos += 1
+                self.positions[vid] = pos
+                if pos == len(route):
+                    self.arrivals[vid] = time
+                    arrived += 1
+                    continue
+            else:
+                break
+            edge = route[pos]
+            c = counts[edge]
+            if c >= self.network.tau_by_count.shape[1]:
+                self.network.grow_tau(c)
+            counts[edge] = c + 1
+            if time < cfg.horizon:
+                self.entries_horizon[edge] += 1
+            self.entries[vid].append(time)
+            heapq.heappush(heap, (time + float(self.network.tau_by_count[edge, c]), vid))
+        self.in_transit += len(entering) - arrived
+        self.arrived += arrived
+        self.clock = t_end
+        self.step_index += 1
+
+
+def _random_network(draw, timestep):
+    # a ring through every node keeps each pair reachable; t0 lies below, at
+    # and above the timestep, with repeats so that exits tie
+    n = draw(st.integers(3, 6))
+    t0s = st.sampled_from([timestep / 4, timestep / 2, timestep, 1.5 * timestep, 0.3, 0.7,
+                           3.3, 25.0])
+    caps = st.sampled_from([0.02, 0.1, 1.0])
+    pairs = [(u, u % n + 1) for u in range(1, n + 1)]
+    pairs += draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n))
+                           .filter(lambda p: p[0] != p[1]), max_size=2 * n))
+    edges = [Edge(i, u, v, DelayFunction(t0=draw(t0s), capacity=draw(caps)))
+             for i, (u, v) in enumerate(pairs)]
+    return RoadNetwork(range(1, n + 1), edges)
+
+
+@st.composite
+def _heap_loop_cases(draw):
+    timestep = draw(st.sampled_from([1.0, 2.5, 10.0]))
+    net = _random_network(draw, timestep)
+    horizon = timestep * draw(st.integers(2, 12))
+    cfg = SimConfig(timestep=timestep, refresh_period=timestep * draw(st.integers(1, 3)),
+                    horizon=horizon, mode=draw(st.sampled_from(["non-private", "private"])),
+                    epsilon=0.5, seed=draw(st.integers(0, 2**16)), debug_checks=True,
+                    demand_multiplier=draw(st.sampled_from([0.0, 50.0])))
+    nodes = st.integers(1, net.n_nodes)
+    # quarter-second departure times tie with exits and with each other
+    times = st.integers(0, int(4 * horizon) - 1).map(lambda q: q / 4) | st.floats(
+        0.0, horizon, exclude_max=True)
+    injections = draw(st.lists(st.tuples(nodes, nodes, times), max_size=40))
+    return net, OdDemand({(1, 2): 20.0, (2, 1): 40.0}), cfg, injections
+
+
+@settings(max_examples=150, deadline=None)
+@given(_heap_loop_cases())
+def test_batched_step_matches_heap_loop(case):
+    net, od, cfg, injections = case
+    sims = [Simulation(net, od, cfg), _HeapLoopSimulation(net, od, cfg)]
+    for sim in sims:  # only the batched run checks its invariants each step
+        for o, d, time in injections:
+            sim.inject(o, d, time)
+        sim.run()
+    batched, heap_loop = sims
+    got = [(v.route, v.entry_times, v.arrival) for v in batched.vehicles]
+    assert got == list(zip(heap_loop.routes, heap_loop.entries, heap_loop.arrivals))
+    assert batched.counts == heap_loop.counts
+    assert batched.entries_horizon.tolist() == heap_loop.entries_horizon.tolist()
+    assert (batched.in_transit, batched.arrived) == (heap_loop.in_transit, heap_loop.arrived)
 
 
 def test_traversal_time_reflects_existing_occupancy():
