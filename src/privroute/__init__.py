@@ -6,7 +6,7 @@ party revealing its location; the simulator quantifies what that privacy
 costs on a real benchmark network.
 """
 
-from .field import FieldElement, PrimeModulus, lagrange_weights_at_zero, mod_inverse
+from .field import PrimeModulus
 from .laplace import InverseCdfPoly, LaplaceParams, fit_inverse_cdf_poly
 from .protocol import PartyInput, ProtocolTranscript, RoundResult, coalition_view, run_round
 from .roadnet import (
@@ -20,16 +20,6 @@ from .roadnet import (
     flow_to_count,
     travel_time,
     verify_accuracy_guarantee,
-)
-from .sharing import (
-    AdditiveShareSet,
-    ShamirShareSet,
-    reconstruct_additive,
-    reconstruct_shamir,
-    share_additive,
-    share_shamir,
-    smpa,
-    smpm,
 )
 from .sim import Metrics, SimConfig, Simulation, run_experiment, shortest_path
 from .tntp import OdDemand, load_sioux_falls, parse_net, parse_trips

@@ -1,10 +1,10 @@
-"""Prime-field arithmetic and the Lagrange machinery used by share reconstruction.
+"""Prime moduli and the Lagrange weights that turn Shamir shares into additive ones.
 
-All secret-sharing values live in Z_p for a prime p; the caller always names
-it.  The protocol round and the simulator use the Mersenne prime 2^521 - 1,
-whose p/2 leaves room for the signed decoding of high-degree noise
-polynomials; 2^61 - 1 suits the unit tests of the sharing primitives, and
-tiny primes (7, 101, ...) are what the exhaustive secrecy tests use.
+All secret-sharing values are plain ints in Z_p for a prime p; the caller
+always names it.  The protocol round and the simulator use the Mersenne prime
+2^521 - 1, whose p/2 leaves room for the signed decoding of high-degree noise
+polynomials; 2^61 - 1 suits the unit tests of the share loops, and tiny
+primes (7, 101, ...) are what the exhaustive secrecy tests use.
 
 `PrimeModulus` checks its p with `is_probable_prime`, and every noise-polynomial
 fit builds one.  A Mersenne number 2^k - 1 gets an exact Lucas-Lehmer proof:
@@ -32,10 +32,6 @@ class ZeroInverse(ZeroDivisionError):
 
 class DuplicateIndex(ValueError):
     """Raised when evaluation indices for interpolation repeat."""
-
-
-class MismatchedModuli(ValueError):
-    """Raised when combining elements of different prime fields."""
 
 
 def _miller_rabin_round(n: int, a: int, d: int, r: int) -> bool:
@@ -103,7 +99,7 @@ def is_probable_prime(n: int) -> bool:
 
 
 class PrimeModulus:
-    """A checked prime modulus p; the shared context for field elements."""
+    """A checked prime modulus p, with the signed decoding of values mod p."""
 
     __slots__ = ("p",)
 
@@ -113,9 +109,6 @@ class PrimeModulus:
         if not is_probable_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         self.p = p
-
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(value, self)
 
     def signed(self, value: int) -> int:
         """Decode value in [0, p) to the signed representative in (-p/2, p/2]."""
@@ -130,65 +123,6 @@ class PrimeModulus:
 
     def __repr__(self) -> str:
         return f"PrimeModulus({self.p})"
-
-
-class FieldElement:
-    """Immutable element of Z_p with operator arithmetic."""
-
-    __slots__ = ("value", "modulus")
-
-    def __init__(self, value: int, modulus: PrimeModulus):
-        self.value = value % modulus.p
-        self.modulus = modulus
-
-    def _check(self, other: "FieldElement") -> None:
-        if self.modulus.p != other.modulus.p:
-            raise MismatchedModuli(
-                f"cannot combine elements mod {self.modulus.p} and mod {other.modulus.p}"
-            )
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.value + other.value, self.modulus)
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.value - other.value, self.modulus)
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.value * other.value, self.modulus)
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(-self.value, self.modulus)
-
-    def __pow__(self, exponent: int) -> "FieldElement":
-        return FieldElement(pow(self.value, exponent, self.modulus.p), self.modulus)
-
-    def inverse(self) -> "FieldElement":
-        return mod_inverse(self)
-
-    @property
-    def signed(self) -> int:
-        return self.modulus.signed(self.value)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FieldElement)
-            and other.value == self.value
-            and other.modulus.p == self.modulus.p
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.value, self.modulus.p))
-
-    def __repr__(self) -> str:
-        return f"FieldElement({self.value} mod {self.modulus.p})"
-
-
-def mod_inverse(a: FieldElement) -> FieldElement:
-    """Multiplicative inverse of a nonzero field element."""
-    return FieldElement(_inv_int(a.value, a.modulus.p), a.modulus)
 
 
 def _inv_int(a: int, p: int) -> int:
@@ -218,16 +152,3 @@ def _lagrange_weights_at_zero_ints(indices: Sequence[int], p: int) -> list[int]:
             den = den * (ik - ij) % p
         weights.append(num * _inv_int(den, p) % p)
     return weights
-
-
-def lagrange_weights_at_zero(
-    indices: Sequence[int], modulus: PrimeModulus
-) -> list[FieldElement]:
-    """Interpolation weights recovering a shared polynomial's constant term.
-
-    Given distinct nonzero evaluation indices i_1..i_k, returns weights
-    lambda_j such that sum_j lambda_j * X(i_j) = X(0) in Z_p for every
-    polynomial X of degree < k.
-    """
-    ints = _lagrange_weights_at_zero_ints(indices, modulus.p)
-    return [FieldElement(w, modulus) for w in ints]

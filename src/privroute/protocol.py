@@ -28,10 +28,8 @@ z, the Shamir coefficients for X before Y.  The runs go through
 draws for the values `randrange` would reject, so every party gets the same
 values and ends in the same state as with one `randrange` call per value.
 An injected rng with only `randrange` (the tests' scripted rngs) is called
-per value.  Steps 1-3 then run `sharing._smpa_phase` and
-`sharing._smpm_phase`, the same int-level cores behind `sharing.smpa`/`smpm`,
-on the drawn values.  With a single rng shared by all parties, `smpa`/`smpm`
-draw party by party, the order their exhaustive secrecy tests enumerate.
+per value.  Steps 1-3 then run the share loops `sharing._smpa_phase` and
+`sharing._smpm_phase` on the drawn values.
 
 Shamir evaluation is linear, so each multiplication step evaluates the sum of
 the parties' coefficient vectors once per receiver: O(N*h) Horner steps per
@@ -123,12 +121,6 @@ class ProtocolTranscript:
         self.n_edges = n_edges
         self.degree = degree
         self.messages: list[Message] = []
-
-    def phase_counts(self) -> dict:
-        counts: dict = {}
-        for m in self.messages:
-            counts[m.phase] = counts.get(m.phase, 0) + 1
-        return counts
 
     def expected_messages_per_edge(self) -> int:
         n, d = self.n_parties, self.degree

@@ -161,12 +161,6 @@ def flow_to_count(delay: DelayFunction, x):
     return out if out.ndim else float(out)
 
 
-def count_to_flow(delay: DelayFunction, s):
-    """F^{-1}(s); negative counts are clamped to zero first."""
-    out = _flow_vector(delay.t0, delay.capacity, delay.alpha, delay.beta, s)
-    return out if out.ndim else float(out)
-
-
 def count_to_time(delay: DelayFunction, s):
     """tau(s) = f(F^{-1}(s)): travel time implied by a vehicle count.
 

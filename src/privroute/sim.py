@@ -46,18 +46,10 @@ Paired runs share the demand stream: the demand and noise generators are
 independent substreams of one seed, so flipping the mode or epsilon never
 perturbs who departs when.  The run is single-threaded and deterministic
 given the config.
-
-`Simulation.run` pauses CPython's cyclic garbage collector for its step loop.
-The loop allocates route tuples, shortest-path trees and numpy temporaries
-but makes no reference cycles, so a collection there frees nothing.  On a
-baseline pair with the pause removed the collector ran 13 times (never in
-full) for about 1 ms of a 1.8 s pair.  The collector's previous state is
-restored when the loop ends.
 """
 
 from __future__ import annotations
 
-import gc
 import heapq
 import math
 import operator
@@ -613,21 +605,12 @@ class Simulation:
         """Step until the horizon, then until the road drains or the clock
         reaches DRAIN_FACTOR * horizon.
 
-        The cyclic garbage collector is off during the loop: the loop makes
-        no reference cycles, so a collection could free nothing.  The
-        collector is back in its previous state however the loop ends.  The
-        entry-time buffer is then trimmed to the slots reserved.
+        The entry-time buffer is then trimmed to the slots reserved.
         """
         cfg = self.config
         hard_stop = DRAIN_FACTOR * cfg.horizon
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            while self.clock < cfg.horizon or (self.in_transit and self.clock < hard_stop):
-                self.step()
-        finally:
-            if gc_was_enabled:
-                gc.enable()
+        while self.clock < cfg.horizon or (self.in_transit and self.clock < hard_stop):
+            self.step()
         del self.vehicles.entry_buffer[len(self.vehicles.route_edges):]
         return RunResult(
             vehicles=self.vehicles,
@@ -658,9 +641,6 @@ class UtilizationReport:
     maximum: float
     mean: float
     per_edge: np.ndarray
-
-    def as_tuple(self) -> tuple:
-        return (self.minimum, self.maximum, self.mean)
 
 
 def utilization_report(entries, capacities, horizon_s: float) -> UtilizationReport:

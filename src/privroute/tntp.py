@@ -53,9 +53,6 @@ class OdDemand:
     def total(self) -> float:
         return sum(self.rates.values())
 
-    def nonzero_pairs(self) -> int:
-        return sum(1 for v in self.rates.values() if v > 0)
-
     def nonzero_items(self) -> list:
         return [((o, d), r) for (o, d), r in sorted(self.rates.items()) if r > 0]
 
@@ -136,25 +133,6 @@ def parse_net(text: str, convert_units: bool = True) -> RoadNetwork:
         raise ParseError(str(exc)) from None
 
 
-def write_net(network: RoadNetwork) -> str:
-    """Inverse of parse_net, for fixtures and round-trip tests."""
-    out = [
-        f"<NUMBER OF NODES> {network.n_nodes}",
-        f"<NUMBER OF LINKS> {network.n_edges}",
-        "<END OF METADATA>",
-        "",
-        "~ \tInit node \tTerm node \tCapacity \tLength \tFree Flow Time \tB\tPower\tSpeed limit \tToll \tType\t;",
-    ]
-    for e in network.edges:
-        fftime = e.delay.t0 / MINUTES_TO_SECONDS
-        cap = e.delay.capacity * HOURS_TO_SECONDS
-        out.append(
-            f"\t{e.tail}\t{e.head}\t{cap:.10g}\t{e.length:.10g}\t{fftime:.10g}"
-            f"\t{e.delay.alpha:.10g}\t{e.delay.beta:.10g}\t0\t0\t1\t;"
-        )
-    return "\n".join(out) + "\n"
-
-
 def parse_trips(text: str) -> OdDemand:
     """Build OdDemand from `_trips.tntp` content (rates kept in file units).
 
@@ -202,28 +180,6 @@ def parse_trips(text: str) -> OdDemand:
                                  f"destination {dest}: {chunk!r}", lineno + 1)
             rates[pair] = rate
     return OdDemand(rates)
-
-
-def write_trips(od: OdDemand) -> str:
-    """Inverse of parse_trips."""
-    origins: dict = {}
-    for (o, d), r in sorted(od.rates.items()):
-        origins.setdefault(o, []).append((d, r))
-    total = od.total()
-    out = [f"<NUMBER OF ZONES> {len(origins)}", f"<TOTAL OD FLOW> {total:.10g}",
-           "<END OF METADATA>", ""]
-    for o, entries in origins.items():
-        out.append(f"Origin  {o}")
-        row = []
-        for d, r in entries:
-            row.append(f"{d:5d} : {r:10.1f};")
-            if len(row) == 5:
-                out.append("    " + "".join(row))
-                row = []
-        if row:
-            out.append("    " + "".join(row))
-        out.append("")
-    return "\n".join(out) + "\n"
 
 
 def parse_net_file(path) -> RoadNetwork:

@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from privroute.field import _lagrange_weights_at_zero_ints
+from privroute.sharing import _deal_additive, _draw, _smpa_phase, _smpm_phase
+
 
 def laplace_pdf(z, params):
     """Laplace density (eps/2) * exp(-eps*|z|) for `LaplaceParams` params."""
@@ -38,9 +41,39 @@ class ScriptedRng:
         return self.pos == len(self.draws)
 
 
-@pytest.fixture
-def scripted():
-    return ScriptedRng
+def additive_shares(secret, n, rng, p):
+    """N additive shares of `secret`: N-1 uniforms drawn from `rng`, then the remainder."""
+    return _deal_additive(secret, _draw(rng, p, n - 1), p)
+
+
+def smpa_one_rng(secrets, rng, p, messages=None):
+    """Secure addition with every party's deals drawn from one rng, party by party."""
+    n = len(secrets)
+    return _smpa_phase(secrets, [_draw(rng, p, n - 1) for _ in range(n)], p, messages)
+
+
+def smpm_one_rng(x, y, rng, p, messages=None):
+    """Secure multiplication with every party's Shamir coefficients drawn from
+    one rng, party by party; the product shares are reduced into [0, p)."""
+    n = len(x)
+    coeffs = [_draw(rng, p, 2 * ((n - 1) // 2)) for _ in range(n)]
+    lam = _lagrange_weights_at_zero_ints(range(1, n + 1), p)
+    return [t % p for t in _smpm_phase(x, y, coeffs, p, lam, messages)]
+
+
+def x_shares_sent(secret, coeffs, n, p):
+    """The X shares party 1 sends in `_smpm_phase`, as {receiver: X(receiver)}.
+
+    Party 1 holds the x share `secret` and draws `coeffs` as X's coefficients
+    of degree 1..h, h = floor((N-1)/2); every other share and coefficient is 0.
+    """
+    h = (n - 1) // 2
+    assert len(coeffs) == h
+    drawn = [[*coeffs, *[0] * h]] + [[0] * (2 * h)] * (n - 1)
+    sent = []
+    _smpm_phase([secret] + [0] * (n - 1), [0] * n, drawn, p, [1] * n, sent)
+    # each pair's X share is sent before its Y share
+    return {m.receiver: m.value for m in sent[::2] if m.sender == 1}
 
 
 @pytest.fixture

@@ -17,7 +17,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from privroute.field import MERSENNE_61, MERSENNE_521, PrimeModulus
+from privroute.field import MERSENNE_61, MERSENNE_521
 from privroute.laplace import (
     LaplaceParams,
     fit_inverse_cdf_poly,
@@ -27,25 +27,23 @@ from privroute.laplace import (
 from privroute.protocol import PartyInput, run_round
 from privroute.roadnet import (
     DelayFunction,
+    _flow_vector,
     check_accuracy_condition,
-    count_to_flow,
     count_to_time,
     delta_critical_count,
     flow_to_count,
     verify_accuracy_guarantee,
 )
-from privroute.sharing import (
-    reconstruct_additive,
-    share_additive,
-    share_shamir,
-    smpa,
-    smpm,
-)
 from privroute.sim import SimConfig, Simulation, compare_runs
 from privroute.tntp import load_sioux_falls
-from conftest import ScriptedRng
+from conftest import (
+    ScriptedRng,
+    additive_shares,
+    smpa_one_rng,
+    smpm_one_rng,
+    x_shares_sent,
+)
 
-M61 = PrimeModulus(MERSENNE_61)
 
 BASELINE_MULTIPLIER = 2.0  # realized-rate calibration of the published baseline
 HIGH_MULTIPLIER = 3.0
@@ -210,21 +208,20 @@ def test_criterion_05_mpc_correctness():
     import random
 
     started = time.time()
+    p = MERSENNE_61
     rng = random.Random(50)
     failures = 0
     for i in range(1000):
         n = (3, 5, 7)[i % 3]
-        inputs = [M61.element(rng.randrange(M61.p)) for _ in range(n)]
-        shares, _ = smpa(inputs, rng)
-        if reconstruct_additive(shares).value != sum(x.value for x in inputs) % M61.p:
+        inputs = [rng.randrange(p) for _ in range(n)]
+        if sum(smpa_one_rng(inputs, rng, p)) % p != sum(inputs) % p:
             failures += 1
     for i in range(1000):
         n = (3, 5, 7)[i % 3]
-        a, b = rng.randrange(M61.p), rng.randrange(M61.p)
-        xs = share_additive(M61.element(a), n, rng)
-        ys = share_additive(M61.element(b), n, rng)
-        prod, _ = smpm(xs, ys, rng)
-        if reconstruct_additive(prod).value != a * b % M61.p:
+        a, b = rng.randrange(p), rng.randrange(p)
+        xs = additive_shares(a, n, rng, p)
+        ys = additive_shares(b, n, rng, p)
+        if sum(smpm_one_rng(xs, ys, rng, p)) % p != a * b % p:
             failures += 1
     ok = failures == 0
     assert _report(
@@ -244,7 +241,6 @@ def _smpa_view_distribution(inputs, coalition, p=7):
     The coalition's own draws shift its view by known constants, so they are
     pinned to zero; honest parties' draws are enumerated exhaustively.
     """
-    mod = PrimeModulus(p)
     n = len(inputs)
     honest = [i for i in range(1, n + 1) if i not in coalition]
     dist = Counter()
@@ -256,10 +252,23 @@ def _smpa_view_distribution(inputs, coalition, p=7):
                 script.extend([0, 0])
             else:
                 script.extend([next(it), next(it)])
-        _, transcript = smpa([mod.element(x) for x in inputs], ScriptedRng(script))
+        transcript = []
+        smpa_one_rng(inputs, ScriptedRng(script), p, transcript)
         view = tuple(m.value for m in transcript if m.receiver in coalition)
         dist[view] += 1
     return dist
+
+
+def _interpolate_at_zero(points, p):
+    """X(0) from points (i, X(i)) of a polynomial of degree < len(points)."""
+    total = 0
+    for i, v in points:
+        num = den = 1
+        for k, _ in points:
+            if k != i:
+                num, den = num * k % p, den * (k - i) % p
+        total += v * num * pow(den, -1, p)
+    return total % p
 
 
 def test_criterion_06_mpc_secrecy_exhaustive():
@@ -277,7 +286,6 @@ def test_criterion_06_mpc_secrecy_exhaustive():
     )
     # with two colluders out of three the single honest input is determined
     # by its (fixed) total, so equality of laws across re-runs is the check
-    mod7 = PrimeModulus(7)
 
     # raw additive share subsets: exact secrecy for every proper subset
     subset_ok = True
@@ -287,31 +295,40 @@ def test_criterion_06_mpc_secrecy_exhaustive():
             c = Counter()
             for a in range(7):
                 for b in range(7):
-                    s = share_additive(mod7.element(secret), 3, ScriptedRng([a, b]))
-                    c[tuple(s.values[i] for i in subset)] += 1
+                    s = additive_shares(secret, 3, ScriptedRng([a, b]), 7)
+                    c[tuple(s[i] for i in subset)] += 1
             dists.append(c)
         subset_ok &= all(d == dists[0] for d in dists[1:])
 
-    # Shamir: fewer than k shares reveal nothing, every subset, k <= 3
-    shamir_ok = True
-    for k, n in ((2, 3), (3, 4)):
-        for size in range(1, k):
-            for subset in itertools.combinations(range(1, n + 1), size):
-                dists = []
-                for secret in range(7):
-                    c = Counter()
-                    for draws in itertools.product(range(7), repeat=k - 1):
-                        s = share_shamir(mod7.element(secret), k, n, ScriptedRng(draws))
-                        pts = dict(s.points)
-                        c[tuple(pts[i] for i in subset)] += 1
-                    dists.append(c)
+    # Shamir: the X shares one dealer sends in the multiplication step, the
+    # other dealers' coefficients fixed at 0.  Any h receivers see the same
+    # law for every secret, and any h + 1 rebuild it; N = 3 and 5 (h = 1, 2)
+    shamir_ok = reconstruct_ok = True
+    for n in (3, 5):
+        h = (n - 1) // 2
+        sent = {
+            secret: [x_shares_sent(secret, list(c), n, 7)
+                     for c in itertools.product(range(7), repeat=h)]
+            for secret in range(7)
+        }
+        for size in range(1, h + 1):
+            for coalition in itertools.combinations(range(2, n + 1), size):
+                dists = [
+                    Counter(tuple(shares[j] for j in coalition) for shares in sent[secret])
+                    for secret in range(7)
+                ]
                 shamir_ok &= all(d == dists[0] for d in dists[1:])
+        for secret, runs in sent.items():
+            for shares in runs:
+                for points in itertools.combinations(sorted(shares.items()), h + 1):
+                    reconstruct_ok &= _interpolate_at_zero(points, 7) == secret
 
-    ok = one_party_ok and two_party_ok and subset_ok and shamir_ok
+    ok = one_party_ok and two_party_ok and subset_ok and shamir_ok and reconstruct_ok
     assert _report(
         "6 MPC secrecy (exhaustive)", ok,
         f"smpa-1={one_party_ok}, smpa-2={two_party_ok}, additive-subsets={subset_ok}, "
-        f"shamir={shamir_ok}, {time.time() - started:.1f}s",
+        f"shamir={shamir_ok}, shamir-reconstruct={reconstruct_ok}, "
+        f"{time.time() - started:.1f}s",
     )
 
 
@@ -438,7 +455,7 @@ def test_criterion_11_count_time_calculus():
         )
         scale = flow_to_count(d, d.capacity)
         ys = np.linspace(0.02 * scale, 5.0 * scale, 1000)
-        x = count_to_flow(d, ys)
+        x = _flow_vector(d.t0, d.capacity, d.alpha, d.beta, ys)
         tau = count_to_time(d, ys)
         identity_ok &= bool(np.max(np.abs(tau * x - ys) / ys) < 1e-7)
         h = np.maximum(1e-6 * ys, 1e-9)

@@ -1,14 +1,18 @@
-"""The benchmark's record path for a simulated pair.
+"""The benchmark's workloads at smoke size, driven as `bench/run.py` drives them.
 
 After each timed `run_experiment` call, `bench/workloads.py` reads every
 vehicle of both runs: conservation checks, the trajectory digests and the
-work counts.  The module is loaded from its file, since `bench/` is not a
-package.
+work counts.  After each timed `run_round` call it checks the noise bound
+and the decoding, and digests the field totals.  A name the benchmark
+reaches that the package no longer has fails here.  The module is loaded
+from its file, since `bench/` is not a package.
 """
 
 import importlib.util
 import sys
 from pathlib import Path
+
+import pytest
 
 _spec = importlib.util.spec_from_file_location(
     "bench_workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
@@ -40,3 +44,23 @@ def test_sf_paired_smoke_records_cleanly_and_repeats():
         assert record.digest == SMOKE_DIGESTS
         assert record.work == SMOKE_WORK
     assert records[0].outputs == records[1].outputs
+
+
+# the field-total digests `bench/run.py --workload <name> --smoke` prints at
+# seed 1, from its first call
+ROUND_SMOKE_DIGESTS = {
+    "round_small": "a548ac4652b7ec1bb3b80232d3fdc25eb97f466cfcf664896ad9eb305d9431d3",
+    "round_sf": "e4d3efc56d4b32650b6538b1f357a8899a8c687fe12bd856a87fb3c2767be235",
+}
+
+
+@pytest.mark.parametrize("name", list(ROUND_SMOKE_DIGESTS))
+def test_round_smoke_records_cleanly(name):
+    rounds = workloads.workloads(smoke=True)[name]
+    inputs = rounds.setup(1)
+    prepared = rounds.prepare(inputs, 0)
+    result = rounds.op(inputs, prepared, 0)
+    record = rounds.record(inputs, prepared, result, 0.0)
+    assert record.failures == []
+    assert record.digest == {"field_totals": ROUND_SMOKE_DIGESTS[name]}
+    assert record.work == {"edge_rounds": rounds.edges}

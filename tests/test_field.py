@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import pytest
@@ -7,13 +9,11 @@ from privroute.field import (
     MERSENNE_61,
     MERSENNE_521,
     DuplicateIndex,
-    FieldElement,
-    MismatchedModuli,
     PrimeModulus,
     ZeroInverse,
+    _inv_int,
+    _lagrange_weights_at_zero_ints,
     is_probable_prime,
-    lagrange_weights_at_zero,
-    mod_inverse,
 )
 
 
@@ -84,37 +84,46 @@ def test_modulus_accepts_primes():
 
 
 def test_mod_inverse_examples():
-    m7 = PrimeModulus(7)
-    assert mod_inverse(m7.element(3)).value == 5  # 3*5 = 15 = 1 mod 7
+    assert _inv_int(3, 7) == 5  # 3*5 = 15 = 1 mod 7
     for p in (7, 101, MERSENNE_61):
-        assert mod_inverse(PrimeModulus(p).element(1)).value == 1
+        assert _inv_int(1, p) == 1
 
 
 def test_mod_inverse_round_trip_large():
-    m = PrimeModulus(MERSENNE_61)
+    p = MERSENNE_61
     rng = random.Random(7)
     for _ in range(200):
-        a = m.element(rng.randrange(1, m.p))
-        assert (a * mod_inverse(a)).value == 1
+        a = rng.randrange(1, p)
+        assert a * _inv_int(a, p) % p == 1
 
 
 def test_mod_inverse_of_zero_raises():
     with pytest.raises(ZeroInverse):
-        mod_inverse(PrimeModulus(7).element(0))
+        _inv_int(0, 7)
 
 
 def test_lagrange_weights_examples():
+    assert _lagrange_weights_at_zero_ints([1, 2, 3], 101) == [3, 98, 1]
     m101 = PrimeModulus(101)
-    assert [w.value for w in lagrange_weights_at_zero([1, 2, 3], m101)] == [3, 98, 1]
-    assert [w.signed for w in lagrange_weights_at_zero([1, 2, 3], m101)] == [3, -3, 1]
-    m7 = PrimeModulus(7)
-    assert [w.value for w in lagrange_weights_at_zero([1, 2], m7)] == [2, 6]
-    assert [w.value for w in lagrange_weights_at_zero([1], m7)] == [1]
+    assert [m101.signed(w) for w in _lagrange_weights_at_zero_ints([1, 2, 3], 101)] == [3, -3, 1]
+    assert _lagrange_weights_at_zero_ints([1, 2], 7) == [2, 6]
+    assert _lagrange_weights_at_zero_ints([1], 7) == [1]
+
+
+@pytest.mark.parametrize("n", [*range(1, 26), 50, 100])
+def test_signed_lagrange_weights_are_binomials(n):
+    # run_round decodes the weights for indices 1..N to signed ints and relies
+    # on them being (-1)^(j+1) * C(N, j): short, with |w| <= C(N, N/2)
+    modulus = PrimeModulus(MERSENNE_521)
+    weights = _lagrange_weights_at_zero_ints(range(1, n + 1), MERSENNE_521)
+    assert [modulus.signed(w) for w in weights] == [
+        (-1) ** (j + 1) * math.comb(n, j) for j in range(1, n + 1)
+    ]
 
 
 def test_lagrange_weights_duplicate_index():
     with pytest.raises(DuplicateIndex):
-        lagrange_weights_at_zero([1, 2, 2], PrimeModulus(101))
+        _lagrange_weights_at_zero_ints([1, 2, 2], 101)
 
 
 def _poly_eval(coeffs, x, p):
@@ -127,66 +136,29 @@ def _poly_eval(coeffs, x, p):
 def test_lagrange_recovers_constant_term_small_prime_exhaustive():
     # every degree-(k-1) polynomial over Z_7 for k in 1..3
     p = 7
-    m = PrimeModulus(p)
     for k, indices in [(1, [4]), (2, [1, 3]), (3, [1, 2, 5])]:
-        weights = [w.value for w in lagrange_weights_at_zero(indices, m)]
-        if k == 1:
-            polys = ([c0] for c0 in range(p))
-        elif k == 2:
-            polys = ([c0, c1] for c0 in range(p) for c1 in range(p))
-        else:
-            polys = ([c0, c1, c2] for c0 in range(p) for c1 in range(p) for c2 in range(p))
-        for coeffs in polys:
+        weights = _lagrange_weights_at_zero_ints(indices, p)
+        for coeffs in map(list, itertools.product(range(p), repeat=k)):
             got = sum(w * _poly_eval(coeffs, i, p) for w, i in zip(weights, indices)) % p
             assert got == coeffs[0]
 
 
 def test_lagrange_recovers_constant_term_large_prime_sampled():
     p = MERSENNE_61
-    m = PrimeModulus(p)
     rng = random.Random(99)
     for _ in range(50):
         k = rng.randrange(1, 8)
         indices = rng.sample(range(1, 50), k)
-        weights = [w.value for w in lagrange_weights_at_zero(indices, m)]
+        weights = _lagrange_weights_at_zero_ints(indices, p)
         coeffs = [rng.randrange(p) for _ in range(k)]
         got = sum(w * _poly_eval(coeffs, i, p) for w, i in zip(weights, indices)) % p
         assert got == coeffs[0]
 
 
-def test_field_algebra_properties():
-    m = PrimeModulus(MERSENNE_61)
-    rng = random.Random(3)
-    for _ in range(200):
-        a, b, c = (m.element(rng.randrange(m.p)) for _ in range(3))
-        assert a + b == b + a
-        assert a * b == b * a
-        assert (a + b) + c == a + (b + c)
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
-        assert a - a == m.element(0)
-
-
-def test_mixed_moduli_rejected():
-    a = PrimeModulus(7).element(3)
-    b = PrimeModulus(101).element(3)
-    with pytest.raises(MismatchedModuli):
-        a + b
-    with pytest.raises(MismatchedModuli):
-        a * b
-
-
 def test_signed_decode():
     m = PrimeModulus(101)
-    assert m.element(3).signed == 3
-    assert m.element(98).signed == -3
-    assert m.element(50).signed == 50
-    assert m.element(51).signed == -50
-    assert m.element(0).signed == 0
-
-
-def test_pow_and_inverse_method():
-    m = PrimeModulus(101)
-    a = m.element(5)
-    assert (a ** 3).value == 125 % 101
-    assert (a.inverse() * a).value == 1
+    assert m.signed(3) == 3
+    assert m.signed(98) == -3
+    assert m.signed(50) == 50
+    assert m.signed(51) == -50
+    assert m.signed(0) == 0

@@ -2,10 +2,11 @@
 map or the simulator must leave unchanged.
 
 Every value below was recorded from an earlier implementation: the first
-Sioux Falls pair, the round and smpa/smpm before the share loops and the tau
-bisection were merged into one copy each, the other simulator pins before the
-event loop moved onto plain lists and per-step exit buckets, the MPC run
-while its degree and seed bits were still config fields, the round at the
+Sioux Falls pair, the round and secure addition and multiplication before
+the share loops and the tau bisection were merged into one copy each, the
+other simulator pins before the event loop moved onto plain lists and
+per-step exit buckets, the MPC run while its degree and seed bits were still
+config fields, the round at the
 benchmark's shape before seeded party streams drew through their own
 `randrange` and the share loops reduced once per party, the fitted
 polynomials at the benchmark's two round shapes while the fit still checked
@@ -26,12 +27,11 @@ from privroute.cli import main
 from privroute.field import MERSENNE_61, MERSENNE_521, PrimeModulus
 from privroute.laplace import InverseCdfPoly, LaplaceParams, fit_inverse_cdf_poly
 from privroute.protocol import PartyInput, run_round
-from privroute.sharing import AdditiveShareSet, reconstruct_additive, smpa, smpm
 from privroute.roadnet import DelayFunction, Edge, RoadNetwork
 from privroute.sim import SimConfig, Simulation, run_experiment
 from privroute.tntp import OdDemand, load_sioux_falls
+from conftest import smpa_one_rng, smpm_one_rng
 
-M61 = PrimeModulus(MERSENNE_61)
 M521 = PrimeModulus(MERSENNE_521)
 
 
@@ -281,11 +281,12 @@ def test_fitted_poly_pinned_at_benchmark_shapes(shape):
 
 
 def test_smpa_pinned():
-    shares, transcript = smpa([M61.element(x) for x in (3, 1, 4, 1)], random.Random(0))
-    assert shares.values == (
+    transcript = []
+    shares = smpa_one_rng([3, 1, 4, 1], random.Random(0), MERSENNE_61, transcript)
+    assert shares == [
         855478924411929128, 465460045035273429, 829511009286761537, 155393030479729866,
-    )
-    assert reconstruct_additive(shares).value == 9
+    ]
+    assert sum(shares) % MERSENNE_61 == 9
     assert messages_digest(transcript, ("sender", "receiver", "value", "phase")) == (
         "4b81bd32646cb26bc00f14766590478898e2d4fa4ebd6ea9d596bc2948de44b2"
     )
@@ -293,13 +294,13 @@ def test_smpa_pinned():
 
 def test_smpm_pinned():
     # four parties: the even-N case, Shamir degree floor(3/2) = 1
-    x = AdditiveShareSet((5, 11, 2, 9), M61)
-    y = AdditiveShareSet((1, 2, 3, 4), M61)
-    product, transcript = smpm(x, y, random.Random(0))
-    assert product.values == (
+    transcript = []
+    product = smpm_one_rng([5, 11, 2, 9], [1, 2, 3, 4], random.Random(0), MERSENNE_61,
+                           transcript)
+    assert product == [
         1003270025358259240, 1603516400205827722, 700686151154649769, 1304213441708651441,
-    )
-    assert reconstruct_additive(product).value == 27 * 10
+    ]
+    assert sum(product) % MERSENNE_61 == 27 * 10
     assert messages_digest(transcript, ("sender", "receiver", "value", "phase")) == (
         "c44467e8d238438cab8f67ba6678eb70436667d0f33d027b1eb17babdbb290e6"
     )

@@ -15,15 +15,8 @@ from hypothesis import strategies as st
 from privroute.field import MERSENNE_61, MERSENNE_521, PrimeModulus
 from privroute.laplace import InverseCdfPoly
 from privroute.protocol import PartyInput, party_streams, run_round
-from privroute.sharing import (
-    _draw,
-    _smpa_phase,
-    _smpm_phase,
-    reconstruct_additive,
-    share_additive,
-    smpa,
-    smpm,
-)
+from privroute.sharing import _draw, _smpa_phase, _smpm_phase
+from conftest import additive_shares, smpa_one_rng, smpm_one_rng
 
 PRIMES = (7, 101, MERSENNE_61, MERSENNE_521)
 M521 = PrimeModulus(MERSENNE_521)
@@ -34,16 +27,17 @@ def field_instance(draw):
     """A prime p, a party count n in [3, min(12, p - 1)] and an rng seed."""
     p = draw(st.sampled_from(PRIMES))
     n = draw(st.integers(3, min(12, p - 1)))
-    return PrimeModulus(p), n, draw(st.integers(0, 2**32 - 1))
+    return p, n, draw(st.integers(0, 2**32 - 1))
 
 
 @settings(max_examples=200, deadline=None)
 @given(field_instance(), st.data())
 def test_smpa_reconstructs_sum(instance, data):
-    modulus, n, seed = instance
-    values = data.draw(st.lists(st.integers(0, modulus.p - 1), min_size=n, max_size=n))
-    shares, transcript = smpa([modulus.element(v) for v in values], random.Random(seed))
-    assert reconstruct_additive(shares).value == sum(values) % modulus.p
+    p, n, seed = instance
+    values = data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
+    transcript = []
+    shares = smpa_one_rng(values, random.Random(seed), p, transcript)
+    assert sum(shares) % p == sum(values) % p
     assert len(transcript) == n * (n - 1)
 
 
@@ -51,14 +45,15 @@ def test_smpa_reconstructs_sum(instance, data):
 @given(field_instance(), st.data())
 def test_smpm_reconstructs_product(instance, data):
     # covers even N too, where the Shamir degree floor((N-1)/2) is below (N-1)/2
-    modulus, n, seed = instance
-    a = data.draw(st.integers(0, modulus.p - 1))
-    b = data.draw(st.integers(0, modulus.p - 1))
+    p, n, seed = instance
+    a = data.draw(st.integers(0, p - 1))
+    b = data.draw(st.integers(0, p - 1))
     rng = random.Random(seed)
-    xs = share_additive(modulus.element(a), n, rng)
-    ys = share_additive(modulus.element(b), n, rng)
-    product, transcript = smpm(xs, ys, rng)
-    assert reconstruct_additive(product).value == a * b % modulus.p
+    xs = additive_shares(a, n, rng, p)
+    ys = additive_shares(b, n, rng, p)
+    transcript = []
+    product = smpm_one_rng(xs, ys, rng, p, transcript)
+    assert sum(product) % p == a * b % p
     assert len(transcript) == 2 * n * (n - 1)
 
 

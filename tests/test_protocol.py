@@ -202,7 +202,7 @@ def test_transcript_schedule():
     per_edge = tr.expected_messages_per_edge()
     assert per_edge == 2 * n * (n - 1) + (d - 1) * 2 * n * (n - 1) + n * (n - 1)
     assert len(tr.messages) == m * per_edge
-    counts = tr.phase_counts()
+    counts = Counter(msg.phase for msg in tr.messages)
     assert counts[PHASE_COUNT] == m * n * (n - 1)
     assert counts[PHASE_UNIFORM] == m * n * (n - 1)
     assert counts[PHASE_BROADCAST] == m * n * (n - 1)

@@ -12,12 +12,12 @@ from privroute.roadnet import (
     RoadNetwork,
     accuracy_threshold,
     check_accuracy_condition,
-    count_to_flow,
     count_to_time,
     delta_capacity,
     delta_critical_count,
     flow_to_count,
     travel_time,
+    _flow_vector,
     _tau_vector,
     verify_accuracy_guarantee,
 )
@@ -159,7 +159,7 @@ def test_derivative_bound_and_count_flow_identity():
         )
         scale = flow_to_count(d, d.capacity)
         ys = np.linspace(0.02 * scale, 5.0 * scale, 1000)
-        x = count_to_flow(d, ys)
+        x = _flow_vector(d.t0, d.capacity, d.alpha, d.beta, ys)
         tau = count_to_time(d, ys)
         # identity within inversion tolerance
         assert np.max(np.abs(tau * x - ys) / ys) < 1e-7

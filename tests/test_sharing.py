@@ -9,49 +9,37 @@ from privroute.field import (
     MERSENNE_61,
     MERSENNE_521,
     DuplicateIndex,
-    PrimeModulus,
     _lagrange_weights_at_zero_ints,
 )
 from privroute.sharing import (
-    AdditiveShareSet,
-    InsufficientShares,
-    InvalidThreshold,
-    MissingShare,
-    PartyCountMismatch,
-    ShamirShareSet,
     Message,
-    TooFewParties,
     _draw,
     _eval_poly,
-    _sample_poly,
     _smpa_phase,
     _smpm_phase,
-    reconstruct_additive,
-    reconstruct_shamir,
-    share_additive,
-    share_shamir,
-    smpa,
-    smpm,
 )
-from conftest import ScriptedRng
+from conftest import (
+    ScriptedRng,
+    additive_shares,
+    smpa_one_rng,
+    smpm_one_rng,
+    x_shares_sent,
+)
 
-M61 = PrimeModulus(MERSENNE_61)
-M7 = PrimeModulus(7)
+P61 = MERSENNE_61
 
 
 # -- additive ---------------------------------------------------------------
 
 def test_share_additive_fixed_rng_last_share():
     # secret 0 with first shares 2, 5 forces the final share to 0 mod 7
-    shares = share_additive(M7.element(0), 3, ScriptedRng([(7, 2), (7, 5)]))
-    assert shares.values == (2, 5, 0)
+    assert additive_shares(0, 3, ScriptedRng([(7, 2), (7, 5)]), 7) == [2, 5, 0]
 
 
 def test_share_additive_two_parties_definitional():
-    rng = random.Random(5)
     for secret in (0, 1, 6):
-        s = share_additive(M7.element(secret), 2, random.Random(secret))
-        assert (s.values[0] + s.values[1]) % 7 == secret
+        s = additive_shares(secret, 2, random.Random(secret), 7)
+        assert (s[0] + s[1]) % 7 == secret
 
 
 def test_share_additive_marginal_uniform_exhaustive():
@@ -60,40 +48,53 @@ def test_share_additive_marginal_uniform_exhaustive():
         seen = Counter()
         for a in range(7):
             for b in range(7):
-                s = share_additive(M7.element(secret), 3, ScriptedRng([a, b]))
-                seen[(s.values[0], s.values[1])] += 1
+                s = additive_shares(secret, 3, ScriptedRng([a, b]), 7)
+                seen[(s[0], s[1])] += 1
         assert len(seen) == 49 and set(seen.values()) == {1}
 
 
 def test_share_additive_too_few_parties():
-    with pytest.raises(TooFewParties):
-        share_additive(M7.element(1), 1, random.Random(0))
+    # a lone party's share is its input, and secure addition among one party
+    # sends nothing: sharing hides nothing below two parties (the round, which
+    # also multiplies, refuses fewer than three; see test_protocol)
+    assert additive_shares(4, 1, random.Random(0), 7) == [4]
+    sent = []
+    assert _smpa_phase([4], [[]], 7, sent) == [4] and sent == []
 
 
 def test_reconstruct_additive_examples():
-    assert reconstruct_additive(AdditiveShareSet((2, 5, 0), M7)).value == 0
+    # the shares of 0 dealt with uniforms 2, 5 sum back to 0; five parties
+    # adding 1 each hold shares of 5
+    assert sum(additive_shares(0, 3, ScriptedRng([2, 5]), 7)) % 7 == 0
     n = 5
-    assert reconstruct_additive(AdditiveShareSet((1,) * n, M7)).value == n % 7
+    shares = smpa_one_rng([1] * n, random.Random(0), 7)
+    assert sum(shares) % 7 == n % 7
 
 
 def test_additive_round_trip_many():
     rng = random.Random(17)
     for _ in range(1000):
-        secret = M61.element(rng.randrange(M61.p))
+        secret = rng.randrange(P61)
         n = rng.randrange(2, 8)
-        assert reconstruct_additive(share_additive(secret, n, rng)) == secret
+        assert sum(additive_shares(secret, n, rng, P61)) % P61 == secret
 
 
 def test_reconstruct_additive_missing_share():
-    s = share_additive(M7.element(4), 3, random.Random(0)).drop(2)
-    with pytest.raises(MissingShare):
-        reconstruct_additive(s)
+    # without any one share the others cannot rebuild the secret: at p=7,
+    # N=3 the sum of the remaining two is uniform whatever the secret
+    for dropped in range(3):
+        for secret in range(7):
+            c = Counter()
+            for a in range(7):
+                for b in range(7):
+                    s = additive_shares(secret, 3, ScriptedRng([a, b]), 7)
+                    c[(sum(s) - s[dropped]) % 7] += 1
+            assert set(c) == set(range(7)) and set(c.values()) == {7}
 
 
 def test_additive_subset_secrecy_exhaustive():
     # p <= 11, N <= 4: any proper subset of shares has a secret-independent law
     for p in (7, 11):
-        mod = PrimeModulus(p)
         for n in (2, 3, 4):
             draw_space = list(itertools.product(range(p), repeat=n - 1))
             for subset in itertools.chain.from_iterable(
@@ -103,108 +104,110 @@ def test_additive_subset_secrecy_exhaustive():
                 for secret in range(p):
                     c = Counter()
                     for draws in draw_space:
-                        s = share_additive(mod.element(secret), n, ScriptedRng(draws))
-                        c[tuple(s.values[i] for i in subset)] += 1
+                        s = additive_shares(secret, n, ScriptedRng(draws), p)
+                        c[tuple(s[i] for i in subset)] += 1
                     dists.append(c)
                 assert all(d == dists[0] for d in dists[1:])
 
 
-# -- shamir -----------------------------------------------------------------
+# -- shamir: the X shares a dealer sends in _smpm_phase -----------------------
 
 def test_share_shamir_threshold_one_is_constant():
-    s = share_shamir(M7.element(4), 1, 5, random.Random(0))
-    assert all(v == 4 for _, v in s.points)
+    # with two parties the Shamir degree is 0: each X share sent is the
+    # dealer's own input, which is why multiplication needs three parties
+    assert x_shares_sent(4, [], 2, 7) == {2: 4}
 
 
 def test_share_shamir_fixed_coefficient():
-    # X(z) = 4 + 3z over Z_7 evaluated at 1, 2, 3
-    s = share_shamir(M7.element(4), 2, 3, ScriptedRng([(7, 3)]))
-    assert s.points == ((1, 0), (2, 3), (3, 6))
+    # X(z) = 4 + 3z over Z_7, sent to parties 2 and 3
+    assert x_shares_sent(4, [3], 3, 7) == {2: 3, 3: 6}
 
 
 def test_share_shamir_single_share_uniform_exhaustive():
-    # p=7, k=2, N=3: each single share is uniform regardless of the secret
-    for party in (1, 2, 3):
+    # p=7, N=3 (h=1): each single share sent is uniform regardless of the secret
+    for party in (2, 3):
         dists = []
         for secret in range(7):
-            c = Counter()
-            for c1 in range(7):
-                s = share_shamir(M7.element(secret), 2, 3, ScriptedRng([c1]))
-                c[dict(s.points)[party]] += 1
+            c = Counter(x_shares_sent(secret, [c1], 3, 7)[party] for c1 in range(7))
             dists.append(c)
         assert all(d == dists[0] for d in dists[1:])
         assert set(dists[0].values()) == {1}  # exactly uniform
 
 
 def test_share_shamir_invalid_threshold():
-    with pytest.raises(InvalidThreshold):
-        share_shamir(M7.element(1), 0, 3, random.Random(0))
-    with pytest.raises(InvalidThreshold):
-        share_shamir(M7.element(1), 4, 3, random.Random(0))
-    with pytest.raises(InvalidThreshold):
-        share_shamir(M7.element(1), 2, 9, random.Random(0))  # N >= p
+    # party indices must be distinct and nonzero mod p, so the Lagrange
+    # weights the round computes refuse N >= p
+    assert len(_lagrange_weights_at_zero_ints(range(1, 7), 7)) == 6
+    with pytest.raises(ValueError, match="index 0"):
+        _lagrange_weights_at_zero_ints(range(1, 8), 7)
+    with pytest.raises(DuplicateIndex):
+        _lagrange_weights_at_zero_ints(range(1, 9), 7)
+
+
+def _reconstruct(points, p):
+    weights = _lagrange_weights_at_zero_ints([i for i, _ in points], p)
+    return sum(w * v for w, (_, v) in zip(weights, points)) % p
 
 
 def test_reconstruct_shamir_examples():
-    got = reconstruct_shamir(ShamirShareSet(((1, 0), (2, 3)), 2, M7))
-    assert got.value == 4
-    assert reconstruct_shamir(ShamirShareSet(((5, 3),), 1, M7)).value == 3
+    assert _reconstruct([(1, 0), (2, 3)], 7) == 4
+    assert _reconstruct([(5, 3)], 7) == 3
 
 
 def test_reconstruct_shamir_all_subsets():
+    # any h + 1 of the shares a dealer sends rebuild its input
     rng = random.Random(23)
-    for n in (3, 4, 5):
-        for k in range(1, n + 1):
-            secret = M61.element(rng.randrange(M61.p))
-            shares = share_shamir(secret, k, n, rng)
-            for subset in itertools.combinations(range(1, n + 1), k):
-                assert reconstruct_shamir(shares.subset(subset)) == secret
+    for n in (3, 4, 5, 6, 7):
+        h = (n - 1) // 2
+        secret = rng.randrange(P61)
+        sent = x_shares_sent(secret, _draw(rng, P61, h), n, P61)
+        for subset in itertools.combinations(sorted(sent.items()), h + 1):
+            assert _reconstruct(subset, P61) == secret
 
 
 def test_reconstruct_shamir_errors():
-    shares = share_shamir(M7.element(2), 3, 5, random.Random(1))
-    with pytest.raises(InsufficientShares):
-        reconstruct_shamir(shares.subset([1, 2]))
-    bad = ShamirShareSet(((1, 0), (1, 3)), 2, M7)
+    # h shares of a degree-h polynomial miss its constant term whenever the
+    # top coefficient is nonzero; repeated indices are refused
+    for c2 in range(1, 7):
+        sent = x_shares_sent(4, [5, c2], 5, 7)  # h = 2
+        assert _reconstruct([(2, sent[2]), (3, sent[3])], 7) != 4
     with pytest.raises(DuplicateIndex):
-        reconstruct_shamir(bad)
+        _reconstruct([(1, 0), (1, 3)], 7)
 
 
 def test_shamir_below_threshold_secrecy_exhaustive():
-    # p <= 11, k <= 3: fewer than k shares are distributed independently of
-    # the secret
-    for p in (7, 11):
-        mod = PrimeModulus(p)
-        for k, n in ((2, 3), (3, 4)):
-            draw_space = list(itertools.product(range(p), repeat=k - 1))
-            for subset in itertools.chain.from_iterable(
-                itertools.combinations(range(1, n + 1), size) for size in range(1, k)
-            ):
-                dists = []
-                for secret in range(p):
-                    c = Counter()
-                    for draws in draw_space:
-                        s = share_shamir(mod.element(secret), k, n, ScriptedRng(draws))
-                        pts = dict(s.points)
-                        c[tuple(pts[i] for i in subset)] += 1
-                    dists.append(c)
+    # p <= 11, N <= 5: any h or fewer receivers of a dealer's X shares see a
+    # law independent of the dealer's input
+    for p, n in itertools.product((7, 11), (3, 4, 5)):
+        h = (n - 1) // 2
+        draw_space = list(itertools.product(range(p), repeat=h))
+        sent = {secret: [x_shares_sent(secret, list(c), n, p) for c in draw_space]
+                for secret in range(p)}
+        for size in range(1, h + 1):
+            for coalition in itertools.combinations(range(2, n + 1), size):
+                dists = [
+                    Counter(tuple(shares[j] for j in coalition) for shares in sent[secret])
+                    for secret in range(p)
+                ]
                 assert all(d == dists[0] for d in dists[1:])
 
 
 # -- smpa ---------------------------------------------------------------------
 
 def test_smpa_examples():
-    shares, transcript = smpa([M7.element(1)] * 3, random.Random(0))
-    assert reconstruct_additive(shares).value == 3
-    assert len(transcript) == 3 * 2  # N(N-1) point-to-point sends
+    sent = []
+    shares = smpa_one_rng([1] * 3, random.Random(0), 7, sent)
+    assert sum(shares) % 7 == 3
+    assert len(sent) == 3 * 2  # N(N-1) point-to-point sends
 
 
 def test_smpa_zero_inputs_messages_uniform_exhaustive():
     # all-zero inputs still produce uniformly distributed received messages
     per_msg = [Counter() for _ in range(6)]
     for draws in itertools.product(range(7), repeat=6):
-        _, transcript = smpa([M7.element(0)] * 3, ScriptedRng(draws))
-        for slot, msg in enumerate(transcript):
+        sent = []
+        smpa_one_rng([0] * 3, ScriptedRng(draws), 7, sent)
+        for slot, msg in enumerate(sent):
             per_msg[slot][msg.value] += 1
     for c in per_msg:
         assert set(c.values()) == {7 ** 5}  # uniform marginal
@@ -214,10 +217,9 @@ def test_smpa_matches_plain_sum():
     rng = random.Random(11)
     for _ in range(1000):
         n = rng.randrange(2, 7)
-        inputs = [M61.element(rng.randrange(M61.p)) for _ in range(n)]
-        shares, _ = smpa(inputs, rng)
-        expected = sum(x.value for x in inputs) % M61.p
-        assert reconstruct_additive(shares).value == expected
+        inputs = [rng.randrange(P61) for _ in range(n)]
+        shares = smpa_one_rng(inputs, rng, P61)
+        assert sum(shares) % P61 == sum(inputs) % P61
 
 
 def test_smpa_view_secrecy_fixed_totals():
@@ -228,12 +230,9 @@ def test_smpa_view_secrecy_fixed_totals():
     def view_dist(x2, x3):
         c = Counter()
         for draws in itertools.product(range(7), repeat=4):
-            rng = ScriptedRng([0, 0, *draws])
-            _, transcript = smpa(
-                [M7.element(0), M7.element(x2), M7.element(x3)], rng
-            )
-            received = tuple(m.value for m in transcript if m.receiver == 1)
-            c[received] += 1
+            sent = []
+            smpa_one_rng([0, x2, x3], ScriptedRng([0, 0, *draws]), 7, sent)
+            c[tuple(m.value for m in sent if m.receiver == 1)] += 1
         return c
 
     assert view_dist(1, 2) == view_dist(2, 1) == view_dist(0, 3) == view_dist(3, 0)
@@ -242,68 +241,62 @@ def test_smpa_view_secrecy_fixed_totals():
 def test_smpa_transcript_completeness():
     # every value a party receives appears in the transcript exactly once
     rng = random.Random(2)
-    inputs = [M61.element(rng.randrange(M61.p)) for _ in range(4)]
-    _, transcript = smpa(inputs, rng)
-    assert len(transcript) == 4 * 3
-    assert len({(m.sender, m.receiver) for m in transcript}) == 12
+    sent = []
+    smpa_one_rng([rng.randrange(P61) for _ in range(4)], rng, P61, sent)
+    assert len(sent) == 4 * 3
+    assert len({(m.sender, m.receiver) for m in sent}) == 12
 
 
 # -- smpm ---------------------------------------------------------------------
 
 def test_smpm_annihilator():
     rng = random.Random(0)
-    x = share_additive(M61.element(0), 3, rng)
-    y = share_additive(M61.element(123456), 3, rng)
-    prod, _ = smpm(x, y, rng)
-    assert reconstruct_additive(prod).value == 0
+    x = additive_shares(0, 3, rng, P61)
+    y = additive_shares(123456, 3, rng, P61)
+    assert sum(smpm_one_rng(x, y, rng, P61)) % P61 == 0
 
 
 def test_smpm_fixed_shares_example():
-    m101 = PrimeModulus(101)
-    x = AdditiveShareSet((1, 1, 2), m101)  # 4
-    y = AdditiveShareSet((2, 2, 1), m101)  # 5
-    prod, transcript = smpm(x, y, random.Random(9))
-    assert reconstruct_additive(prod).value == 20
-    assert len(transcript) == 2 * 3 * 2  # 2N(N-1)
+    sent = []
+    # shares of 4 and of 5
+    prod = smpm_one_rng([1, 1, 2], [2, 2, 1], random.Random(9), 101, sent)
+    assert sum(prod) % 101 == 20
+    assert len(sent) == 2 * 3 * 2  # 2N(N-1)
 
 
 def test_smpm_random_instances():
     rng = random.Random(31)
     for n in (3, 5, 7):
         for _ in range(170):
-            a = rng.randrange(M61.p)
-            b = rng.randrange(M61.p)
-            xs = share_additive(M61.element(a), n, rng)
-            ys = share_additive(M61.element(b), n, rng)
-            prod, _ = smpm(xs, ys, rng)
-            assert reconstruct_additive(prod).value == a * b % M61.p
+            a = rng.randrange(P61)
+            b = rng.randrange(P61)
+            xs = additive_shares(a, n, rng, P61)
+            ys = additive_shares(b, n, rng, P61)
+            assert sum(smpm_one_rng(xs, ys, rng, P61)) % P61 == a * b % P61
 
 
 def test_smpm_errors():
-    rng = random.Random(0)
-    x3 = share_additive(M61.element(1), 3, rng)
-    x4 = share_additive(M61.element(1), 4, rng)
-    with pytest.raises(PartyCountMismatch):
-        smpm(x3, x4, rng)
-    y7 = share_additive(M7.element(1), 3, rng)
-    with pytest.raises(PartyCountMismatch):
-        smpm(x3, y7, rng)
-    x2 = share_additive(M61.element(1), 2, rng)
-    y2 = share_additive(M61.element(1), 2, rng)
-    with pytest.raises(TooFewParties):
-        smpm(x2, y2, rng)
+    # below three parties the Shamir degree is 0 and every X and Y share is
+    # sent in the clear, which is why the round refuses two parties
+    sent = []
+    _smpm_phase([3, 5], [2, 6], [[], []], 7, [2, 6], sent)
+    assert [m.value for m in sent] == [3, 2, 5, 6]
 
 
 def test_smpm_shamir_degree_is_floor_half():
-    # each party draws `degree` coefficients per polynomial, two polynomials;
-    # the scripted rng bounds exhaust exactly when degree = floor((N-1)/2)
-    for n in (3, 4, 5):
-        degree = (n - 1) // 2
-        x = AdditiveShareSet(tuple([1] * n), M7)
-        y = AdditiveShareSet(tuple([1] * n), M7)
-        script = ScriptedRng([(7, 0)] * (n * 2 * degree))
-        smpm(x, y, script)
-        assert script.exhausted
+    # party i's X takes the first h drawn coefficients and Y the next h, as
+    # degrees 1..h, h = floor((N-1)/2)
+    for n in (3, 4, 5, 6, 7):
+        h = (n - 1) // 2
+        for k in range(1, h + 1):
+            top = [0] * (k - 1) + [1] + [0] * (h - k)
+            assert x_shares_sent(0, top, n, MERSENNE_521) == {j: j ** k for j in range(2, n + 1)}
+            sent = []
+            _smpm_phase([0] * n, [0] * n, [[0] * h + top] + [[0] * 2 * h] * (n - 1),
+                        MERSENNE_521, [1] * n, sent)
+            assert {m.receiver: m.value for m in sent[1::2] if m.sender == 1} == {
+                j: j ** k for j in range(2, n + 1)
+            }
 
 
 def _smpm_per_pair(x, y, rngs, p, degree, lam, phase="smpm"):
@@ -313,8 +306,8 @@ def _smpm_per_pair(x, y, rngs, p, degree, lam, phase="smpm"):
     y_sum = [0] * n
     messages = []
     for i in range(1, n + 1):
-        cx = _sample_poly(x[i - 1], degree, p, rngs[i - 1])
-        cy = _sample_poly(y[i - 1], degree, p, rngs[i - 1])
+        cx = [x[i - 1] % p, *_draw(rngs[i - 1], p, degree)]
+        cy = [y[i - 1] % p, *_draw(rngs[i - 1], p, degree)]
         for j in range(1, n + 1):
             xj = _eval_poly(cx, j, p)
             yj = _eval_poly(cy, j, p)
@@ -417,7 +410,7 @@ def test_smpm_phase_worst_case_lanes(n, p):
 def test_smpm_phase_unreduced_outputs(n, p, worst):
     # outputs are left unreduced: each is congruent to the per-pair
     # reference's share and lies inside the bound the docstring states for
-    # the signed weights; smpm() reduces its shares into [0, p)
+    # the signed weights; reduced, they are shares of the product
     degree = (n - 1) // 2
     lam = [(-1) ** (j + 1) * math.comb(n, j) for j in range(1, n + 1)]
     bound = math.comb(n, n // 2) * (p * (degree + 1) * n ** (degree + 1)) ** 2
@@ -436,10 +429,7 @@ def test_smpm_phase_unreduced_outputs(n, p, worst):
     assert [t % p for t in theta] == reference
     assert all(abs(t) < bound for t in theta)
     if n < p:
-        modulus = PrimeModulus(p)
         rng = ScriptedRng([p - 1] * (n * 2 * degree)) if worst else random.Random(n)
-        prod, _ = smpm(
-            AdditiveShareSet(tuple(x), modulus), AdditiveShareSet(tuple(y), modulus), rng
-        )
-        assert all(0 <= v < p for v in prod.values)
-        assert reconstruct_additive(prod).value == sum(x) * sum(y) % p
+        prod = smpm_one_rng(x, y, rng, p)
+        assert all(0 <= v < p for v in prod)
+        assert sum(prod) % p == sum(x) * sum(y) % p

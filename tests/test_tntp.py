@@ -8,8 +8,6 @@ from privroute.tntp import (
     load_sioux_falls,
     parse_net,
     parse_trips,
-    write_net,
-    write_trips,
 )
 
 SINGLE_LINK = """<NUMBER OF NODES> 2
@@ -94,21 +92,11 @@ def test_parse_net_tolerates_extra_columns_and_blank_lines():
     assert net.edges[1].delay.t0 == 3.0
 
 
-def test_net_round_trip():
-    net, _ = load_sioux_falls()
-    again = parse_net(write_net(net))
-    assert again.n_nodes == net.n_nodes and again.n_edges == net.n_edges
-    for a, b in zip(net.edges, again.edges):
-        assert (a.tail, a.head) == (b.tail, b.head)
-        assert a.delay.t0 == pytest.approx(b.delay.t0, rel=1e-9)
-        assert a.delay.capacity == pytest.approx(b.delay.capacity, rel=1e-9)
-
-
 def test_parse_trips_basic():
     od = parse_trips("Origin 1\n 2 : 0.0;\n 3 : 12.5;\n")
     assert od.rates[(1, 2)] == 0.0  # zero entries are kept
     assert od.rates[(1, 3)] == 12.5
-    assert od.nonzero_pairs() == 1
+    assert len(od.nonzero_items()) == 1
 
 
 def test_parse_trips_errors():
@@ -139,17 +127,11 @@ def test_parse_trips_rejects_repeated_pair():
     }
 
 
-def test_trips_round_trip():
-    _, od = load_sioux_falls()
-    again = parse_trips(write_trips(od))
-    assert again.rates == {k: v for k, v in od.rates.items() if True}
-
-
 def test_sioux_falls_shape():
     net, od = load_sioux_falls()
     assert net.n_nodes == 24
     assert net.n_edges == 76
-    assert od.nonzero_pairs() == 528
+    assert len(od.nonzero_items()) == 528
     # hourly calibration: one sixth of the steady-state table
     assert od.total() * DEFAULT_DEMAND_SCALE == pytest.approx(60_100.0)
 
