@@ -162,7 +162,7 @@ def cmd_verify_accuracy(args) -> int:
           f"condition {'met' if check.satisfied else 'NOT met'}")
     s_grid = [float(s) for s in args.counts.split(",")]
     results = verify_accuracy_guarantee(
-        delay, args.epsilon, args.delta, args.p_fail, s_grid,
+        delay, args.epsilon, args.delta, s_grid,
         trials=args.trials, seed=args.seed,
     )
     target = 1.0 - args.p_fail

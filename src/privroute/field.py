@@ -115,12 +115,6 @@ class PrimeModulus:
         v = value % self.p
         return v if v <= self.p // 2 else v - self.p
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PrimeModulus) and other.p == self.p
-
-    def __hash__(self) -> int:
-        return hash(("PrimeModulus", self.p))
-
     def __repr__(self) -> str:
         return f"PrimeModulus({self.p})"
 

@@ -135,11 +135,10 @@ class InverseCdfPoly:
     """Degree-d approximation of the Laplace quantile over the seed-sum domain.
 
     Holds signed integer coefficients scaled by 2^scale_bits, which the share
-    protocol evaluates in Z_p.  `fit_inverse_cdf_poly` records its fit on the
-    result (epsilon, clamp, Chebyshev coefficients, max_abs_error,
-    ks_distance); these read None when built from explicit coefficients.
-    check_overflow=False admits configurations whose decoded outputs wrap,
-    for analyses of the raw field values only, never the counts.
+    protocol evaluates in Z_p; every real-valued method describes that decoded
+    polynomial, field_coeffs / S.  `fit_inverse_cdf_poly` records its fit on
+    the result (epsilon, clamp, max_abs_error, ks_distance); these read None
+    when built from explicit coefficients.
     """
 
     def __init__(
@@ -150,7 +149,6 @@ class InverseCdfPoly:
         n_parties: int,
         seed_range: int,
         scale_bits: int = 0,
-        check_overflow: bool = True,
     ):
         # each would otherwise surface only partway through a round
         # (randrange of an empty range, a negative shift count)
@@ -168,14 +166,16 @@ class InverseCdfPoly:
         self.n_parties = n_parties
         self.seed_range = seed_range
         self.epsilon = self.clamp = self.max_abs_error = self.ks_distance = None
-        self._cheb_coeffs = None
         self.value_bound = self._worst_case_magnitude()
-        if check_overflow and 2 * self.value_bound >= modulus.p:
+        if 2 * self.value_bound >= modulus.p:
             raise OverflowRisk(
                 f"encoded evaluation can reach {self.value_bound}, "
                 f"which does not decode unambiguously under p={modulus.p}; "
                 f"use a larger modulus or a smaller degree/seed range"
             )
+        # t = 2w/width - 1 maps the seed sums [0, w_max] onto [-1, 1]
+        self._width = max(self.seed_sum_max, 1)
+        self._series = self._chebyshev_series()
 
     @property
     def seed_sum_max(self) -> int:
@@ -189,31 +189,37 @@ class InverseCdfPoly:
             bound += abs(c) * w_max**z
         return bound
 
-    def evaluate_real(self, w):
-        """Real value of the polynomial at seed sum w.
+    def _chebyshev_series(self) -> np.ndarray:
+        """Float64 Chebyshev coefficients, in t, of field_coeffs / S.
 
-        Exact for a polynomial built from explicit coefficients.  A fitted one
-        evaluates its Chebyshev fit, which the coefficient rounding sets apart
-        from the decoded field polynomial the protocol runs: by up to 0.014 over
-        2,001 seed sums at n = 3, 5, 20 parties (d = 7 at 16 seed bits, 15 at 20).
+        Exact integer arithmetic until one rounding per coefficient: with
+        w = (t + 1) * width / 2 and t^k = 2^-k * sum_i C(k, i) * T_|k-2i|,
+        coefficient j is N_j / 2^(scale_bits + 2d) for an integer N_j.
         """
-        if self._cheb_coeffs is not None:
-            t = 2.0 * np.asarray(w, dtype=float) / self.seed_sum_max - 1.0
-            out = _cheb.chebval(t, self._cheb_coeffs)
-            return out if np.ndim(out) else float(out)
-        # fall back to exact integer Horner on the encoded coefficients
-        def one(wi: int) -> float:
-            acc = 0
-            for c in reversed(self.field_coeffs):
-                acc = acc * int(wi) + c
-            return acc / self.scale
+        d = self.degree
+        # b[z] * 2^-(scale_bits + d): the coefficient of (t + 1)^z
+        b = [c * self._width**z << (d - z) for z, c in enumerate(self.field_coeffs)]
+        # a[k] * 2^-(scale_bits + d): the coefficient of t^k
+        a = [sum(b[z] * math.comb(z, k) for z in range(k, d + 1)) for k in range(d + 1)]
+        series = [0] * (d + 1)
+        for k, ak in enumerate(a):
+            for i in range(k + 1):
+                series[abs(k - 2 * i)] += ak * math.comb(k, i) << (d - k)
+        denominator = 1 << (self.scale_bits + 2 * d)
+        return np.array([n / denominator for n in series])
 
-        if np.ndim(w) == 0:
-            return one(w)
-        return np.array([one(wi) for wi in np.asarray(w).tolist()])
+    def evaluate_real(self, w):
+        """Real value of the decoded polynomial, field_coeffs / S, at seed sum w.
+
+        Evaluates the Chebyshev series of the integer coefficients, which
+        agrees with exact integer Horner to float precision.
+        """
+        t = 2.0 * np.asarray(w, dtype=float) / self._width - 1.0
+        out = _cheb.chebval(t, self._series)
+        return out if np.ndim(out) else float(out)
 
     def sample_noise(self, generator: np.random.Generator, size: int) -> np.ndarray:
-        """`size` values of `evaluate_real` at sums of n_parties uniform seeds."""
+        """`size` decoded noise draws: `evaluate_real` at sums of n_parties uniform seeds."""
         seeds = generator.integers(0, self.seed_range, size=(self.n_parties, size))
         return np.asarray(self.evaluate_real(seeds.sum(axis=0)), dtype=float)
 
@@ -253,10 +259,11 @@ def fit_inverse_cdf_poly(
 
     The target is the Laplace quantile composed with the seed-sum CDF, with
     the CDF argument clipped to [q, 1-q] so the log singularities never enter
-    the fit (sacrificing 2q of tail mass).  The recorded ks_distance samples
-    the full seed -> polynomial pipeline against the exact Laplace CDF, so it
-    already includes seed quantization; its generator is default_rng(0).
-    The fixed-point scale comes from `_auto_scale_bits`.
+    the fit (sacrificing 2q of tail mass).  max_abs_error is that of the
+    real-valued fit on a dense grid.  The recorded ks_distance samples the
+    decoded polynomial the protocol publishes, seed sums included, against the
+    exact Laplace CDF; its generator is default_rng(0).  The fixed-point scale
+    comes from `_auto_scale_bits`.
     """
     if d < 1:
         raise ValueError(f"degree must be >= 1, got {d}")
@@ -314,7 +321,6 @@ def fit_inverse_cdf_poly(
     )
     poly.epsilon = eps
     poly.clamp = q
-    poly._cheb_coeffs = cheb_coeffs
     poly.max_abs_error = max_abs_error
     rng = np.random.default_rng(0)
     poly.ks_distance = ks_distance(poly.sample_noise(rng, ks_samples), params)

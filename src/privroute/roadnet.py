@@ -58,7 +58,6 @@ class Edge:
     tail: int
     head: int
     delay: DelayFunction
-    length: float = 0.0  # meters, informational
 
 
 class RoadNetwork:
@@ -240,7 +239,6 @@ def verify_accuracy_guarantee(
     delay: DelayFunction,
     epsilon: float,
     delta: float,
-    p_fail: float,
     s_grid: Sequence[float],
     trials: int = 10_000,
     seed: int = 0,
@@ -249,10 +247,8 @@ def verify_accuracy_guarantee(
 
     Returns {s: {"success_rate", "mean_rel_error", "max_rel_error"}} where a
     trial succeeds when |tau(s+Z) - tau(s)| / tau(s) <= delta with exact
-    Laplace noise Z.  Callers compare success_rate against 1 - p_fail;
-    p_fail itself does not enter the simulation.
+    Laplace noise Z.  Callers compare success_rate against 1 - p_fail.
     """
-    del p_fail  # recorded in the caller's comparison, not used to sample
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     rng = np.random.default_rng(seed)

@@ -11,7 +11,7 @@ are ignored.
 
 By convention the dataset's free-flow times are minutes and capacities
 vehicles per hour; `parse_net` converts both to the library's internal
-seconds / vehicles-per-second unless told to keep the raw numbers.
+seconds / vehicles-per-second.
 """
 
 from __future__ import annotations
@@ -76,14 +76,13 @@ def _read_metadata(lines) -> tuple[dict, int]:
     return meta, i + 1
 
 
-def parse_net(text: str, convert_units: bool = True) -> RoadNetwork:
+def parse_net(text: str) -> RoadNetwork:
     """Build a RoadNetwork from `_net.tntp` content.
 
-    With convert_units, free-flow times (minutes) become seconds and
-    capacities (vehicles/hour) become vehicles/second; pass False to keep the
-    file's raw numbers (useful for format-level tests).  Every malformed
-    input raises ParseError: a bad header count, a record DelayFunction
-    rejects, and a self-loop or unknown node RoadNetwork rejects.
+    Free-flow times (minutes) become seconds and capacities (vehicles/hour)
+    become vehicles/second.  Every malformed input raises ParseError: a bad
+    header count, a record DelayFunction rejects, and a self-loop or unknown
+    node RoadNetwork rejects.
     """
     lines = text.splitlines()
     meta, start = _read_metadata(lines)
@@ -107,15 +106,15 @@ def parse_net(text: str, convert_units: bool = True) -> RoadNetwork:
             )
         try:
             tail, head = int(fields[0]), int(fields[1])
-            capacity, length = float(fields[2]), float(fields[3])
-            fftime, b, power = float(fields[4]), float(fields[5]), float(fields[6])
-            if convert_units:
-                fftime *= MINUTES_TO_SECONDS
-                capacity /= HOURS_TO_SECONDS
-            delay = DelayFunction(t0=fftime, capacity=capacity, alpha=b, beta=power)
+            capacity = float(fields[2]) / HOURS_TO_SECONDS
+            float(fields[3])  # the length column is unused, but must be a number
+            delay = DelayFunction(
+                t0=float(fields[4]) * MINUTES_TO_SECONDS, capacity=capacity,
+                alpha=float(fields[5]), beta=float(fields[6]),
+            )
         except ValueError as exc:
             raise ParseError(f"bad link record ({exc}): {line!r}", lineno + 1) from None
-        edges.append(Edge(id=len(edges), tail=tail, head=head, delay=delay, length=length))
+        edges.append(Edge(id=len(edges), tail=tail, head=head, delay=delay))
         max_node = max(max_node, tail, head)
 
     n_nodes = declared_nodes if declared_nodes is not None else max_node

@@ -109,7 +109,7 @@ def test_criterion_02_accuracy_guarantee_monte_carlo():
     check = check_accuracy_condition(road, 0.2, 0.1, 0.1)
     assert check.satisfied, "the test road must clear the threshold"
     results = verify_accuracy_guarantee(
-        road, 0.2, 0.1, 0.1, [1, 50, 127, 500, 5000], trials=10_000, seed=20
+        road, 0.2, 0.1, [1, 50, 127, 500, 5000], trials=10_000, seed=20
     )
     sigma = math.sqrt(0.9 * 0.1 / 10_000)
     floor = 0.9 - 3 * sigma

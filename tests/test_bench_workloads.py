@@ -3,9 +3,10 @@
 After each timed `run_experiment` call, `bench/workloads.py` reads every
 vehicle of both runs: conservation checks, the trajectory digests and the
 work counts.  After each timed `run_round` call it checks the noise bound
-and the decoding, and digests the field totals.  A name the benchmark
-reaches that the package no longer has fails here.  The module is loaded
-from its file, since `bench/` is not a package.
+and the decoding, and digests the field totals; after the last, it compares
+the protocol's noise with `sample_noise` and checks the message count.  A
+name the benchmark reaches that the package no longer has fails here.  The
+module is loaded from its file, since `bench/` is not a package.
 """
 
 import importlib.util
@@ -14,9 +15,8 @@ from pathlib import Path
 
 import pytest
 
-_spec = importlib.util.spec_from_file_location(
-    "bench_workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-)
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+_spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
 workloads = importlib.util.module_from_spec(_spec)
 sys.modules[_spec.name] = workloads  # its dataclasses look their module up
 _spec.loader.exec_module(workloads)
@@ -55,7 +55,8 @@ ROUND_SMOKE_DIGESTS = {
 
 
 @pytest.mark.parametrize("name", list(ROUND_SMOKE_DIGESTS))
-def test_round_smoke_records_cleanly(name):
+def test_round_smoke_records_cleanly(name, monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))  # `finish` imports bench/layers.py
     rounds = workloads.workloads(smoke=True)[name]
     inputs = rounds.setup(1)
     prepared = rounds.prepare(inputs, 0)
@@ -64,3 +65,5 @@ def test_round_smoke_records_cleanly(name):
     assert record.failures == []
     assert record.digest == {"field_totals": ROUND_SMOKE_DIGESTS[name]}
     assert record.work == {"edge_rounds": rounds.edges}
+    # the KS check against sample_noise and the message-count check
+    assert rounds.finish(inputs, 1) == []

@@ -265,9 +265,9 @@ def test_seeded_round_pinned_at_benchmark_shape():
 # normal (erf) branch, n = 5 its Irwin-Hall one
 FIT_PINS = {
     (0.2, 15, 5, 20, 100_000):
-        "4bebbe2e5ff50a78bb36cf6c280389d94de2fabe02c6d8fcc3a9cc1931ce602b",
+        "7148864eb8887c51d10a1be805cccab73b25c6e269195533131165963c458550",
     (0.1, 7, 20, 16, 10_000):
-        "4a485df0dd63e2f65ad36f77143070a1e370b17724c202e58bbfaccc456c6045",
+        "acd225bddb2f116fd89236b7b03d82a0a947c2548f0fc153491da0d9b17b462d",
 }
 
 

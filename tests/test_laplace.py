@@ -150,11 +150,43 @@ def test_seed_sum_pmf_matches_cdf(n, M):
 # -- polynomial fit ----------------------------------------------------------------
 
 def test_fit_linear_is_odd_symmetric():
+    # the real fit vanishes at mid; the decoded one only up to the rounding of
+    # its two coefficients, each by at most 1/(2S)
     poly = fit_inverse_cdf_poly(LaplaceParams(1.0), 1, MERSENNE_521, seed_bits=16)
     mid = poly.seed_sum_max / 2
-    swing = poly.evaluate_real(poly.seed_sum_max) - poly.evaluate_real(0)
-    assert abs(poly.evaluate_real(mid)) < 1e-6 * max(1.0, abs(swing))
+    assert abs(poly.evaluate_real(mid)) <= (1 + mid) / (2 * poly.scale)
     assert poly.field_coeffs[1] > 0
+
+
+def _horner(poly, w: int) -> float:
+    acc = 0
+    for c in reversed(poly.field_coeffs):
+        acc = acc * w + c
+    return acc / poly.scale
+
+
+@pytest.mark.parametrize("n_parties, d, seed_bits, eps", [
+    (5, 15, 20, 0.2), (20, 7, 16, 0.1), (3, 7, 16, 0.1),
+])
+def test_fitted_poly_evaluates_its_field_coefficients(n_parties, d, seed_bits, eps):
+    # evaluate_real, and so sample_noise and ks_distance, describe the integer
+    # polynomial the round publishes, not the float fit it was rounded from
+    poly = fit_inverse_cdf_poly(LaplaceParams(eps), d, MERSENNE_521, n_parties=n_parties,
+                                seed_bits=seed_bits, ks_samples=1000)
+    rng = np.random.default_rng(3)
+    w = [0, poly.seed_sum_max, *rng.integers(0, poly.seed_sum_max + 1, 2000).tolist()]
+    exact = np.array([_horner(poly, wi) for wi in w])
+    np.testing.assert_allclose(poly.evaluate_real(np.array(w)), exact, rtol=0, atol=1e-9)
+    # and one seed sum at a time
+    assert poly.evaluate_real(w[1]) == pytest.approx(exact[1], rel=0, abs=1e-9)
+
+
+def test_single_seed_value_evaluates_to_constant_term():
+    # seed_range=1: every seed sum is 0, and the polynomial is its constant
+    poly = InverseCdfPoly([-24, 5, 3], modulus=M61, n_parties=4, seed_range=1, scale_bits=3)
+    assert poly.seed_sum_max == 0
+    assert poly.evaluate_real(0) == -3.0
+    assert np.all(poly.sample_noise(np.random.default_rng(0), 5) == -3.0)
 
 
 def test_fit_degree15_ks_under_bound():

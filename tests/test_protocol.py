@@ -308,15 +308,13 @@ def test_single_party_view_independent_of_honest_split_exhaustive():
 
 
 def test_run_round_matches_algebraic_model():
-    # bridge: the enumeration above models run_round exactly; verify on
-    # sampled draw tuples that the implementation emits the same messages
-    p = 7
+    # bridge: the enumeration above models run_round exactly, at any p; verify
+    # on sampled draw tuples that the implementation emits the same messages.
+    # 13 is the smallest prime at which this polynomial's value_bound, 6, decodes
+    p = 13
     mod = PrimeModulus(p)
-    # decode would wrap at p=7; this test inspects field values only
-    poly = InverseCdfPoly(
-        [0, 1], modulus=mod, n_parties=3, seed_range=2,
-        scale_bits=0, check_overflow=False,
-    )
+    poly = InverseCdfPoly([0, 1], modulus=mod, n_parties=3, seed_range=2)
+    assert poly.value_bound == 6
     rng = random.Random(5)
     for _ in range(200):
         v12, v13, u12, u13 = (rng.randrange(p) for _ in range(4))

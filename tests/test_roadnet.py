@@ -129,7 +129,7 @@ def test_accuracy_threshold_vacuous_when_p_fail_near_one():
 def test_verify_accuracy_guarantee_on_qualifying_road():
     road = DelayFunction(t0=1.0, capacity=130.0)
     results = verify_accuracy_guarantee(
-        road, 0.2, 0.1, 0.1, [1, 50, 127, 500], trials=4000, seed=2
+        road, 0.2, 0.1, [1, 50, 127, 500], trials=4000, seed=2
     )
     for s, stats in results.items():
         assert stats["success_rate"] >= 0.90, (s, stats)
@@ -137,14 +137,14 @@ def test_verify_accuracy_guarantee_on_qualifying_road():
 
 def test_verify_accuracy_guarantee_vacuous_delta():
     road = DelayFunction(t0=1.0, capacity=130.0)
-    results = verify_accuracy_guarantee(road, 0.2, 10.0, 0.1, [1, 100], trials=2000)
+    results = verify_accuracy_guarantee(road, 0.2, 10.0, [1, 100], trials=2000)
     assert all(stats["success_rate"] == 1.0 for stats in results.values())
 
 
 def test_verify_accuracy_guarantee_rejects_no_trials():
     road = DelayFunction(t0=1.0, capacity=130.0)
     with pytest.raises(ValueError, match="trials must be at least 1"):
-        verify_accuracy_guarantee(road, 0.2, 0.1, 0.1, [1], trials=0)
+        verify_accuracy_guarantee(road, 0.2, 0.1, [1], trials=0)
 
 
 def test_derivative_bound_and_count_flow_identity():

@@ -19,13 +19,13 @@ SINGLE_LINK = """<NUMBER OF NODES> 2
 
 
 def test_parse_net_field_positions_raw_units():
-    net = parse_net(SINGLE_LINK, convert_units=False)
+    # Undo the unit conversion to check each column lands in its own field.
+    net = parse_net(SINGLE_LINK)
     assert net.n_nodes == 2 and net.n_edges == 1
     e = net.edges[0]
     assert (e.tail, e.head) == (1, 2)
-    assert e.delay.capacity == 1000.0
-    assert e.length == 1.0
-    assert e.delay.t0 == 2.0
+    assert e.delay.capacity * 3600.0 == pytest.approx(1000.0)
+    assert e.delay.t0 / 60.0 == 2.0
     assert e.delay.alpha == 0.15 and e.delay.beta == 4.0
 
 
@@ -33,7 +33,7 @@ def test_parse_net_unit_conversion():
     net = parse_net(SINGLE_LINK)
     e = net.edges[0]
     assert e.delay.t0 == 120.0  # minutes -> seconds
-    assert e.delay.capacity == pytest.approx(1000.0 / 3600.0)  # per hour -> per second
+    assert e.delay.capacity == 1000.0 / 3600.0  # per hour -> per second
 
 
 def test_parse_net_empty_links():
@@ -68,6 +68,7 @@ def test_parse_net_rejects_non_integer_header_count():
     "1 2 1000 1 2 -0.15 4 0 0 1 ;",  # negative alpha
     "1 2 1000 1 2 0.15 0.5 0 0 1 ;",  # power below 1
     "1 2 1000 1 inf 0.15 4 0 0 1 ;",  # infinite free-flow time
+    "1 2 1000 one 2 0.15 4 0 0 1 ;",  # length is not a number
 ])
 def test_parse_net_rejects_bad_delay_record_with_line(record):
     with pytest.raises(ParseError) as err:
@@ -87,9 +88,10 @@ def test_parse_net_network_errors_are_parse_errors(record, message):
 def test_parse_net_tolerates_extra_columns_and_blank_lines():
     text = SINGLE_LINK + "\n\n2 1 500 1 3 0.2 4 0 0 1 99 extra ;\n"
     text = text.replace("<NUMBER OF LINKS> 1", "<NUMBER OF LINKS> 2")
-    net = parse_net(text, convert_units=False)
+    net = parse_net(text)
     assert net.n_edges == 2
-    assert net.edges[1].delay.t0 == 3.0
+    assert net.edges[1].delay.t0 == 180.0
+    assert net.edges[1].delay.capacity == 500.0 / 3600.0
 
 
 def test_parse_trips_basic():
