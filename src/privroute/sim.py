@@ -11,22 +11,32 @@ O(edges * parties^2 * degree) per refresh).  The round's polynomial has degree
 MPC_DEGREE and each party draws its seed from MPC_SEED_BITS bits, in the
 Mersenne field 2^521 - 1; modest values keep the round affordable.
 
-Each step departs its vehicles and then moves them as if one edge event at a
-time: the departures, in id order, enter their first edges, then the exits
-due by the step's end pop in (exit time, vehicle id) order; a vehicle leaving
-one edge enters the next at its exit time, so it can cross several edges in
-one step.  The step does this in numpy batches.  Pending exits are two
-arrays, exit time and vehicle id, and a batch takes the due ones and sorts
-them.  The count an entrant sees is its edge's count at batch start plus the
-+1 and -1 events before it on that edge (a cumulative sum within each edge
-after a sort by edge and processing order); its exit time is its entry time
-plus a gather from the network's tau table (`RoadNetwork.tau_by_count`, one
-row per edge, shared by every run on the network).  The cut rule: an
-entrant's new exit that falls due within the step would pop inside the
-batch, so only the events before the position where it would pop commit,
-and the rest go back to the pending exits for the next batch.  When every
-free-flow time exceeds the timestep (Sioux Falls: at least 120 s against
-10 s) no batch cuts and a step is one batch.
+Each step first departs its vehicles: the injected ones due within it, then
+the Poisson draw, which `draw_demand` returns as (pair index, count) arrays.
+A vehicle's route is its OD pair's shortest-time route under the estimates
+last published.  The first step after a refresh that departs drawn vehicles
+builds a route table for every moving pair, one `_route` call each over a
+per-origin cache of shortest-path trees: route lengths, offsets and one flat
+edge array.  The step's drawn vehicles are `np.repeat(indices, counts)`,
+their routes one gather from the table, and the columns grow by
+`frombytes`.  Refreshes after the horizon depart nobody, so they build no
+table and no tree.
+
+Each step then moves its vehicles as if one edge event at a time: the
+departures, in id order, enter their first edges, then the exits due by the
+step's end pop in (exit time, vehicle id) order; a vehicle leaving one edge
+enters the next at its exit time, so it can cross several edges in one step.
+The step does this in numpy batches.  Pending exits are two arrays, exit time
+and vehicle id, and a batch takes the due ones and sorts them.  The count an
+entrant sees is its edge's count at batch start plus the +1 and -1 events
+before it on that edge (a cumulative sum within each edge after a sort by edge
+and processing order); its exit time is its entry time plus a gather from the
+network's tau table (`RoadNetwork.tau_by_count`, one row per edge, shared by
+every run on the network).  The cut rule: an entrant's new exit that falls due
+within the step would pop inside the batch, so only the events before the
+position where it would pop commit, and the rest go back to the pending exits
+for the next batch.  When every free-flow time exceeds the timestep (Sioux
+Falls: at least 120 s against 10 s) no batch cuts and a step is one batch.
 
 A run keeps its vehicles in a `VehicleColumns`, one column per field indexed
 by vehicle id: `array('d')` departure and arrival times (NaN in transit),
@@ -56,7 +66,7 @@ import operator
 from array import array
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, replace
-from itertools import accumulate, chain
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -172,7 +182,7 @@ class VehicleColumns(Sequence):
         self.starts = array("q", [0])  # first slot of each route block, and the end
         self.route_edges = array(_index_typecode(n_edges))
         self.positions = array(self.route_edges.typecode)  # route index of the current edge
-        # every vehicle's entry times, in its route block's slots (Simulation.step
+        # every vehicle's entry times, in its route block's slots (Simulation._depart
         # grows it by doubling, Simulation.run trims it to len(route_edges))
         self.entry_buffer = array("d")
 
@@ -274,37 +284,37 @@ def _extract_path(network, pred, dist, origin, destination) -> list[int]:
 
 
 class _DemandTable:
-    """Positive-rate OD pairs in draw order (sorted), their rates, and which
-    pairs move (origin != destination)."""
+    """Positive-rate OD pairs in draw order (sorted), their rates, origins
+    and destinations, and which pairs move (origin != destination)."""
 
     def __init__(self, od: OdDemand):
         items = od.nonzero_items()
         self.pairs = [pair for pair, _ in items]
         self.rates = np.array([r for _, r in items])
-        self.moves = np.array([o != d for o, d in self.pairs], dtype=bool)
+        self.origins = np.array([o for o, _ in self.pairs], dtype=np.int64)
+        self.dests = np.array([d for _, d in self.pairs], dtype=np.int64)
+        self.moves = self.origins != self.dests
 
 
 def draw_demand(
     table: _DemandTable, multiplier: float, timestep: float, rng: np.random.Generator
-) -> list[tuple]:
-    """Poisson departures for one timestep: a list of (origin, destination).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Poisson departures for one timestep: (pair indices, counts).
 
     Each OD pair in `table` (built once per run by a Simulation) draws
     independently with mean
     rate * DEFAULT_DEMAND_SCALE * multiplier * timestep/3600; rates are the
     raw table values and DEFAULT_DEMAND_SCALE maps them to vehicles/hour.
+    The indices, ascending, name the moving pairs that drew at least one
+    departure in `table.pairs`, and the counts how many each drew; self pairs
+    draw too, keeping the stream, but never depart.
     """
     if not table.pairs:
-        return []
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     lam = table.rates * (DEFAULT_DEMAND_SCALE * multiplier * timestep / 3600.0)
     counts = rng.poisson(lam)
-    # self pairs draw (keeping the stream) but never depart
     drawn = np.flatnonzero(counts * table.moves)
-    pairs = table.pairs
-    out = []
-    for i, k in zip(drawn.tolist(), counts[drawn].tolist()):
-        out.extend([pairs[i]] * k)
-    return out
+    return drawn, counts[drawn]
 
 
 def check_demand(network: RoadNetwork, od: OdDemand) -> None:
@@ -360,8 +370,8 @@ class Simulation:
         # pending exits, one per vehicle in transit, in no particular order
         self._exit_times = np.empty(0)
         self._exit_ids = np.empty(0, dtype=np.int64)
-        self._routes: dict = {}
-        self._trees: dict = {}
+        self._trees: dict = {}  # origin -> shortest-path tree under self.weights
+        self._table = None  # route table under self.weights, see _route_table
         self._scheduled: list = []  # heap of injected (time, origin, dest)
         self._mpc_polys: dict = {}
         self._mpc_refresh_index = 0
@@ -405,8 +415,8 @@ class Simulation:
             noisy = self._mpc_counts()
         net = self.network
         self.weights = _tau_vector(net.t0, net.capacity, net.alpha, net.beta, noisy)
-        self._routes.clear()
         self._trees.clear()
+        self._table = None
 
     def _mpc_counts(self) -> np.ndarray:
         cfg = self.config
@@ -435,17 +445,27 @@ class Simulation:
     # -- movement -----------------------------------------------------------
 
     def _route(self, origin: int, dest: int) -> tuple:
-        key = (origin, dest)
-        route = self._routes.get(key)
-        if route is None:
-            tree = self._trees.get(origin)
-            if tree is None:
-                tree = _sp_tree(self.network, self.weights, origin)
-                self._trees[origin] = tree
-            dist, pred = tree
-            route = tuple(_extract_path(self.network, pred, dist, origin, dest))
-            self._routes[key] = route
-        return route
+        tree = self._trees.get(origin)
+        if tree is None:
+            tree = self._trees[origin] = _sp_tree(self.network, self.weights, origin)
+        dist, pred = tree
+        return tuple(_extract_path(self.network, pred, dist, origin, dest))
+
+    def _route_table(self) -> tuple:
+        """(lengths, offsets, edges): the route of every demand pair under the
+        current weights, as one flat block of edges per pair in pair order,
+        self pairs empty.  Built by the first step after a refresh that
+        departs drawn vehicles, one `_route` call per moving pair."""
+        if self._table is None:
+            demand = self._demand
+            routes = [self._route(o, d) if moves else ()
+                      for (o, d), moves in zip(demand.pairs, demand.moves.tolist())]
+            lengths = np.fromiter(map(len, routes), dtype=np.int64, count=len(routes))
+            offsets = np.cumsum(lengths) - lengths
+            edges = np.fromiter(chain.from_iterable(routes), count=int(lengths.sum()),
+                                dtype=self.vehicles.route_edges.typecode)
+            self._table = lengths, offsets, edges
+        return self._table
 
     def step(self) -> None:
         """Advance one timestep: refresh estimates if due, depart, move."""
@@ -455,46 +475,69 @@ class Simulation:
             self._refresh()
         t_end = t + cfg.timestep
 
-        vs = self.vehicles
         enter_ids = np.empty(0, dtype=np.int64)  # departures with a nonempty route
         enter_times = np.empty(0)
         if t < cfg.horizon:
-            departures = []
-            scheduled = self._scheduled
-            while scheduled and scheduled[0][0] < t_end:
-                st, o, d = heapq.heappop(scheduled)
-                departures.append((max(st, t), o, d))
-            departures += [(t, o, d) for o, d in draw_demand(
-                self._demand, cfg.demand_multiplier, cfg.timestep, self.demand_rng
-            )]
-            if departures:
-                first = len(vs)
-                times, origins, dests = zip(*departures)
-                new_routes = list(map(self._route, origins, dests))
-                lengths = list(map(len, new_routes))
-                vs.starts.extend(accumulate(lengths, initial=vs.starts.pop()))
-                vs.route_edges.extend(chain.from_iterable(new_routes))
-                vs.positions.frombytes(bytes(len(lengths) * vs.positions.itemsize))
-                vs.origins.extend(origins)
-                vs.dests.extend(dests)
-                vs.departs.extend(times)
-                vs.arrivals.extend(array("d", [math.nan]) * len(lengths))
-                moving = np.flatnonzero(lengths)
-                enter_ids = moving + first
-                enter_times = np.array(times)[moving]
-                for i in np.flatnonzero(np.equal(lengths, 0)).tolist():
-                    vs.arrivals[first + i] = times[i]  # origin == destination
-                    self.arrived += 1
-                buffer = vs.entry_buffer
-                if vs.starts[-1] > len(buffer):
-                    buffer += array("d", [math.nan]) * max(vs.starts[-1] - len(buffer), len(buffer))
-
+            enter_ids, enter_times = self._depart(t, t_end)
         if len(enter_ids) or (self._exit_times <= t_end).any():
             self._move(enter_ids, enter_times, t_end)
         self.clock = t_end
         self.step_index += 1
         if cfg.debug_checks:
             self._check_invariants()
+
+    def _depart(self, t: float, t_end: float) -> tuple:
+        """Append the step's departures to the columns: the injected ones due
+        before t_end, in (time, origin, destination) order, then the drawn
+        ones in pair order, their routes gathered from the route table.
+        Returns the ids and times of those with a nonempty route, which
+        `_move` enters."""
+        cfg = self.config
+        vs = self.vehicles
+        demand = self._demand
+        scheduled = self._scheduled
+        injected = []
+        while scheduled and scheduled[0][0] < t_end:
+            st, o, d = heapq.heappop(scheduled)
+            injected.append((max(st, t), o, d))
+        drawn = np.repeat(*draw_demand(demand, cfg.demand_multiplier, cfg.timestep, self.demand_rng))
+        routes = [self._route(o, d) for _, o, d in injected]
+        lengths = np.fromiter(map(len, routes), np.int64, len(routes))
+        edges = np.fromiter(chain.from_iterable(routes), vs.route_edges.typecode)
+        if len(drawn):
+            table_lengths, offsets, table_edges = self._route_table()
+            drawn_lengths = table_lengths[drawn]
+            # drawn vehicle i's block copies its pair's: slot k of the step's
+            # drawn blocks is slot offsets[pair] + k - block[i] of the table
+            block = np.cumsum(drawn_lengths) - drawn_lengths
+            slots = np.arange(int(drawn_lengths.sum())) + np.repeat(
+                offsets[drawn] - block, drawn_lengths)
+            lengths = np.concatenate((lengths, drawn_lengths))
+            edges = np.concatenate((edges, table_edges[slots]))
+        if not len(lengths):
+            return drawn, np.empty(0)
+        times = np.concatenate((np.array([st for st, _, _ in injected], dtype=float),
+                                np.full(len(drawn), t)))
+        origins = np.concatenate((np.array([o for _, o, _ in injected], dtype=np.int64),
+                                  demand.origins[drawn]))
+        dests = np.concatenate((np.array([d for _, _, d in injected], dtype=np.int64),
+                                demand.dests[drawn]))
+
+        first = len(vs)
+        vs.starts.frombytes((vs.starts[-1] + np.cumsum(lengths)).tobytes())
+        vs.route_edges.frombytes(edges.tobytes())
+        vs.positions.frombytes(bytes(len(lengths) * vs.positions.itemsize))
+        vs.origins.frombytes(origins.tobytes())
+        vs.dests.frombytes(dests.tobytes())
+        vs.departs.frombytes(times.tobytes())
+        parked = lengths == 0  # origin == destination: arrives as it departs
+        vs.arrivals.frombytes(np.where(parked, times, math.nan).tobytes())
+        self.arrived += int(np.count_nonzero(parked))
+        buffer = vs.entry_buffer
+        if vs.starts[-1] > len(buffer):
+            buffer += array("d", [math.nan]) * max(vs.starts[-1] - len(buffer), len(buffer))
+        moving = np.flatnonzero(~parked)
+        return moving + first, times[moving]
 
     def _move(self, enter_ids: np.ndarray, enter_times: np.ndarray, t_end: float) -> None:
         """Enter the departures `enter_ids` on their first edges, then pop
@@ -587,7 +630,21 @@ class Simulation:
         transit = np.flatnonzero(np.isnan(np.frombuffer(vs.arrivals)))
         recount = np.bincount(vs.current_edges(transit), minlength=len(self.counts))
         pending = np.sort(self._exit_ids)
+        # each nonempty route block runs from its vehicle's origin to its
+        # destination, every edge's head the next one's tail
+        starts, route_edges, _, _, _ = vs.views()
+        tails = np.array([e.tail for e in self.network.edges], dtype=np.int64)
+        heads = np.array([e.head for e in self.network.edges], dtype=np.int64)
+        routed = np.flatnonzero(np.diff(starts))
+        origins, dests = (np.frombuffer(c, np.int64)[routed] for c in (vs.origins, vs.dests))
+        linked = heads[route_edges[:-1]] == tails[route_edges[1:]]
+        bounds = starts[(starts > 0) & (starts < len(route_edges))]
+        linked[bounds - 1] = True  # the last edge of one block, the first of the next
+        joined = ((tails[route_edges[starts[routed]]] == origins).all()
+                  and (heads[route_edges[starts[routed + 1] - 1]] == dests).all()
+                  and linked.all())
         checks = (
+            (joined, "a route does not join its origin to its destination"),
             (recount.tolist() == self.counts, "counts drifted from vehicle state"),
             (len(transit) == self.in_transit, "in_transit drifted from vehicle state"),
             (len(vs) == self.arrived + self.in_transit, "vehicle conservation"),

@@ -12,9 +12,10 @@ benchmark's shape before seeded party streams drew through their own
 polynomials at the benchmark's two round shapes while the fit still checked
 2^521 - 1 with Miller-Rabin, the first pair's entry times and metrics while
 each vehicle still kept its own entry-time list, the `simulate --trace`
-vehicle CSVs while each run still kept a list of `Vehicle` objects.  A change
-here means trajectories, entry times, metrics, vehicle CSVs, field totals,
-transcripts or fitted coefficients moved.
+vehicle CSVs while each run still kept a list of `Vehicle` objects, the
+7,200 s baseline pair's column bytes while each vehicle still routed on its
+own.  A change here means trajectories, entry times, metrics, vehicle CSVs,
+column bytes, field totals, transcripts or fitted coefficients moved.
 """
 
 import hashlib
@@ -129,6 +130,25 @@ SIOUX_FALLS_MORE_SEEDS = {
     3: (20200, "8ba5ea685b152a2321aaaa3d345b8ffb8817f38831a072cc4836b4e51da79e1d",
         "0d60289e879a67cfedef73428843415d5f85cfaa050e5d95345f04c5d20336e8"),
 }
+
+
+# sha256 over the column bytes of the benchmark's baseline pair (seed 1,
+# multiplier 2.0, 7,200 s), non-private run then private, recorded while each
+# vehicle still routed on its own and the columns grew from lists
+SIOUX_FALLS_FULL_COLUMNS = "05dfea5b4b054cd8cb5bf39e661cd9a3488b1a6185fc26407ab037219ffcb5a6"
+
+
+def test_sioux_falls_full_horizon_columns_pinned():
+    network, od = load_sioux_falls()
+    config = SimConfig(demand_multiplier=2.0, seed=1, horizon=7200.0)
+    _, result_np, result_p = run_experiment(network, od, config)
+    h = hashlib.sha256()
+    for result in (result_np, result_p):
+        vs = result.vehicles
+        for column in (vs.departs, vs.arrivals, vs.origins, vs.dests, vs.starts,
+                       vs.route_edges, vs.entry_buffer):
+            h.update(column.tobytes())
+    assert h.hexdigest() == SIOUX_FALLS_FULL_COLUMNS
 
 
 @pytest.mark.parametrize("seed", sorted(SIOUX_FALLS_MORE_SEEDS))

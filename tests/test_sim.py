@@ -112,7 +112,8 @@ def test_shortest_path_against_brute_force():
 
 def test_draw_demand_zero_multiplier(np_rng):
     od = _DemandTable(OdDemand({(1, 2): 100.0}))
-    assert draw_demand(od, 0.0, 10.0, np_rng) == []
+    indices, counts = draw_demand(od, 0.0, 10.0, np_rng)
+    assert len(indices) == len(counts) == 0
 
 
 def test_draw_demand_mean_rate():
@@ -121,11 +122,13 @@ def test_draw_demand_mean_rate():
     total12 = total23 = 0
     steps = 3000
     for _ in range(steps):
-        for o, d in draw_demand(od, 6.0, 10.0, rng):
-            if (o, d) == (1, 2):
-                total12 += 1
+        indices, counts = draw_demand(od, 6.0, 10.0, rng)
+        assert (counts > 0).all()
+        for i, k in zip(indices.tolist(), counts.tolist()):
+            if od.pairs[i] == (1, 2):
+                total12 += k
             else:
-                total23 += 1
+                total23 += k
     # expected 10 and 20 per step
     assert total12 / steps == pytest.approx(10.0, rel=0.05)
     assert total23 / steps == pytest.approx(20.0, rel=0.05)
@@ -133,14 +136,14 @@ def test_draw_demand_mean_rate():
 
 def test_draw_demand_matches_per_pair_loop():
     # reference: one Poisson draw over every positive-rate pair in sorted
-    # order, then each pair's departures expanded in that order
+    # order, then each moving pair that drew, in that order, with its count
     def reference(od, multiplier, timestep, rng):
         items = od.nonzero_items()
         lam = np.array([r for _, r in items]) * (multiplier * timestep / 3600.0)
         out = []
         for ((o, d), _), k in zip(items, rng.poisson(lam)):
             if k and o != d:
-                out.extend([(o, d)] * int(k))
+                out.append(((o, d), int(k)))
         return out
 
     od = OdDemand({(2, 3): 900.0, (1, 1): 500.0, (1, 2): 0.0, (3, 1): 1800.0})
@@ -148,7 +151,8 @@ def test_draw_demand_matches_per_pair_loop():
     a, b = (np.random.default_rng(3) for _ in range(2))
     for _ in range(50):
         expected = reference(od, 2.0, 10.0, a)
-        assert draw_demand(table, 12.0, 10.0, b) == expected
+        indices, counts = draw_demand(table, 12.0, 10.0, b)
+        assert [(table.pairs[i], k) for i, k in zip(indices.tolist(), counts.tolist())] == expected
 
 
 def test_unknown_od_node_fails_at_construction():
@@ -196,7 +200,8 @@ def test_inject_rejects_departure_at_or_past_horizon(time):
 
 def test_draw_demand_skips_self_pairs(np_rng):
     od = _DemandTable(OdDemand({(1, 1): 1e6}))
-    assert draw_demand(od, 6.0, 10.0, np_rng) == []
+    indices, counts = draw_demand(od, 6.0, 10.0, np_rng)
+    assert len(indices) == len(counts) == 0
 
 
 # -- stepping -----------------------------------------------------------------
@@ -246,8 +251,9 @@ class _HeapLoopSimulation(Simulation):
     """The sequential event loop that `Simulation.step` batches, kept as the
     reference: departures in id order, then one heap pop of (exit_time, vid)
     at a time, each entering the vehicle's next edge.  It keeps its vehicles
-    as plain per-vehicle lists, and shares the run's refresh, routing,
-    demand draw and tau table."""
+    as plain per-vehicle lists, expands each drawn pair into one (origin,
+    destination) per vehicle and routes each vehicle with its own `_route`
+    call, and shares the run's refresh, demand draw and tau table."""
 
     def __init__(self, network, od, config):
         super().__init__(network, od, config)
@@ -267,8 +273,9 @@ class _HeapLoopSimulation(Simulation):
             while self._scheduled and self._scheduled[0][0] < t_end:
                 st_, o, d = heapq.heappop(self._scheduled)
                 departures.append((max(st_, t), o, d))
-            departures += [(t, o, d) for o, d in draw_demand(
-                self._demand, cfg.demand_multiplier, cfg.timestep, self.demand_rng)]
+            drawn = np.repeat(*draw_demand(
+                self._demand, cfg.demand_multiplier, cfg.timestep, self.demand_rng))
+            departures += [(t, *self._demand.pairs[i]) for i in drawn.tolist()]
             for time, o, d in departures:
                 route = self._route(o, d)
                 if route:
@@ -363,6 +370,42 @@ def test_batched_step_matches_heap_loop(case):
     assert batched.counts == heap_loop.counts
     assert batched.entries_horizon.tolist() == heap_loop.entries_horizon.tolist()
     assert (batched.in_transit, batched.arrived) == (heap_loop.in_transit, heap_loop.arrived)
+
+
+def test_route_table_matches_shortest_path_after_each_refresh():
+    # private weights move with the noise, so the tables differ between refreshes
+    net, od = load_sioux_falls()
+    cfg = SimConfig(mode="private", horizon=600.0, demand_multiplier=2.0, seed=4)
+    sim = Simulation(net, od, cfg)
+    tables = []
+    while sim.clock < cfg.horizon:
+        sim.step()
+        if (sim.step_index - 1) % sim.steps_per_refresh:
+            continue
+        # the refresh step departed drawn vehicles, so it built the table
+        lengths, offsets, edges = sim._table
+        routes = [edges[start:start + n].tolist() for start, n in zip(offsets, lengths)]
+        assert routes == [shortest_path(net, sim.weights, o, d) for o, d in sim._demand.pairs]
+        tables.append(routes)
+    assert len(tables) == 5 and len({repr(t) for t in tables}) > 1
+
+
+def test_drain_refreshes_build_no_trees(monkeypatch):
+    clocks = []
+    sp_tree = privroute.sim._sp_tree
+
+    def counting_tree(*args):
+        clocks.append(sim.clock)
+        return sp_tree(*args)
+
+    monkeypatch.setattr("privroute.sim._sp_tree", counting_tree)
+    net, od = load_sioux_falls()
+    cfg = SimConfig(mode="private", horizon=300.0, demand_multiplier=2.0, seed=4)
+    sim = Simulation(net, od, cfg)
+    sim.run()
+    # refreshes ran at 360 s and later, but every tree was built before 300 s
+    assert sim.clock > 360.0 and sim._table is None
+    assert clocks and max(clocks) < cfg.horizon
 
 
 def test_traversal_time_reflects_existing_occupancy():
