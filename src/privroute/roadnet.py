@@ -63,12 +63,15 @@ class Edge:
 class RoadNetwork:
     """Directed road graph with an adjacency index and per-edge delay data.
 
-    `t0`, `capacity`, `alpha` and `beta` hold the edges' BPR parameters as
-    arrays in edge-id order.  `tau_by_count[e, s]` is tau at count s on edge
-    e, one row per edge; `grow_tau` widens the table for every edge at once.
+    `tails`, `heads` (node ids), `t0`, `capacity`, `alpha` and `beta` hold
+    the edges' endpoints and BPR parameters as arrays in edge-id order, and
+    `out_arcs[n]` the (edge id, head) of each edge out of node n.
+    `tau_by_count[e, s]` is tau at count s on edge e, one row per edge;
+    `grow_tau` widens the table for every edge at once.
     _tau_vector works elementwise, so an entry's value does not depend on
     when, or by which run, the table grew: every simulation on one network
-    shares it.
+    shares it.  A column also equals _tau_vector over one count per edge,
+    bit for bit, so the non-private refresh reads its weights from it.
     """
 
     def __init__(self, nodes: Sequence[int], edges: Sequence[Edge]):
@@ -81,8 +84,10 @@ class RoadNetwork:
                 raise ValueError(f"edge {e.id} references unknown node {e.tail}->{e.head}")
             if e.tail == e.head:
                 raise ValueError(f"edge {e.id} is a self-loop at node {e.tail}")
-            out[e.tail].append(e.id)
-        self.out_edges = {n: tuple(ids) for n, ids in out.items()}
+            out[e.tail].append((e.id, e.head))
+        self.out_arcs = {n: tuple(arcs) for n, arcs in out.items()}
+        self.tails = np.array([e.tail for e in self.edges], dtype=np.int64)
+        self.heads = np.array([e.head for e in self.edges], dtype=np.int64)
         delays = [e.delay for e in self.edges]
         self.t0 = np.array([d.t0 for d in delays], dtype=float)
         self.capacity = np.array([d.capacity for d in delays], dtype=float)

@@ -4,23 +4,27 @@ Vehicles arrive as per-OD Poisson streams, get a fixed shortest-time route at
 departure based on the most recently published travel-time estimates, and
 traverse each edge in the time implied by the ground-truth count at entry.
 Estimates refresh every `refresh_period` seconds: the non-private run
-publishes tau(counts); the private run publishes tau(max(0, counts + Z))
-with Z either exact Laplace noise (fast path, default) or the output of the
-full multi-party round (`noise="mpc"`, small scenarios only: the round costs
+publishes tau(counts), read from the network's tau table (below); the private
+run bisects for tau(max(0, counts + Z)), with Z either exact Laplace noise
+(fast path, default) or the output of the full multi-party round
+(`noise="mpc"`, small scenarios only: the round costs
 O(edges * parties^2 * degree) per refresh).  The round's polynomial has degree
 MPC_DEGREE and each party draws its seed from MPC_SEED_BITS bits, in the
 Mersenne field 2^521 - 1; modest values keep the round affordable.
 
-Each step first departs its vehicles: the injected ones due within it, then
-the Poisson draw, which `draw_demand` returns as (pair index, count) arrays.
 A vehicle's route is its OD pair's shortest-time route under the estimates
-last published.  The first step after a refresh that departs drawn vehicles
-builds a route table for every moving pair, one `_route` call each over a
-per-origin cache of shortest-path trees: route lengths, offsets and one flat
-edge array.  The step's drawn vehicles are `np.repeat(indices, counts)`,
-their routes one gather from the table, and the columns grow by
-`frombytes`.  Refreshes after the horizon depart nobody, so they build no
-table and no tree.
+last published.  Within a refresh period the demand rates and the estimates,
+so every route, stay fixed, and departures are prepared once per period.  A
+refresh before the horizon draws the Poisson demand of every step of its
+period that starts before the horizon in one `draw_demand` call: numpy draws
+in order, so this is, value for value and in the generator's state, one draw
+per step.  It then builds a route table, the route of every OD pair (one
+shortest-path tree per origin, then one numpy walk back from every
+destination at once), and gathers the drawn vehicles' routes from it in one
+index.  Each step departs the injected vehicles due within it first, each
+routed by `_route` over the same trees, then its slice of the period's drawn
+ones; the columns grow by `frombytes`.  Refreshes after the horizon depart
+nobody, so they draw nothing and build no table and no tree.
 
 Each step then moves its vehicles as if one edge event at a time: the
 departures, in id order, enter their first edges, then the exits due by the
@@ -239,32 +243,37 @@ def shortest_path(
     weights = np.asarray(edge_weights, dtype=float)
     if np.any(weights <= 0):
         raise ValueError("edge weights must be positive")
-    dist, pred = _sp_tree(network, weights, origin)
+    dist, pred = _sp_tree(network, weights.tolist(), origin)
     return _extract_path(network, pred, dist, origin, destination)
 
 
-def _sp_tree(network: RoadNetwork, weights: np.ndarray, origin: int):
-    """Dijkstra from origin; weights must be positive (the simulator's are
-    tau >= t0 > 0, and shortest_path checks outside ones)."""
-    dist = {n: math.inf for n in network.nodes}
-    pred: dict = {n: -1 for n in network.nodes}
+def _sp_tree(network: RoadNetwork, weights: list, origin: int):
+    """Dijkstra from origin over `network.out_arcs`.
+
+    `weights` is a list of floats in edge-id order, all positive (the
+    simulator's are tau >= t0 > 0, and shortest_path checks outside ones).
+    Returns (dist, pred), dicts keyed by node: the distance from origin, and
+    the edge by which the tree reaches the node (-1 at the origin and at
+    nodes it does not reach).
+    """
+    dist = dict.fromkeys(network.nodes, math.inf)
+    pred = dict.fromkeys(network.nodes, -1)
     dist[origin] = 0.0
     heap = [(0.0, origin)]
     done = set()
-    edges = network.edges
-    out_edges = network.out_edges
+    out_arcs = network.out_arcs
+    heappop, heappush = heapq.heappop, heapq.heappush
     while heap:
-        d, u = heapq.heappop(heap)
+        d, u = heappop(heap)
         if u in done:
             continue
         done.add(u)
-        for eid in out_edges[u]:
-            e = edges[eid]
+        for eid, head in out_arcs[u]:
             nd = d + weights[eid]
-            if nd < dist[e.head]:
-                dist[e.head] = nd
-                pred[e.head] = eid
-                heapq.heappush(heap, (nd, e.head))
+            if nd < dist[head]:
+                dist[head] = nd
+                pred[head] = eid
+                heappush(heap, (nd, head))
     return dist, pred
 
 
@@ -297,24 +306,29 @@ class _DemandTable:
 
 
 def draw_demand(
-    table: _DemandTable, multiplier: float, timestep: float, rng: np.random.Generator
+    table: _DemandTable, multiplier: float, timestep: float, rng: np.random.Generator,
+    steps: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Poisson departures for one timestep: (pair indices, counts).
+    """Poisson departures for `steps` consecutive timesteps: (indices, counts).
 
     Each OD pair in `table` (built once per run by a Simulation) draws
-    independently with mean
+    independently each step with mean
     rate * DEFAULT_DEMAND_SCALE * multiplier * timestep/3600; rates are the
     raw table values and DEFAULT_DEMAND_SCALE maps them to vehicles/hour.
-    The indices, ascending, name the moving pairs that drew at least one
-    departure in `table.pairs`, and the counts how many each drew; self pairs
-    draw too, keeping the stream, but never depart.
+    An index i, ascending, names step i // len(table.pairs) and pair
+    i % len(table.pairs), a moving pair that drew at least one departure in
+    that step; its count is how many it drew.  Self pairs draw too, keeping
+    the stream, but never depart.
+
+    numpy draws an array's elements in order, so one call over k steps gives
+    the values, and leaves `rng` in the state, of k one-step calls.
     """
     if not table.pairs:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     lam = table.rates * (DEFAULT_DEMAND_SCALE * multiplier * timestep / 3600.0)
-    counts = rng.poisson(lam)
+    counts = rng.poisson(lam, size=(steps, len(lam)))
     drawn = np.flatnonzero(counts * table.moves)
-    return drawn, counts[drawn]
+    return drawn, counts.ravel()[drawn]
 
 
 def check_demand(network: RoadNetwork, od: OdDemand) -> None:
@@ -322,7 +336,7 @@ def check_demand(network: RoadNetwork, od: OdDemand) -> None:
 
     Raises ValueError if a positive-rate pair names a node the network lacks,
     and Unreachable if such a pair has no path.  Reachability is a breadth-first
-    search over `out_edges`, one per origin.
+    search over `out_arcs`, one per origin.
     """
     known = set(network.nodes)
     reached: dict = {}
@@ -337,8 +351,7 @@ def check_demand(network: RoadNetwork, od: OdDemand) -> None:
             frontier = [o]
             while frontier:
                 node = frontier.pop()
-                for eid in network.out_edges[node]:
-                    head = network.edges[eid].head
+                for _, head in network.out_arcs[node]:
                     if head not in seen:
                         seen.add(head)
                         frontier.append(head)
@@ -372,6 +385,15 @@ class Simulation:
         self._exit_ids = np.empty(0, dtype=np.int64)
         self._trees: dict = {}  # origin -> shortest-path tree under self.weights
         self._table = None  # route table under self.weights, see _route_table
+        # the route walk's index (see _route_table): the demand's origins,
+        # each pair's origin row and destination column, and each edge's
+        # tail column, then column n_nodes for edge -1
+        column = {n: i for i, n in enumerate(network.nodes)}
+        origins, rows = np.unique(self._demand.origins, return_inverse=True)
+        self._walk = (origins.tolist(), rows,
+                      np.array([column[d] for d in self._demand.dests.tolist()], dtype=np.int64),
+                      np.array([column[t] for t in network.tails.tolist()] + [network.n_nodes]))
+        self._period = None  # the drawn departures of this period, see _draw_period
         self._scheduled: list = []  # heap of injected (time, origin, dest)
         self._mpc_polys: dict = {}
         self._mpc_refresh_index = 0
@@ -401,20 +423,24 @@ class Simulation:
 
     def _refresh(self) -> None:
         cfg = self.config
-        counts = np.array(self.counts, dtype=float)
-        if cfg.mode == "non-private":
-            noisy = counts
-        elif cfg.noise == "exact" or self.in_transit < 3:
-            # fewer than 3 parties cannot run the multiplication ladder; the
-            # fallback draws exact Laplace noise, whereas the fitted
-            # polynomial's law differs at the simulator's party counts
-            # (ROADMAP item 4)
-            z = sample_laplace_vector(cfg.epsilon, self.noise_rng, self.network.n_edges)
-            noisy = counts + z
-        else:
-            noisy = self._mpc_counts()
         net = self.network
-        self.weights = _tau_vector(net.t0, net.capacity, net.alpha, net.beta, noisy)
+        if cfg.mode == "non-private":
+            # tau at a whole count is the shared tau table's entry, bit for bit
+            counts = np.array(self.counts, dtype=np.int64)
+            top = int(counts.max(initial=0))
+            table = net.tau_by_count if top < net.tau_by_count.shape[1] else net.grow_tau(top)
+            self.weights = table[np.arange(net.n_edges), counts]
+        else:
+            if cfg.noise == "exact" or self.in_transit < 3:
+                # fewer than 3 parties cannot run the multiplication ladder;
+                # the fallback draws exact Laplace noise, whereas the fitted
+                # polynomial's law differs at the simulator's party counts
+                # (ROADMAP item 4)
+                z = sample_laplace_vector(cfg.epsilon, self.noise_rng, net.n_edges)
+                noisy = np.array(self.counts, dtype=float) + z
+            else:
+                noisy = self._mpc_counts()
+            self.weights = _tau_vector(net.t0, net.capacity, net.alpha, net.beta, noisy)
         self._trees.clear()
         self._table = None
 
@@ -447,32 +473,55 @@ class Simulation:
     def _route(self, origin: int, dest: int) -> tuple:
         tree = self._trees.get(origin)
         if tree is None:
-            tree = self._trees[origin] = _sp_tree(self.network, self.weights, origin)
+            tree = self._trees[origin] = _sp_tree(self.network, self.weights.tolist(), origin)
         dist, pred = tree
         return tuple(_extract_path(self.network, pred, dist, origin, dest))
 
     def _route_table(self) -> tuple:
         """(lengths, offsets, edges): the route of every demand pair under the
         current weights, as one flat block of edges per pair in pair order,
-        self pairs empty.  Built by the first step after a refresh that
-        departs drawn vehicles, one `_route` call per moving pair."""
+        self pairs empty.
+
+        One shortest-path tree per origin, kept for `_route`: `pred[r, v]`
+        is the edge by which row r's tree reaches node `network.nodes[v]`,
+        -1 at the origin, and column n_nodes holds -1.  Then all routes are
+        walked back from their destinations together: `into[r, e]` is the
+        edge by which row r's tree reaches edge e's tail (-1 at the origin,
+        and at e = -1, so a finished walk stays put).  Each walk step is one
+        gather, as many as the longest route has edges.
+        """
         if self._table is None:
-            demand = self._demand
-            routes = [self._route(o, d) if moves else ()
-                      for (o, d), moves in zip(demand.pairs, demand.moves.tolist())]
-            lengths = np.fromiter(map(len, routes), dtype=np.int64, count=len(routes))
+            tree_origins, row, dest_column, tail_column = self._walk
+            weights, trees = self.weights.tolist(), self._trees
+            for o in tree_origins:
+                if o not in trees:
+                    trees[o] = _sp_tree(self.network, weights, o)
+            # a tree's pred dict lists the nodes in network order
+            pred = np.array([[*trees[o][1].values(), -1] for o in tree_origins])
+            into = pred[:, tail_column]
+            edge = pred[row, dest_column]
+            walk = []  # walk[i][p]: pair p's edge i places before its destination
+            while (edge >= 0).any():
+                walk.append(edge)
+                edge = into[row, edge]
+            walk = np.array(walk)
+            lengths = np.count_nonzero(walk >= 0, axis=0)
             offsets = np.cumsum(lengths) - lengths
-            edges = np.fromiter(chain.from_iterable(routes), count=int(lengths.sum()),
-                                dtype=self.vehicles.route_edges.typecode)
-            self._table = lengths, offsets, edges
+            pair = np.repeat(np.arange(len(row)), lengths)
+            back = lengths[pair] - 1 - (np.arange(len(pair)) - offsets[pair])
+            self._table = lengths, offsets, walk[back, pair].astype(
+                self.vehicles.route_edges.typecode)
         return self._table
 
     def step(self) -> None:
-        """Advance one timestep: refresh estimates if due, depart, move."""
+        """Advance one timestep: refresh estimates and draw the period's
+        demand if due, depart, move."""
         cfg = self.config
         t = self.clock
         if self.step_index % self.steps_per_refresh == 0:
             self._refresh()
+            if t < cfg.horizon:
+                self._draw_period(t)
         t_end = t + cfg.timestep
 
         enter_ids = np.empty(0, dtype=np.int64)  # departures with a nonempty route
@@ -486,58 +535,94 @@ class Simulation:
         if cfg.debug_checks:
             self._check_invariants()
 
+    def _draw_period(self, t: float) -> None:
+        """Draw the demand of the period's steps that start before the
+        horizon (the first at t, on the clock `step` accumulates) in one
+        call, and gather the drawn vehicles' routes from the route table in
+        one index.  `_period` holds each step's first vehicle, then per drawn
+        vehicle in departure order its route block's end, its route edges,
+        origin and destination; None when nobody is drawn."""
+        cfg = self.config
+        demand = self._demand
+        k, start = 0, t
+        while k < self.steps_per_refresh and start < cfg.horizon:
+            k += 1
+            start += cfg.timestep
+        cells, counts = draw_demand(demand, cfg.demand_multiplier, cfg.timestep,
+                                    self.demand_rng, k)
+        cells = np.repeat(cells, counts)  # each vehicle's step * len(pairs) + pair
+        self._period = None
+        if not len(cells):
+            return
+        n_pairs = len(demand.pairs)
+        pairs = cells % n_pairs
+        lengths, offsets, table_edges = self._route_table()
+        lengths = lengths[pairs]
+        ends = np.cumsum(lengths)
+        # vehicle i's block copies its pair's: slot s of the period's blocks
+        # is slot offsets[pair] + s - (ends[i] - lengths[i]) of the table
+        slots = np.arange(int(ends[-1])) + np.repeat(offsets[pairs] - ends + lengths, lengths)
+        firsts = np.searchsorted(cells, np.arange(k + 1) * n_pairs).tolist()
+        self._period = (firsts, ends, table_edges[slots],
+                        demand.origins[pairs], demand.dests[pairs])
+
     def _depart(self, t: float, t_end: float) -> tuple:
         """Append the step's departures to the columns: the injected ones due
-        before t_end, in (time, origin, destination) order, then the drawn
-        ones in pair order, their routes gathered from the route table.
-        Returns the ids and times of those with a nonempty route, which
-        `_move` enters."""
-        cfg = self.config
+        before t_end, in (time, origin, destination) order, then the step's
+        slice of the period's drawn ones.  Returns the ids and times of those
+        with a nonempty route, which `_move` enters."""
         vs = self.vehicles
-        demand = self._demand
         scheduled = self._scheduled
-        injected = []
-        while scheduled and scheduled[0][0] < t_end:
-            st, o, d = heapq.heappop(scheduled)
-            injected.append((max(st, t), o, d))
-        drawn = np.repeat(*draw_demand(demand, cfg.demand_multiplier, cfg.timestep, self.demand_rng))
-        routes = [self._route(o, d) for _, o, d in injected]
-        lengths = np.fromiter(map(len, routes), np.int64, len(routes))
-        edges = np.fromiter(chain.from_iterable(routes), vs.route_edges.typecode)
-        if len(drawn):
-            table_lengths, offsets, table_edges = self._route_table()
-            drawn_lengths = table_lengths[drawn]
-            # drawn vehicle i's block copies its pair's: slot k of the step's
-            # drawn blocks is slot offsets[pair] + k - block[i] of the table
-            block = np.cumsum(drawn_lengths) - drawn_lengths
-            slots = np.arange(int(drawn_lengths.sum())) + np.repeat(
-                offsets[drawn] - block, drawn_lengths)
-            lengths = np.concatenate((lengths, drawn_lengths))
-            edges = np.concatenate((edges, table_edges[slots]))
-        if not len(lengths):
-            return drawn, np.empty(0)
-        times = np.concatenate((np.array([st for st, _, _ in injected], dtype=float),
-                                np.full(len(drawn), t)))
-        origins = np.concatenate((np.array([o for _, o, _ in injected], dtype=np.int64),
-                                  demand.origins[drawn]))
-        dests = np.concatenate((np.array([d for _, _, d in injected], dtype=np.int64),
-                                demand.dests[drawn]))
-
-        first = len(vs)
-        vs.starts.frombytes((vs.starts[-1] + np.cumsum(lengths)).tobytes())
-        vs.route_edges.frombytes(edges.tobytes())
-        vs.positions.frombytes(bytes(len(lengths) * vs.positions.itemsize))
-        vs.origins.frombytes(origins.tobytes())
-        vs.dests.frombytes(dests.tobytes())
-        vs.departs.frombytes(times.tobytes())
-        parked = lengths == 0  # origin == destination: arrives as it departs
-        vs.arrivals.frombytes(np.where(parked, times, math.nan).tobytes())
-        self.arrived += int(np.count_nonzero(parked))
+        ids, times = [], []
+        if scheduled and scheduled[0][0] < t_end:
+            injected = []
+            while scheduled and scheduled[0][0] < t_end:
+                st, o, d = heapq.heappop(scheduled)
+                injected.append((max(st, t), o, d))
+            routes = [self._route(o, d) for _, o, d in injected]
+            lengths = np.fromiter(map(len, routes), np.int64, len(routes))
+            departs = np.array([st for st, _, _ in injected], dtype=float)
+            parked = lengths == 0  # origin == destination: arrives as it departs
+            self.arrived += int(np.count_nonzero(parked))
+            moving = np.flatnonzero(~parked)
+            ids.append(moving + len(vs))
+            times.append(departs[moving])
+            self._append(np.cumsum(lengths),
+                         np.fromiter(chain.from_iterable(routes), vs.route_edges.typecode),
+                         np.array([o for _, o, _ in injected], dtype=np.int64),
+                         np.array([d for _, _, d in injected], dtype=np.int64),
+                         departs, np.where(parked, departs, math.nan))
+        if self._period is not None:
+            firsts, ends, edges, origins, dests = self._period
+            j = self.step_index % self.steps_per_refresh
+            a, b = firsts[j], firsts[j + 1]
+            if j + 2 == len(firsts):  # the period's last step before the horizon
+                self._period = None
+            if a < b:
+                lo = int(ends[a - 1]) if a else 0
+                departs = np.full(b - a, t)
+                ids.append(np.arange(len(vs), len(vs) + b - a))
+                times.append(departs)
+                self._append(ends[a:b] - lo, edges[lo:ends[b - 1]], origins[a:b],
+                             dests[a:b], departs, np.full(b - a, math.nan))
+        if not ids:
+            return np.empty(0, dtype=np.int64), np.empty(0)
         buffer = vs.entry_buffer
         if vs.starts[-1] > len(buffer):
             buffer += array("d", [math.nan]) * max(vs.starts[-1] - len(buffer), len(buffer))
-        moving = np.flatnonzero(~parked)
-        return moving + first, times[moving]
+        return np.concatenate(ids), np.concatenate(times)
+
+    def _append(self, ends, edges, origins, dests, departs, arrivals) -> None:
+        """Grow every column by one vehicle per entry of `ends`, the end of
+        each one's route block counted from the current end of the blocks."""
+        vs = self.vehicles
+        vs.starts.frombytes((vs.starts[-1] + ends).tobytes())
+        vs.route_edges.frombytes(edges.tobytes())
+        vs.positions.frombytes(bytes(len(ends) * vs.positions.itemsize))
+        vs.origins.frombytes(origins.tobytes())
+        vs.dests.frombytes(dests.tobytes())
+        vs.departs.frombytes(departs.tobytes())
+        vs.arrivals.frombytes(arrivals.tobytes())
 
     def _move(self, enter_ids: np.ndarray, enter_times: np.ndarray, t_end: float) -> None:
         """Enter the departures `enter_ids` on their first edges, then pop
@@ -582,7 +667,9 @@ class Simulation:
             edge = np.concatenate((ent_edge, left))
             delta = np.concatenate((np.ones(len(at), np.int64), np.full(n_exit, -1)))
             key = np.concatenate((2 * at + 1, 2 * np.arange(n_dep, n_dep + n_exit)))
-            order = np.lexsort((key, edge))
+            # one sort key, edge-major: every key lies below 2 * (n_dep + n_exit) + 2
+            # and no two are equal, so the order needs no stable sort
+            order = np.argsort(edge.astype(np.int64) * (2 * (n_dep + n_exit) + 2) + key)
             edge, delta = edge[order], delta[order]
             before = np.cumsum(delta) - delta
             head = np.ones(len(edge), dtype=bool)
@@ -633,8 +720,7 @@ class Simulation:
         # each nonempty route block runs from its vehicle's origin to its
         # destination, every edge's head the next one's tail
         starts, route_edges, _, _, _ = vs.views()
-        tails = np.array([e.tail for e in self.network.edges], dtype=np.int64)
-        heads = np.array([e.head for e in self.network.edges], dtype=np.int64)
+        tails, heads = self.network.tails, self.network.heads
         routed = np.flatnonzero(np.diff(starts))
         origins, dests = (np.frombuffer(c, np.int64)[routed] for c in (vs.origins, vs.dests))
         linked = heads[route_edges[:-1]] == tails[route_edges[1:]]

@@ -197,7 +197,8 @@ def test_network_structure():
     edges = [Edge(0, 1, 2, d), Edge(1, 2, 3, d), Edge(2, 3, 1, d)]
     net = RoadNetwork([1, 2, 3], edges)
     assert net.n_nodes == 3 and net.n_edges == 3
-    assert net.out_edges[1] == (0,)
+    assert net.tails.tolist() == [1, 2, 3] and net.heads.tolist() == [2, 3, 1]
+    assert net.out_arcs == {1: ((0, 2),), 2: ((1, 3),), 3: ((2, 1),)}
     with pytest.raises(ValueError):
         RoadNetwork([1, 2], [Edge(0, 1, 1, d)])  # self-loop
     with pytest.raises(ValueError):
@@ -226,3 +227,15 @@ def test_tau_table_growth_matches_one_shot_tables_bitwise():
             table = grown.grow_tau(rng.randrange(have, have + 400))
             assert table is grown.tau_by_count
         assert grown.tau_by_count[:, :width].tobytes() == one_shot.tobytes()
+
+
+def test_tau_table_equals_per_refresh_bisection_bitwise():
+    # a non-private refresh reads its weights from the tau table, so each
+    # column must equal the bisection over one count vector in edge order,
+    # the call a private refresh makes, on every Sioux Falls edge
+    net, _ = load_sioux_falls()
+    table = net.grow_tau(3000)
+    for count in range(3001):
+        weights = _tau_vector(net.t0, net.capacity, net.alpha, net.beta,
+                              np.full(net.n_edges, float(count)))
+        assert weights.tobytes() == table[:, count].tobytes(), count

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import privroute
 from privroute.protocol import run_round
-from privroute.roadnet import DelayFunction, Edge, RoadNetwork
+from privroute.roadnet import DelayFunction, Edge, RoadNetwork, _tau_vector
 from privroute.sim import (
     SimConfig,
     Simulation,
@@ -28,7 +28,7 @@ from privroute.sim import (
     shortest_path,
     utilization_report,
 )
-from privroute.tntp import OdDemand, load_sioux_falls
+from privroute.tntp import DEFAULT_DEMAND_SCALE, OdDemand, load_sioux_falls
 
 
 def _delay(t0=60.0, cap=10.0):
@@ -95,10 +95,9 @@ def test_shortest_path_against_brute_force():
             if node == dest:
                 best = min(best, cost)
                 continue
-            for eid in net.out_edges[node]:
-                e = net.edges[eid]
-                if e.head not in seen and cost + weights[eid] < best:
-                    stack.append((e.head, cost + weights[eid], seen | {e.head}))
+            for eid, head in net.out_arcs[node]:
+                if head not in seen and cost + weights[eid] < best:
+                    stack.append((head, cost + weights[eid], seen | {head}))
 
         try:
             path = shortest_path(net, weights, origin, dest)
@@ -153,6 +152,53 @@ def test_draw_demand_matches_per_pair_loop():
         expected = reference(od, 2.0, 10.0, a)
         indices, counts = draw_demand(table, 12.0, 10.0, b)
         assert [(table.pairs[i], k) for i, k in zip(indices.tolist(), counts.tolist())] == expected
+
+
+@pytest.mark.parametrize("multiplier, below_10", [(2.0, True), (400.0, False)])
+def test_draw_demand_over_steps_matches_one_step_calls(multiplier, below_10):
+    # numpy's Poisson sampler switches method at a mean of 10; either way one
+    # call over k steps must give the k one-step draws and the same stream
+    od = OdDemand({(2, 3): 900.0, (1, 1): 500.0, (1, 2): 300.0, (3, 1): 1800.0})
+    table = _DemandTable(od)
+    lam = table.rates * (DEFAULT_DEMAND_SCALE * multiplier * 10.0 / 3600.0)
+    assert (lam < 10).all() if below_10 else (lam >= 10).all()
+    n_pairs = len(table.pairs)
+    for k in (1, 5, 12):
+        whole, stepped = (np.random.default_rng(k) for _ in range(2))
+        cells, counts = draw_demand(table, multiplier, 10.0, whole, k)
+        expected = []
+        for step in range(k):
+            indices, step_counts = draw_demand(table, multiplier, 10.0, stepped)
+            expected += [(step * n_pairs + i, c)
+                         for i, c in zip(indices.tolist(), step_counts.tolist())]
+        assert list(zip(cells.tolist(), counts.tolist())) == expected
+        assert whole.bit_generator.state == stepped.bit_generator.state
+
+
+def _one_step_draws(sim, steps):
+    """A fresh copy of `sim`'s demand generator after `steps` one-step draws,
+    and the (origin, destination, departure time) of each vehicle drawn."""
+    cfg = sim.config
+    demand_ss, _ = np.random.SeedSequence(entropy=cfg.seed).spawn(2)
+    rng = np.random.default_rng(demand_ss)
+    departures, t = [], 0.0
+    for _ in range(steps):
+        drawn = np.repeat(*draw_demand(sim._demand, cfg.demand_multiplier, cfg.timestep, rng))
+        departures += [(*sim._demand.pairs[i], t) for i in drawn.tolist()]
+        t += cfg.timestep
+    return rng, departures
+
+
+@pytest.mark.parametrize("horizon, steps", [(120.0, 12), (245.0, 25)])
+def test_period_draws_depart_as_one_step_draws(horizon, steps):
+    # at 245 s the last refresh (240 s) draws one step of its twelve
+    net, od = load_sioux_falls()
+    sim = Simulation(net, od, SimConfig(horizon=horizon, demand_multiplier=2.0, seed=5))
+    sim.run()
+    rng, departures = _one_step_draws(sim, steps)
+    vs = sim.vehicles
+    assert list(zip(vs.origins, vs.dests, vs.departs)) == departures
+    assert sim.demand_rng.bit_generator.state == rng.bit_generator.state
 
 
 def test_unknown_od_node_fails_at_construction():
@@ -251,9 +297,10 @@ class _HeapLoopSimulation(Simulation):
     """The sequential event loop that `Simulation.step` batches, kept as the
     reference: departures in id order, then one heap pop of (exit_time, vid)
     at a time, each entering the vehicle's next edge.  It keeps its vehicles
-    as plain per-vehicle lists, expands each drawn pair into one (origin,
-    destination) per vehicle and routes each vehicle with its own `_route`
-    call, and shares the run's refresh, demand draw and tau table."""
+    as plain per-vehicle lists, draws its demand one step at a time, expands
+    each drawn pair into one (origin, destination) per vehicle and routes
+    each vehicle with its own `_route` call; it shares the run's refresh and
+    tau table."""
 
     def __init__(self, network, od, config):
         super().__init__(network, od, config)
@@ -406,6 +453,29 @@ def test_drain_refreshes_build_no_trees(monkeypatch):
     # refreshes ran at 360 s and later, but every tree was built before 300 s
     assert sim.clock > 360.0 and sim._table is None
     assert clocks and max(clocks) < cfg.horizon
+    # the demand was drawn for the 30 steps before the horizon and no later,
+    # and no period's departures are left over
+    rng, _ = _one_step_draws(sim, 30)
+    assert sim.demand_rng.bit_generator.state == rng.bit_generator.state
+    assert sim._period is None
+
+
+def test_nonprivate_weights_equal_bisection_at_every_refresh():
+    # the non-private refresh reads tau from the shared table instead of
+    # bisecting; it must publish the same bits
+    net, od = load_sioux_falls()
+    checked = []
+
+    class Checked(Simulation):
+        def _refresh(self):
+            counts = np.array(self.counts, dtype=float)
+            super()._refresh()
+            expected = _tau_vector(net.t0, net.capacity, net.alpha, net.beta, counts)
+            checked.append((counts.max(), self.weights.tobytes() == expected.tobytes()))
+
+    Checked(net, od, SimConfig(horizon=600.0, demand_multiplier=2.0, seed=6)).run()
+    assert len(checked) > 5 and max(top for top, _ in checked) > 0
+    assert all(ok for _, ok in checked)
 
 
 def test_traversal_time_reflects_existing_occupancy():
