@@ -21,26 +21,40 @@ in order, so this is, value for value and in the generator's state, one draw
 per step.  It then builds a route table, the route of every OD pair (one
 shortest-path tree per origin, then one numpy walk back from every
 destination at once), and gathers the drawn vehicles' routes from it in one
-index.  Each step departs the injected vehicles due within it first, each
-routed by `_route` over the same trees, then its slice of the period's drawn
-ones; the columns grow by `frombytes`.  Refreshes after the horizon depart
-nobody, so they draw nothing and build no table and no tree.
+index.  Refreshes after the horizon depart nobody, so they draw nothing and
+build no table and no tree.
 
-Each step then moves its vehicles as if one edge event at a time: the
-departures, in id order, enter their first edges, then the exits due by the
-step's end pop in (exit time, vehicle id) order; a vehicle leaving one edge
-enters the next at its exit time, so it can cross several edges in one step.
-The step does this in numpy batches.  Pending exits are two arrays, exit time
-and vehicle id, and a batch takes the due ones and sorts them.  The count an
-entrant sees is its edge's count at batch start plus the +1 and -1 events
-before it on that edge (a cumulative sum within each edge after a sort by edge
-and processing order); its exit time is its entry time plus a gather from the
+The simulator advances a batch of steps at a time: `run` calls `step(k)` with
+k running to the next refresh, and `step()` alone is a batch of one.  A batch
+departs each of its steps that starts before the horizon: the injected
+vehicles due within the step first, each routed by `_route` over the same
+trees, then the step's slice of the period's drawn ones; the columns grow by
+`frombytes`.  It then moves its vehicles as if one edge event at a time, step
+by step: a step's departures, in id order, enter their first edges, then the
+exits due by the step's end pop in (exit time, vehicle id) order; a vehicle
+leaving one edge enters the next at its exit time, so it can cross several
+edges in one step.  An exit belongs to the first step whose end, on the clock
+that adds one timestep per step, is at or after its exit time.
+
+The batch does this in numpy passes.  Pending exits are two arrays, exit time
+and vehicle id; a pass takes the ones due by the batch's end, sorts them and
+places them and the departures in processing order, keyed by (step,
+departures before exits, exit time, id).  The count an entrant sees is its
+edge's count at pass start plus the +1 and -1 events before it on that edge
+(a cumulative sum within each edge after a stable sort by edge of the events
+in processing order); its exit time is its entry time plus a gather from the
 network's tau table (`RoadNetwork.tau_by_count`, one row per edge, shared by
 every run on the network).  The cut rule: an entrant's new exit that falls due
-within the step would pop inside the batch, so only the events before the
-position where it would pop commit, and the rest go back to the pending exits
-for the next batch.  When every free-flow time exceeds the timestep (Sioux
-Falls: at least 120 s against 10 s) no batch cuts and a step is one batch.
+within the batch would pop inside the pass, so only the events before the
+position where it would pop commit, and the rest go back for the next pass.
+On Sioux Falls, whose free-flow times are at least the 120 s refresh period,
+only an entry at a period's start onto an empty 120 s edge can cut; a
+baseline pair (seed 11) moves in 144 batches and 146 passes.  A batch ends
+where `run` stops: after the step that reaches DRAIN_FACTOR * horizon, or
+after the first step that ends at or past the horizon with nobody in
+transit.  So `clock` and `step_index` end where a step-by-step loop ends
+them, and no extra refresh draws noise.  `debug_checks` checks the
+invariants after each batch.
 
 A run keeps its vehicles in a `VehicleColumns`, one column per field indexed
 by vehicle id: `array('d')` departure and arrival times (NaN in transit),
@@ -68,9 +82,10 @@ import heapq
 import math
 import operator
 from array import array
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, replace
-from itertools import chain
+from itertools import accumulate, chain, groupby, repeat
 from typing import Optional
 
 import numpy as np
@@ -100,7 +115,7 @@ class SimConfig:
     refresh_period: float = 120.0
     demand_multiplier: float = 1.0
     seed: int = 0
-    debug_checks: bool = False
+    debug_checks: bool = False  # check the run's invariants after each batch of steps
 
     def __post_init__(self):
         if self.mode not in ("private", "non-private"):
@@ -513,41 +528,53 @@ class Simulation:
                 self.vehicles.route_edges.typecode)
         return self._table
 
-    def step(self) -> None:
-        """Advance one timestep: refresh estimates and draw the period's
-        demand if due, depart, move."""
-        cfg = self.config
-        t = self.clock
-        if self.step_index % self.steps_per_refresh == 0:
-            self._refresh()
-            if t < cfg.horizon:
-                self._draw_period(t)
-        t_end = t + cfg.timestep
+    def step(self, steps: int = 1) -> None:
+        """Advance `steps` timesteps as one batch: refresh the estimates and
+        draw the period's demand if the batch starts a period, depart, move.
 
-        enter_ids = np.empty(0, dtype=np.int64)  # departures with a nonempty route
-        enter_times = np.empty(0)
-        if t < cfg.horizon:
-            enter_ids, enter_times = self._depart(t, t_end)
-        if len(enter_ids) or (self._exit_times <= t_end).any():
-            self._move(enter_ids, enter_times, t_end)
-        self.clock = t_end
-        self.step_index += 1
+        A batch must not cross a refresh.  It ends early where `run` stops:
+        after the first step that ends at or past DRAIN_FACTOR * horizon,
+        or at or past the horizon with nobody in transit.  So it advances
+        one step at least."""
+        cfg = self.config
+        into = self.step_index % self.steps_per_refresh
+        if not 0 < steps <= self.steps_per_refresh - into:
+            raise ValueError(f"{steps} steps from step {self.step_index} do not fit in"
+                             f" its refresh period of {self.steps_per_refresh} steps")
+        if into == 0:
+            self._refresh()
+            if self.clock < cfg.horizon:
+                self._draw_period()
+        ends = self._step_ends(steps)
+        del ends[bisect_left(ends, DRAIN_FACTOR * cfg.horizon) + 1:]
+        entering = self._depart(ends)
+        last = -math.inf  # the batch's last arrival
+        if len(entering[0]) or (self._exit_times <= ends[-1]).any():
+            last = self._move(*entering, ends)
+        if ends[-1] >= cfg.horizon and not self.in_transit:
+            # the road drained: stop after the step of the last arrival,
+            # or after the step that reaches the horizon if that is later
+            del ends[max(bisect_left(ends, cfg.horizon), bisect_left(ends, last)) + 1:]
+        self.clock = ends[-1]
+        self.step_index += len(ends)
         if cfg.debug_checks:
             self._check_invariants()
 
-    def _draw_period(self, t: float) -> None:
+    def _step_ends(self, steps: int) -> list:
+        """The ends of the next `steps` steps, on the clock that adds one
+        timestep per step."""
+        return list(accumulate(repeat(self.config.timestep, steps), initial=self.clock))[1:]
+
+    def _draw_period(self) -> None:
         """Draw the demand of the period's steps that start before the
-        horizon (the first at t, on the clock `step` accumulates) in one
-        call, and gather the drawn vehicles' routes from the route table in
-        one index.  `_period` holds each step's first vehicle, then per drawn
-        vehicle in departure order its route block's end, its route edges,
-        origin and destination; None when nobody is drawn."""
+        horizon in one call, and gather the drawn vehicles' routes from the
+        route table in one index.  `_period` holds each step's first
+        vehicle, then per drawn vehicle in departure order its step in the
+        period, its route block's end, its route edges, origin and
+        destination; None when nobody is drawn."""
         cfg = self.config
         demand = self._demand
-        k, start = 0, t
-        while k < self.steps_per_refresh and start < cfg.horizon:
-            k += 1
-            start += cfg.timestep
+        k = bisect_left([self.clock, *self._step_ends(self.steps_per_refresh - 1)], cfg.horizon)
         cells, counts = draw_demand(demand, cfg.demand_multiplier, cfg.timestep,
                                     self.demand_rng, k)
         cells = np.repeat(cells, counts)  # each vehicle's step * len(pairs) + pair
@@ -555,7 +582,7 @@ class Simulation:
         if not len(cells):
             return
         n_pairs = len(demand.pairs)
-        pairs = cells % n_pairs
+        steps, pairs = np.divmod(cells, n_pairs)
         lengths, offsets, table_edges = self._route_table()
         lengths = lengths[pairs]
         ends = np.cumsum(lengths)
@@ -563,54 +590,76 @@ class Simulation:
         # is slot offsets[pair] + s - (ends[i] - lengths[i]) of the table
         slots = np.arange(int(ends[-1])) + np.repeat(offsets[pairs] - ends + lengths, lengths)
         firsts = np.searchsorted(cells, np.arange(k + 1) * n_pairs).tolist()
-        self._period = (firsts, ends, table_edges[slots],
+        self._period = (firsts, steps, ends, table_edges[slots],
                         demand.origins[pairs], demand.dests[pairs])
 
-    def _depart(self, t: float, t_end: float) -> tuple:
-        """Append the step's departures to the columns: the injected ones due
-        before t_end, in (time, origin, destination) order, then the step's
-        slice of the period's drawn ones.  Returns the ids and times of those
-        with a nonempty route, which `_move` enters."""
+    def _depart(self, ends: list) -> tuple:
+        """Append the departures of the batch's steps that start before the
+        horizon to the columns: per step, the injected ones due before its
+        end, in (time, origin, destination) order, then its slice of the
+        period's drawn ones.  Returns the ids, times and steps (counted from
+        the batch's first) of those with a nonempty route, which `_move`
+        enters."""
         vs = self.vehicles
+        starts = [self.clock, *ends[:-1]]
+        n = bisect_left(starts, self.config.horizon)  # the steps that depart
         scheduled = self._scheduled
-        ids, times = [], []
-        if scheduled and scheduled[0][0] < t_end:
-            injected = []
-            while scheduled and scheduled[0][0] < t_end:
-                st, o, d = heapq.heappop(scheduled)
-                injected.append((max(st, t), o, d))
-            routes = [self._route(o, d) for _, o, d in injected]
-            lengths = np.fromiter(map(len, routes), np.int64, len(routes))
-            departs = np.array([st for st, _, _ in injected], dtype=float)
-            parked = lengths == 0  # origin == destination: arrives as it departs
-            self.arrived += int(np.count_nonzero(parked))
-            moving = np.flatnonzero(~parked)
-            ids.append(moving + len(vs))
-            times.append(departs[moving])
-            self._append(np.cumsum(lengths),
-                         np.fromiter(chain.from_iterable(routes), vs.route_edges.typecode),
-                         np.array([o for _, o, _ in injected], dtype=np.int64),
-                         np.array([d for _, _, d in injected], dtype=np.int64),
-                         departs, np.where(parked, departs, math.nan))
-        if self._period is not None:
-            firsts, ends, edges, origins, dests = self._period
-            j = self.step_index % self.steps_per_refresh
-            a, b = firsts[j], firsts[j + 1]
-            if j + 2 == len(firsts):  # the period's last step before the horizon
-                self._period = None
-            if a < b:
-                lo = int(ends[a - 1]) if a else 0
-                departs = np.full(b - a, t)
-                ids.append(np.arange(len(vs), len(vs) + b - a))
-                times.append(departs)
-                self._append(ends[a:b] - lo, edges[lo:ends[b - 1]], origins[a:b],
-                             dests[a:b], departs, np.full(b - a, math.nan))
-        if not ids:
-            return np.empty(0, dtype=np.int64), np.empty(0)
+        injected = []
+        while n and scheduled and scheduled[0][0] < ends[n - 1]:
+            st, o, d = heapq.heappop(scheduled)
+            j = bisect_right(ends, st)  # the first step that ends after st
+            injected.append((j, max(st, starts[j]), o, d))
+        starts = np.array(starts)
+        parts = []  # (ids, times, steps) of the entrants, in id order
+        drawn = 0  # the batch's steps whose drawn vehicles are appended
+        for j, group in groupby(injected, key=operator.itemgetter(0)):
+            parts.append(self._depart_drawn(drawn, j, starts))
+            parts.append(self._depart_injected([g[1:] for g in group], j))
+            drawn = j
+        parts.append(self._depart_drawn(drawn, n, starts))
         buffer = vs.entry_buffer
         if vs.starts[-1] > len(buffer):
             buffer += array("d", [math.nan]) * max(vs.starts[-1] - len(buffer), len(buffer))
-        return np.concatenate(ids), np.concatenate(times)
+        return tuple(map(np.concatenate, zip(*parts)))
+
+    def _depart_injected(self, injected: list, step: int) -> tuple:
+        """Append the injected (time, origin, destination) departures of
+        the batch's step `step`, each routed by `_route`; (ids, times,
+        steps) of those that move."""
+        vs = self.vehicles
+        routes = [self._route(o, d) for _, o, d in injected]
+        lengths = np.fromiter(map(len, routes), np.int64, len(routes))
+        departs = np.array([st for st, _, _ in injected], dtype=float)
+        parked = lengths == 0  # origin == destination: arrives as it departs
+        self.arrived += int(np.count_nonzero(parked))
+        moving = np.flatnonzero(~parked)
+        entering = moving + len(vs), departs[moving], np.full(len(moving), step)
+        self._append(np.cumsum(lengths),
+                     np.fromiter(chain.from_iterable(routes), vs.route_edges.typecode),
+                     np.array([o for _, o, _ in injected], dtype=np.int64),
+                     np.array([d for _, _, d in injected], dtype=np.int64),
+                     departs, np.where(parked, departs, math.nan))
+        return entering
+
+    def _depart_drawn(self, lo: int, hi: int, starts: np.ndarray) -> tuple:
+        """Append the period's drawn departures of the batch's steps lo to
+        hi - 1, each at its step's start; (ids, times, steps) of them."""
+        if self._period is None:
+            return np.empty(0, dtype=np.int64), np.empty(0), np.empty(0, dtype=np.int64)
+        vs = self.vehicles
+        first = self.step_index % self.steps_per_refresh  # the batch's first step in the period
+        firsts, steps, ends, edges, origins, dests = self._period
+        if first + hi + 1 == len(firsts):  # the period's last step before the horizon
+            self._period = None
+        a, b = firsts[first + lo], firsts[first + hi]
+        base = int(ends[a - 1]) if a else 0
+        steps = steps[a:b] - first
+        departs = starts[steps]
+        entering = np.arange(len(vs), len(vs) + b - a), departs, steps
+        if a < b:
+            self._append(ends[a:b] - base, edges[base:ends[b - 1]], origins[a:b], dests[a:b],
+                         departs, np.full(b - a, math.nan))
+        return entering
 
     def _append(self, ends, edges, origins, dests, departs, arrivals) -> None:
         """Grow every column by one vehicle per entry of `ends`, the end of
@@ -624,60 +673,85 @@ class Simulation:
         vs.departs.frombytes(departs.tobytes())
         vs.arrivals.frombytes(arrivals.tobytes())
 
-    def _move(self, enter_ids: np.ndarray, enter_times: np.ndarray, t_end: float) -> None:
+    def _move(self, enter_ids: np.ndarray, enter_times: np.ndarray, enter_steps: np.ndarray,
+              ends: list) -> float:
         """Enter the departures `enter_ids` on their first edges, then pop
-        every exit due by t_end, as numpy batches.
+        every exit due by the batch's end, as numpy passes.  Returns the
+        last arrival time, -inf when nobody arrives.
 
-        A batch does what one event at a time would: the departures in id
-        order, then the due exits in (exit_time, vid) order, an exit that
-        does not end the vehicle's route entering its next edge at its exit
-        time.  An entrant's new exit due by t_end would pop inside the
-        batch, so only the events before that pop commit; the rest go back
-        to the pending exits for the next batch.
+        A pass does what one event at a time would: step by step, the
+        step's departures in id order, then its due exits in (exit_time,
+        vid) order, an exit that does not end the vehicle's route entering
+        its next edge at its exit time.  An exit belongs to the first step
+        whose end is at or after its time; `enter_steps` are the
+        departures' steps, counted from the batch's first.  An entrant's
+        new exit due by the batch's end would pop inside the pass, so only
+        the events before that pop commit; the rest go back for the next
+        pass.
         """
         vs = self.vehicles
         starts, route_edges, positions, arrivals, buffer = vs.views()
         counts = np.array(self.counts, dtype=np.int64)
         table = self.network.tau_by_count
         m = len(counts)
+        ends = np.array(ends)
+        t_end = ends[-1]
         pending_t, pending_v = self._exit_times, self._exit_ids
         n_entered = len(enter_ids)
-        arrived = 0
+        arrived, last = 0, -math.inf
         while True:
             due = pending_t <= t_end
             exit_t, exit_v = pending_t[due], pending_v[due]
             pending_t, pending_v = pending_t[~due], pending_v[~due]
-            order = np.lexsort((exit_v, exit_t))
+            # in (time, vid) order: a sort by time, then one by (time rank,
+            # vid) only if two times tie
+            order = np.argsort(exit_t)
             exit_t, exit_v = exit_t[order], exit_v[order]
+            tied = exit_t[1:] == exit_t[:-1]
+            if tied.any():
+                rank = np.concatenate(([0], np.cumsum(~tied)))
+                order = np.argsort(rank * (len(vs) + 1) + exit_v)
+                exit_t, exit_v = exit_t[order], exit_v[order]
             n_dep, n_exit = len(enter_ids), len(exit_v)
+            # each event's position in processing order: a departure comes
+            # after the exits of earlier steps, an exit after the departures
+            # of its own step and earlier ones
+            exit_step = np.searchsorted(ends, exit_t)
+            exits_before = np.searchsorted(exit_step, enter_steps)
+            dep_at = np.arange(n_dep) + exits_before
+            exit_at = np.arange(n_exit) + np.searchsorted(enter_steps, exit_step, side="right")
             slot = starts[exit_v] + positions[exit_v]  # of the edge each exit leaves
             left = route_edges[slot]
-            moved = np.flatnonzero(slot + 1 < starts[exit_v + 1])
-            # entrants in processing order, and the position of each
-            at = np.concatenate((np.arange(n_dep), moved + n_dep))
+            moves = slot + 1 < starts[exit_v + 1]
+            moved = np.flatnonzero(moves)
+            # entrants, departures first, and the position of each
+            at = np.concatenate((dep_at, exit_at[moved]))
             ent_v = np.concatenate((enter_ids, exit_v[moved]))
             ent_t = np.concatenate((enter_times, exit_t[moved]))
             ent_slot = np.concatenate((starts[enter_ids], slot[moved] + 1))
             ent_edge = route_edges[ent_slot]
 
-            # the count an entrant sees is its edge's count at batch start
+            # the count an entrant sees is its edge's count at pass start
             # plus the +1 and -1 events before it on that edge, an exit's -1
             # coming before its own +1: traversal time reflects the vehicles
-            # already on the road, not the entrant itself
-            edge = np.concatenate((ent_edge, left))
-            delta = np.concatenate((np.ones(len(at), np.int64), np.full(n_exit, -1)))
-            key = np.concatenate((2 * at + 1, 2 * np.arange(n_dep, n_dep + n_exit)))
-            # one sort key, edge-major: every key lies below 2 * (n_dep + n_exit) + 2
-            # and no two are equal, so the order needs no stable sort
-            order = np.argsort(edge.astype(np.int64) * (2 * (n_dep + n_exit) + 2) + key)
+            # already on the road, not the entrant itself.  Laid out in
+            # processing order, each exit's -1 just before its +1, the events
+            # need only a stable sort by edge (numpy sorts small integers by
+            # radix)
+            moves_before = np.concatenate(([0], np.cumsum(moves)))
+            exit_ev = exit_at + moves_before[:-1]
+            ent_ev = np.concatenate((dep_at + moves_before[exits_before], exit_ev[moved] + 1))
+            edge = np.empty(len(at) + n_exit, route_edges.dtype)
+            edge[ent_ev], edge[exit_ev] = ent_edge, left
+            delta = np.ones(len(edge), np.int64)
+            delta[exit_ev] = -1
+            order = np.argsort(edge, kind="stable")
             edge, delta = edge[order], delta[order]
             before = np.cumsum(delta) - delta
-            head = np.ones(len(edge), dtype=bool)
-            head[1:] = edge[1:] != edge[:-1]
-            group = np.maximum.accumulate(np.where(head, np.arange(len(edge)), 0))
+            on_edge = np.bincount(edge, minlength=m)
             seen = np.empty(len(edge), dtype=np.int64)
-            seen[order] = counts[edge] + before - before[group]
-            seen = seen[:len(at)]
+            seen[order] = counts[edge] + before - before[(np.cumsum(on_edge) - on_edge)[edge]]
+            seen = seen[ent_ev]
             if len(seen) and seen.max() >= table.shape[1]:
                 table = self.network.grow_tau(int(seen.max()))
             ent_exit = ent_t + table[ent_edge, seen]
@@ -685,32 +759,39 @@ class Simulation:
             cut = n_dep + n_exit
             early = np.flatnonzero(ent_exit <= t_end)
             for i in early.tolist():
-                # this exit pops after the batch's exits that precede it in
-                # (time, vid) order, and after the event that filed it
-                lo = np.searchsorted(exit_t, ent_exit[i])
-                ties = exit_v[lo:np.searchsorted(exit_t, ent_exit[i], side="right")]
-                pops = n_dep + lo + np.searchsorted(ties, ent_v[i])
+                # this exit pops after its step's departures and the pass's
+                # exits that precede it in (time, vid) order, and after the
+                # event that filed it
+                x = ent_exit[i]
+                lo = np.searchsorted(exit_t, x)
+                ties = exit_v[lo:np.searchsorted(exit_t, x, side="right")]
+                pops = (lo + np.searchsorted(ties, ent_v[i])
+                        + np.searchsorted(enter_steps, np.searchsorted(ends, x), side="right"))
                 cut = min(cut, max(at[i] + 1, pops))
-            n_ent = np.searchsorted(at, cut)
-            done = cut - n_dep
-            ent_edge, ent_t, ent_exit = ent_edge[:n_ent], ent_t[:n_ent], ent_exit[:n_ent]
+            n_go, done = np.searchsorted(dep_at, cut), np.searchsorted(exit_at, cut)
+            go = at < cut
+            ent_v, ent_t, ent_edge, ent_exit = ent_v[go], ent_t[go], ent_edge[go], ent_exit[go]
             counts += np.bincount(ent_edge, minlength=m) - np.bincount(left[:done], minlength=m)
             self.entries_horizon += np.bincount(ent_edge[ent_t < self.config.horizon], minlength=m)
-            buffer[ent_slot[:n_ent]] = ent_t
+            buffer[ent_slot[go]] = ent_t
             positions[exit_v[:done]] += 1
             ended = np.ones(done, dtype=bool)
             ended[moved[moved < done]] = False
-            arrivals[exit_v[:done][ended]] = exit_t[:done][ended]
-            arrived += int(np.count_nonzero(ended))
+            if ended.any():
+                arrivals[exit_v[:done][ended]] = exit_t[:done][ended]
+                arrived += int(np.count_nonzero(ended))
+                last = max(last, float(exit_t[:done][ended][-1]))
             pending_t = np.concatenate((pending_t, exit_t[done:], ent_exit))
-            pending_v = np.concatenate((pending_v, exit_v[done:], ent_v[:n_ent]))
-            enter_ids, enter_times = enter_ids[:0], enter_times[:0]
+            pending_v = np.concatenate((pending_v, exit_v[done:], ent_v))
+            enter_ids, enter_times, enter_steps = (
+                enter_ids[n_go:], enter_times[n_go:], enter_steps[n_go:])
             if not len(early):
                 break
         self._exit_times, self._exit_ids = pending_t, pending_v
         self.counts = counts.tolist()
         self.in_transit += n_entered - arrived
         self.arrived += arrived
+        return last
 
     def _check_invariants(self) -> None:
         vs = self.vehicles
@@ -746,14 +827,15 @@ class Simulation:
 
     def run(self) -> "RunResult":
         """Step until the horizon, then until the road drains or the clock
-        reaches DRAIN_FACTOR * horizon.
+        reaches DRAIN_FACTOR * horizon, each `step` call a batch that runs
+        to the next refresh.
 
         The entry-time buffer is then trimmed to the slots reserved.
         """
         cfg = self.config
         hard_stop = DRAIN_FACTOR * cfg.horizon
         while self.clock < cfg.horizon or (self.in_transit and self.clock < hard_stop):
-            self.step()
+            self.step(self.steps_per_refresh - self.step_index % self.steps_per_refresh)
         del self.vehicles.entry_buffer[len(self.vehicles.route_edges):]
         return RunResult(
             vehicles=self.vehicles,

@@ -17,6 +17,7 @@ import privroute
 from privroute.protocol import run_round
 from privroute.roadnet import DelayFunction, Edge, RoadNetwork, _tau_vector
 from privroute.sim import (
+    DRAIN_FACTOR,
     SimConfig,
     Simulation,
     Unreachable,
@@ -293,14 +294,28 @@ def test_exit_pops_in_its_step_after_many_short_steps():
     assert sim.vehicles[0].arrival == start + 0.3
 
 
+def _runs_on(sim):
+    """Whether a run goes on: until the horizon, then until the road drains
+    or the clock reaches the hard stop."""
+    hard_stop = DRAIN_FACTOR * sim.config.horizon
+    return sim.clock < sim.config.horizon or (sim.in_transit and sim.clock < hard_stop)
+
+
+def _step_one_at_a_time(sim):
+    """Drive `sim` as `Simulation.run` did before it batched a refresh
+    period: one step at a time."""
+    while _runs_on(sim):
+        sim.step()
+
+
 class _HeapLoopSimulation(Simulation):
     """The sequential event loop that `Simulation.step` batches, kept as the
-    reference: departures in id order, then one heap pop of (exit_time, vid)
-    at a time, each entering the vehicle's next edge.  It keeps its vehicles
-    as plain per-vehicle lists, draws its demand one step at a time, expands
-    each drawn pair into one (origin, destination) per vehicle and routes
-    each vehicle with its own `_route` call; it shares the run's refresh and
-    tau table."""
+    reference: step by step, departures in id order, then one heap pop of
+    (exit_time, vid) at a time, each entering the vehicle's next edge.  It
+    keeps its vehicles as plain per-vehicle lists, draws its demand one step
+    at a time, expands each drawn pair into one (origin, destination) per
+    vehicle and routes each vehicle with its own `_route` call; it shares
+    the run's refresh and tau table."""
 
     def __init__(self, network, od, config):
         super().__init__(network, od, config)
@@ -308,7 +323,11 @@ class _HeapLoopSimulation(Simulation):
         self.departs, self.routes, self.positions = [], [], []
         self.entries, self.arrivals = [], []
 
-    def step(self):
+    def step(self, steps=1):
+        for _ in range(steps):
+            self._one_step()
+
+    def _one_step(self):
         cfg = self.config
         t = self.clock
         if self.step_index % self.steps_per_refresh == 0:
@@ -372,11 +391,13 @@ class _HeapLoopSimulation(Simulation):
 
 def _random_network(draw, timestep):
     # a ring through every node keeps each pair reachable; t0 lies below, at
-    # and above the timestep, with repeats so that exits tie
+    # and above the timestep, with repeats so that exits tie, and on an edge
+    # whose capacity no count approaches every traversal takes t0, so exits
+    # land on step ends
     n = draw(st.integers(3, 6))
     t0s = st.sampled_from([timestep / 4, timestep / 2, timestep, 1.5 * timestep, 0.3, 0.7,
                            3.3, 25.0])
-    caps = st.sampled_from([0.02, 0.1, 1.0])
+    caps = st.sampled_from([0.02, 0.1, 1.0, 1e9])
     pairs = [(u, u % n + 1) for u in range(1, n + 1)]
     pairs += draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n))
                            .filter(lambda p: p[0] != p[1]), max_size=2 * n))
@@ -395,28 +416,68 @@ def _heap_loop_cases(draw):
                     epsilon=0.5, seed=draw(st.integers(0, 2**16)), debug_checks=True,
                     demand_multiplier=draw(st.sampled_from([0.0, 50.0])))
     nodes = st.integers(1, net.n_nodes)
-    # quarter-second departure times tie with exits and with each other
-    times = st.integers(0, int(4 * horizon) - 1).map(lambda q: q / 4) | st.floats(
-        0.0, horizon, exclude_max=True)
+    # step starts (each the previous step's end) and quarter-second departure
+    # times tie with exits and with each other
+    boundaries = list(itertools.accumulate(itertools.repeat(timestep, int(horizon / timestep)),
+                                           initial=0.0))[:-1]
+    times = (st.sampled_from(boundaries) | st.integers(0, int(4 * horizon) - 1).map(lambda q: q / 4)
+             | st.floats(0.0, horizon, exclude_max=True))
     injections = draw(st.lists(st.tuples(nodes, nodes, times), max_size=40))
-    return net, OdDemand({(1, 2): 20.0, (2, 1): 40.0}), cfg, injections
+    # batch lengths, clipped to the refresh period; none means Simulation.run
+    windows = draw(st.lists(st.integers(1, 3), max_size=6))
+    return net, OdDemand({(1, 2): 20.0, (2, 1): 40.0}), cfg, injections, windows
 
 
 @settings(max_examples=150, deadline=None)
 @given(_heap_loop_cases())
 def test_batched_step_matches_heap_loop(case):
-    net, od, cfg, injections = case
-    sims = [Simulation(net, od, cfg), _HeapLoopSimulation(net, od, cfg)]
-    for sim in sims:  # only the batched run checks its invariants each step
+    net, od, cfg, injections, windows = case
+    batched, heap_loop = Simulation(net, od, cfg), _HeapLoopSimulation(net, od, cfg)
+    for sim in (batched, heap_loop):
         for o, d, time in injections:
             sim.inject(o, d, time)
-        sim.run()
-    batched, heap_loop = sims
+    # only the batched run checks its invariants, after each batch
+    if windows:
+        windows = itertools.cycle(windows)
+        while _runs_on(batched):
+            left = batched.steps_per_refresh - batched.step_index % batched.steps_per_refresh
+            batched.step(min(next(windows), left))
+    else:
+        batched.run()
+    _step_one_at_a_time(heap_loop)
     got = [(v.route, v.entry_times, v.arrival) for v in batched.vehicles]
     assert got == list(zip(heap_loop.routes, heap_loop.entries, heap_loop.arrivals))
     assert batched.counts == heap_loop.counts
     assert batched.entries_horizon.tolist() == heap_loop.entries_horizon.tolist()
     assert (batched.in_transit, batched.arrived) == (heap_loop.in_transit, heap_loop.arrived)
+    # a batch that ran a step too far would refresh, or draw noise, once more
+    assert (batched.clock, batched.step_index) == (heap_loop.clock, heap_loop.step_index)
+    for rng in ("demand_rng", "noise_rng"):
+        states = [getattr(sim, rng).bit_generator.state for sim in (batched, heap_loop)]
+        assert states[0] == states[1]
+
+
+@pytest.mark.parametrize("t0, stop", [
+    (60.0, (18, 180.0, 0)),  # the vehicle arrives at 180 s
+    (90.0, (20, 200.0, 1)),  # the vehicle is still on the road at the 200 s hard stop
+], ids=["drained", "hard-stop"])
+def test_run_stops_mid_period_where_single_steps_stop(t0, stop):
+    # 10 s steps, 120 s refreshes and a 100 s horizon: both runs end inside
+    # the period that starts at 120 s, one when its last vehicle arrives and
+    # one at DRAIN_FACTOR * horizon
+    cfg = SimConfig(mode="private", horizon=100.0, seed=3)
+    batched, stepped = (Simulation(_line_network(4, t0), OdDemand({}), cfg) for _ in range(2))
+    for sim in (batched, stepped):
+        sim.inject(1, 4, 0.0)
+    with pytest.raises(ValueError, match="refresh period"):
+        batched.step(13)
+    batched.run()
+    _step_one_at_a_time(stepped)
+    for sim in (batched, stepped):
+        assert (sim.step_index, sim.clock, sim.in_transit) == stop
+    assert batched.vehicles == stepped.vehicles
+    # a run that went on into the next period would refresh once more
+    assert batched.noise_rng.bit_generator.state == stepped.noise_rng.bit_generator.state
 
 
 def test_route_table_matches_shortest_path_after_each_refresh():
