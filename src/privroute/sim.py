@@ -18,11 +18,12 @@ so every route, stay fixed, and departures are prepared once per period.  A
 refresh before the horizon draws the Poisson demand of every step of its
 period that starts before the horizon in one `draw_demand` call: numpy draws
 in order, so this is, value for value and in the generator's state, one draw
-per step.  It then builds a route table, the route of every OD pair (one
-shortest-path tree per origin, then one numpy walk back from every
-destination at once), and gathers the drawn vehicles' routes from it in one
-index.  Refreshes after the horizon depart nobody, so they draw nothing and
-build no table and no tree.
+per step.  It then builds a route table, the route of every OD pair (the
+shortest-path trees of every origin from one numpy relaxation, `_sp_tree`,
+whose distances and ties are a heap Dijkstra's, then one numpy walk back
+from every destination at once), and gathers the drawn vehicles' routes from
+it in one index.  Refreshes after the horizon depart nobody, so they draw
+nothing and build no table and no tree.
 
 The simulator advances a batch of steps at a time: `run` calls `step(k)` with
 k running to the next refresh, and `step()` alone is a batch of one.  A batch
@@ -37,14 +38,15 @@ edges in one step.  An exit belongs to the first step whose end, on the clock
 that adds one timestep per step, is at or after its exit time.
 
 The batch does this in numpy passes.  Pending exits are two arrays, exit time
-and vehicle id; a pass takes the ones due by the batch's end, sorts them and
-places them and the departures in processing order, keyed by (step,
-departures before exits, exit time, id).  The count an entrant sees is its
-edge's count at pass start plus the +1 and -1 events before it on that edge
-(a cumulative sum within each edge after a stable sort by edge of the events
-in processing order); its exit time is its entry time plus a gather from the
-network's tau table (`RoadNetwork.tau_by_count`, one row per edge, shared by
-every run on the network).  The cut rule: an entrant's new exit that falls due
+and vehicle id; a pass takes the ones due by the batch's end, sorts them by
+time, re-sorts by id only the runs of equal times, and places them and the
+departures in processing order, keyed by (step, departures before exits,
+exit time, id).  The count an entrant sees is its edge's count at pass start
+plus the +1 and -1 events before it on that edge (a cumulative sum within
+each edge after a stable sort by edge of the events in processing order);
+its exit time is its entry time plus a gather from the network's tau table
+(`RoadNetwork.tau_by_count`, one row per edge, shared by every run on the
+network).  The cut rule: an entrant's new exit that falls due
 within the batch would pop inside the pass, so only the events before the
 position where it would pop commit, and the rest go back for the next pass.
 On Sioux Falls, whose free-flow times are at least the 120 s refresh period,
@@ -252,57 +254,95 @@ def shortest_path(
 ) -> list[int]:
     """Minimum-total-weight edge sequence from origin to destination.
 
-    Ties break deterministically toward the smallest next-node id (the heap
-    orders by (distance, node)).  origin == destination gives the empty path.
+    Ties break as `_sp_tree` breaks them.  origin == destination gives the
+    empty path.  Raises ValueError unless there is one positive, finite
+    weight per edge.
     """
     weights = np.asarray(edge_weights, dtype=float)
-    if np.any(weights <= 0):
-        raise ValueError("edge weights must be positive")
-    dist, pred = _sp_tree(network, weights.tolist(), origin)
-    return _extract_path(network, pred, dist, origin, destination)
+    if weights.shape != (network.n_edges,):
+        raise ValueError(f"need one weight per edge ({network.n_edges}),"
+                         f" got shape {weights.shape}")
+    if not (np.isfinite(weights) & (weights > 0)).all():
+        raise ValueError("edge weights must be positive and finite")
+    dist, pred = _sp_tree(network, weights)
+    row = network.nodes.index(origin)
+    return _extract_path(network, pred[row], dist[row], origin, destination)
 
 
-def _sp_tree(network: RoadNetwork, weights: list, origin: int):
-    """Dijkstra from origin over `network.out_arcs`.
+def _sp_tree(network: RoadNetwork, weights: np.ndarray) -> tuple:
+    """Shortest-path trees from every node at once: (dist, pred), one row
+    per origin and one column per node, both in `network.nodes` order.
 
-    `weights` is a list of floats in edge-id order, all positive (the
-    simulator's are tau >= t0 > 0, and shortest_path checks outside ones).
-    Returns (dist, pred), dicts keyed by node: the distance from origin, and
-    the edge by which the tree reaches the node (-1 at the origin and at
-    nodes it does not reach).
+    `weights` holds one positive, finite float per edge in edge-id order
+    (the simulator's are tau >= t0 > 0, and shortest_path checks outside
+    ones).  `dist[r, v]` is the distance from origin r to node v, inf where
+    v is unreachable; `pred[r, v]` is the edge by which r's tree reaches v,
+    -1 at the origin and at nodes the tree does not reach.
+
+    A Bellman-Ford relaxation of all origins together.  Each node's
+    in-edges take one slot each, in (tail id, edge id) order, after a slot
+    0 that holds a zero-weight loop (so a pass keeps what it has) and
+    before padding of infinite weight.  Each pass gathers `dist[tail] + w`
+    over the slots and takes the minimum across them, until a pass changes
+    nothing.  Its distances are those of a heap Dijkstra, bit for bit: both
+    reach the fixed point dist[v] = min over in-edges (u, v) of
+    fl(dist[u] + w), the least left-fold sum over paths, since fl(a + w) is
+    monotone in a and every w > 0 (a cycle never lowers a sum).
+    `pred[r, v]` is the in-edge e = (u, v) with
+    fl(dist[r, u] + w[e]) == dist[r, v] that has the smallest
+    (dist[r, u], u's node id, e).  That is the first such edge a heap
+    Dijkstra relaxes, popping nodes by (distance, node) and relaxing each
+    node's out-edges in edge-id order with a strict `<`, so ties break as
+    it breaks them.
     """
-    dist = dict.fromkeys(network.nodes, math.inf)
-    pred = dict.fromkeys(network.nodes, -1)
-    dist[origin] = 0.0
-    heap = [(0.0, origin)]
-    done = set()
-    out_arcs = network.out_arcs
-    heappop, heappush = heapq.heappop, heapq.heappush
-    while heap:
-        d, u = heappop(heap)
-        if u in done:
-            continue
-        done.add(u)
-        for eid, head in out_arcs[u]:
-            nd = d + weights[eid]
-            if nd < dist[head]:
-                dist[head] = nd
-                pred[head] = eid
-                heappush(heap, (nd, head))
-    return dist, pred
+    n, m = network.n_nodes, network.n_edges
+    nodes = np.array(network.nodes)
+    by_id = np.argsort(nodes)
+    tails, heads = by_id[np.searchsorted(nodes, np.stack((network.tails, network.heads)),
+                                         sorter=by_id)]
+    edge = np.lexsort((network.tails, heads))
+    head = heads[edge]
+    slot = np.arange(1, m + 1) - np.searchsorted(head, head)
+    shape = (int(slot.max(initial=0)) + 1, n)  # [slot, node]
+    in_edge = np.full(shape, -1)
+    tail = np.broadcast_to(np.arange(n), shape).copy()
+    w = np.full((*shape, 1), math.inf)
+    w[0] = 0.0
+    in_edge[slot, head], tail[slot, head], w[slot, head, 0] = edge, tails[edge], weights[edge]
+    # dist[v, r], and pred below, hold node v's entry in origin r's tree
+    dist = np.full((n, n), math.inf)
+    np.fill_diagonal(dist, 0.0)
+    while True:
+        via = dist[tail]
+        via += w
+        best = np.minimum.reduce(via, axis=0)
+        if np.array_equal(best, dist):
+            break
+        dist = best
+    # `via` is from the final dist: of the in-edges that reach v at its
+    # distance, the first of those whose tail is nearest
+    from_tail = np.where(via == dist, dist[tail], math.inf)
+    from_tail[0] = math.inf
+    nearest = np.minimum.reduce(from_tail, axis=0)
+    first = (from_tail == nearest).argmax(axis=0)
+    pred = np.where(nearest < math.inf, in_edge[first, np.arange(n)[:, None]], -1)
+    return dist.T, pred.T
 
 
 def _extract_path(network, pred, dist, origin, destination) -> list[int]:
+    """The edges from origin to destination along one row of `_sp_tree`:
+    `pred` and `dist` are origin's rows, one entry per node in
+    `network.nodes` order."""
     if origin == destination:
         return []
-    if math.isinf(dist[destination]):
+    column = {n: i for i, n in enumerate(network.nodes)}
+    node = column[destination]
+    if math.isinf(dist[node]):
         raise Unreachable(f"no path from {origin} to {destination}")
     path = []
-    node = destination
-    while node != origin:
-        eid = pred[node]
+    while (eid := int(pred[node])) >= 0:
         path.append(eid)
-        node = network.edges[eid].tail
+        node = column[network.edges[eid].tail]
     path.reverse()
     return path
 
@@ -398,15 +438,15 @@ class Simulation:
         # pending exits, one per vehicle in transit, in no particular order
         self._exit_times = np.empty(0)
         self._exit_ids = np.empty(0, dtype=np.int64)
-        self._trees: dict = {}  # origin -> shortest-path tree under self.weights
+        self._tree = None  # _sp_tree under self.weights, built on first use
         self._table = None  # route table under self.weights, see _route_table
-        # the route walk's index (see _route_table): the demand's origins,
-        # each pair's origin row and destination column, and each edge's
-        # tail column, then column n_nodes for edge -1
+        # the route walk's index (see _route_table): each pair's origin row
+        # and destination column, and each edge's tail column, then column
+        # n_nodes for edge -1
         column = {n: i for i, n in enumerate(network.nodes)}
-        origins, rows = np.unique(self._demand.origins, return_inverse=True)
-        self._walk = (origins.tolist(), rows,
-                      np.array([column[d] for d in self._demand.dests.tolist()], dtype=np.int64),
+        rows, dest_columns = (np.array([column[n] for n in nodes.tolist()], dtype=np.int64)
+                              for nodes in (self._demand.origins, self._demand.dests))
+        self._walk = (rows, dest_columns,
                       np.array([column[t] for t in network.tails.tolist()] + [network.n_nodes]))
         self._period = None  # the drawn departures of this period, see _draw_period
         self._scheduled: list = []  # heap of injected (time, origin, dest)
@@ -456,8 +496,7 @@ class Simulation:
             else:
                 noisy = self._mpc_counts()
             self.weights = _tau_vector(net.t0, net.capacity, net.alpha, net.beta, noisy)
-        self._trees.clear()
-        self._table = None
+        self._tree = self._table = None
 
     def _mpc_counts(self) -> np.ndarray:
         cfg = self.config
@@ -485,34 +524,34 @@ class Simulation:
 
     # -- movement -----------------------------------------------------------
 
+    def _trees(self) -> tuple:
+        """`_sp_tree` under the current weights, built once per refresh."""
+        if self._tree is None:
+            self._tree = _sp_tree(self.network, self.weights)
+        return self._tree
+
     def _route(self, origin: int, dest: int) -> tuple:
-        tree = self._trees.get(origin)
-        if tree is None:
-            tree = self._trees[origin] = _sp_tree(self.network, self.weights.tolist(), origin)
-        dist, pred = tree
-        return tuple(_extract_path(self.network, pred, dist, origin, dest))
+        dist, pred = self._trees()
+        row = self.network.nodes.index(origin)
+        return tuple(_extract_path(self.network, pred[row], dist[row], origin, dest))
 
     def _route_table(self) -> tuple:
         """(lengths, offsets, edges): the route of every demand pair under the
         current weights, as one flat block of edges per pair in pair order,
         self pairs empty.
 
-        One shortest-path tree per origin, kept for `_route`: `pred[r, v]`
-        is the edge by which row r's tree reaches node `network.nodes[v]`,
-        -1 at the origin, and column n_nodes holds -1.  Then all routes are
-        walked back from their destinations together: `into[r, e]` is the
-        edge by which row r's tree reaches edge e's tail (-1 at the origin,
-        and at e = -1, so a finished walk stays put).  Each walk step is one
-        gather, as many as the longest route has edges.
+        The trees are `_sp_tree`'s, kept for `_route`: `pred[r, v]` is the
+        edge by which origin r's tree reaches node v, -1 at the origin, and
+        a column n_nodes of -1 is added.  All routes are walked back from
+        their destinations together: `into[r, e]` is the edge by which row
+        r's tree reaches edge e's tail (-1 at the origin, and at e = -1, so
+        a finished walk stays put).  Each walk step is one gather, as many
+        as the longest route has edges.
         """
         if self._table is None:
-            tree_origins, row, dest_column, tail_column = self._walk
-            weights, trees = self.weights.tolist(), self._trees
-            for o in tree_origins:
-                if o not in trees:
-                    trees[o] = _sp_tree(self.network, weights, o)
-            # a tree's pred dict lists the nodes in network order
-            pred = np.array([[*trees[o][1].values(), -1] for o in tree_origins])
+            row, dest_column, tail_column = self._walk
+            _, pred = self._trees()
+            pred = np.hstack((pred, np.full((len(pred), 1), -1)))
             into = pred[:, tail_column]
             edge = pred[row, dest_column]
             walk = []  # walk[i][p]: pair p's edge i places before its destination
@@ -703,23 +742,27 @@ class Simulation:
             due = pending_t <= t_end
             exit_t, exit_v = pending_t[due], pending_v[due]
             pending_t, pending_v = pending_t[~due], pending_v[~due]
-            # in (time, vid) order: a sort by time, then one by (time rank,
-            # vid) only if two times tie
+            # in (time, vid) order: a sort by time, then the runs of equal
+            # times, if any, by vid
             order = np.argsort(exit_t)
             exit_t, exit_v = exit_t[order], exit_v[order]
             tied = exit_t[1:] == exit_t[:-1]
             if tied.any():
-                rank = np.concatenate(([0], np.cumsum(~tied)))
-                order = np.argsort(rank * (len(vs) + 1) + exit_v)
-                exit_t, exit_v = exit_t[order], exit_v[order]
+                runs = np.zeros(len(exit_t), dtype=bool)
+                runs[1:] = tied
+                runs[:-1] |= tied
+                runs = np.flatnonzero(runs)
+                exit_v[runs] = exit_v[runs][np.lexsort((exit_v[runs], exit_t[runs]))]
             n_dep, n_exit = len(enter_ids), len(exit_v)
             # each event's position in processing order: a departure comes
             # after the exits of earlier steps, an exit after the departures
             # of its own step and earlier ones
             exit_step = np.searchsorted(ends, exit_t)
-            exits_before = np.searchsorted(exit_step, enter_steps)
+            # the exits before each step, and the departures through it
+            exits_before = np.cumsum(np.bincount(exit_step + 1, minlength=len(ends)))[enter_steps]
+            deps_by = np.cumsum(np.bincount(enter_steps, minlength=len(ends)))
             dep_at = np.arange(n_dep) + exits_before
-            exit_at = np.arange(n_exit) + np.searchsorted(enter_steps, exit_step, side="right")
+            exit_at = np.arange(n_exit) + deps_by[exit_step]
             slot = starts[exit_v] + positions[exit_v]  # of the edge each exit leaves
             left = route_edges[slot]
             moves = slot + 1 < starts[exit_v + 1]
@@ -765,22 +808,22 @@ class Simulation:
                 x = ent_exit[i]
                 lo = np.searchsorted(exit_t, x)
                 ties = exit_v[lo:np.searchsorted(exit_t, x, side="right")]
-                pops = (lo + np.searchsorted(ties, ent_v[i])
-                        + np.searchsorted(enter_steps, np.searchsorted(ends, x), side="right"))
+                pops = lo + np.searchsorted(ties, ent_v[i]) + deps_by[np.searchsorted(ends, x)]
                 cut = min(cut, max(at[i] + 1, pops))
-            n_go, done = np.searchsorted(dep_at, cut), np.searchsorted(exit_at, cut)
-            go = at < cut
-            ent_v, ent_t, ent_edge, ent_exit = ent_v[go], ent_t[go], ent_edge[go], ent_exit[go]
+            n_go, done, go = n_dep, n_exit, slice(None)
+            if cut < n_dep + n_exit:
+                n_go, done = np.searchsorted(dep_at, cut), np.searchsorted(exit_at, cut)
+                go = at < cut
+                ent_v, ent_t, ent_edge, ent_exit = ent_v[go], ent_t[go], ent_edge[go], ent_exit[go]
             counts += np.bincount(ent_edge, minlength=m) - np.bincount(left[:done], minlength=m)
             self.entries_horizon += np.bincount(ent_edge[ent_t < self.config.horizon], minlength=m)
             buffer[ent_slot[go]] = ent_t
             positions[exit_v[:done]] += 1
-            ended = np.ones(done, dtype=bool)
-            ended[moved[moved < done]] = False
-            if ended.any():
-                arrivals[exit_v[:done][ended]] = exit_t[:done][ended]
-                arrived += int(np.count_nonzero(ended))
-                last = max(last, float(exit_t[:done][ended][-1]))
+            ended = np.flatnonzero(~moves[:done])
+            if len(ended):
+                arrivals[exit_v[ended]] = exit_t[ended]
+                arrived += len(ended)
+                last = max(last, float(exit_t[ended[-1]]))
             pending_t = np.concatenate((pending_t, exit_t[done:], ent_exit))
             pending_v = np.concatenate((pending_v, exit_v[done:], ent_v))
             enter_ids, enter_times, enter_steps = (

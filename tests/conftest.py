@@ -1,3 +1,4 @@
+import heapq
 import math
 
 import numpy as np
@@ -74,6 +75,50 @@ def x_shares_sent(secret, coeffs, n, p):
     _smpm_phase([secret] + [0] * (n - 1), [0] * n, drawn, p, [1] * n, sent)
     # each pair's X share is sent before its Y share
     return {m.receiver: m.value for m in sent[::2] if m.sender == 1}
+
+
+def heap_dijkstra(network, weights, origin):
+    """Dijkstra from `origin` over `network.out_arcs` with a heap of
+    (distance, node): the reference for `privroute.sim._sp_tree`.
+
+    `weights` is a sequence of positive floats in edge-id order.  Returns
+    (dist, pred), dicts keyed by node in `network.nodes` order: the distance
+    from origin (inf where unreached) and the edge by which the tree reaches
+    the node (-1 at the origin and where unreached).  Nodes pop in
+    (distance, node) order and relax their out-edges in edge-id order with
+    a strict `<`, so a node's pred is the first of its shortest in-edges
+    relaxed.
+    """
+    dist = dict.fromkeys(network.nodes, math.inf)
+    pred = dict.fromkeys(network.nodes, -1)
+    dist[origin] = 0.0
+    heap = [(0.0, origin)]
+    done = set()
+    while heap:
+        d, u = heapq.heappop(heap)
+        if u in done:
+            continue
+        done.add(u)
+        for eid, head in network.out_arcs[u]:
+            nd = d + weights[eid]
+            if nd < dist[head]:
+                dist[head] = nd
+                pred[head] = eid
+                heapq.heappush(heap, (nd, head))
+    return dist, pred
+
+
+def tree_path(network, tree, origin, destination):
+    """The edges from origin to destination in `tree`, a `heap_dijkstra`
+    tree from origin, as a tuple."""
+    dist, pred = tree
+    assert dist[destination] < math.inf, f"no path from {origin} to {destination}"
+    path = []
+    node = destination
+    while node != origin:
+        path.append(pred[node])
+        node = network.edges[pred[node]].tail
+    return tuple(reversed(path))
 
 
 @pytest.fixture

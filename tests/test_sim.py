@@ -10,7 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from conftest import heap_dijkstra, tree_path
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import privroute
@@ -23,6 +24,7 @@ from privroute.sim import (
     Unreachable,
     VehicleColumns,
     _DemandTable,
+    _sp_tree,
     compare_runs,
     draw_demand,
     run_experiment,
@@ -72,6 +74,55 @@ def test_shortest_path_unreachable():
 def test_shortest_path_rejects_nonpositive_weights(bad):
     with pytest.raises(ValueError, match="positive"):
         shortest_path(_triangle(), [60.0, bad, 180.0], 1, 3)
+
+
+@pytest.mark.parametrize("weights", [[math.nan, 60.0, 180.0], [60.0, math.inf, 180.0]],
+                         ids=["nan", "inf"])
+def test_shortest_path_rejects_nonfinite_weights(weights):
+    with pytest.raises(ValueError, match="finite"):
+        shortest_path(_triangle(), weights, 1, 3)
+
+
+@pytest.mark.parametrize("weights", [[60.0, 60.0], [60.0] * 4, [[60.0, 60.0, 180.0]]],
+                         ids=["short", "long", "2-d"])
+def test_shortest_path_rejects_wrong_weight_count(weights):
+    with pytest.raises(ValueError, match="one weight per edge"):
+        shortest_path(_triangle(), weights, 1, 3)
+
+
+@st.composite
+def _graphs_and_weights(draw):
+    # distinct node ids in no particular order; edges may repeat a pair
+    # (parallel edges) and need not connect every pair (unreachable nodes);
+    # integer weights make equal-length paths, so ties
+    nodes = draw(st.lists(st.integers(1, 60), min_size=1, max_size=8, unique=True))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(nodes), st.sampled_from(nodes))
+                          .filter(lambda p: p[0] != p[1]), max_size=3 * len(nodes)))
+    edges = [Edge(i, u, v, _delay()) for i, (u, v) in enumerate(pairs)]
+    weight = st.integers(1, 3).map(float) if draw(st.booleans()) else st.floats(0.1, 1e4)
+    return RoadNetwork(nodes, edges), draw(st.lists(weight, min_size=len(edges),
+                                                    max_size=len(edges)))
+
+
+# a diamond 9 -> {4, 7} -> 2 of equal sides: the heap pops node 4 before
+# node 7 and so reaches 2 by edge 3, although edge 2 has the smaller id and
+# node 7 comes first in the node list
+_DIAMOND = (RoadNetwork([9, 7, 4, 2], [Edge(i, u, v, _delay()) for i, (u, v) in
+                                       enumerate([(9, 7), (9, 4), (7, 2), (4, 2)])]),
+            [1.0, 1.0, 2.0, 2.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graphs_and_weights())
+@example(_DIAMOND)
+def test_sp_tree_matches_heap_dijkstra(case):
+    net, weights = case
+    dist, pred = _sp_tree(net, np.array(weights, dtype=float))
+    assert dist.shape == pred.shape == (net.n_nodes, net.n_nodes)
+    for row, origin in enumerate(net.nodes):
+        ref_dist, ref_pred = heap_dijkstra(net, weights, origin)
+        assert dist[row].tolist() == list(ref_dist.values())
+        assert pred[row].tolist() == list(ref_pred.values())
 
 
 def test_shortest_path_against_brute_force():
@@ -314,14 +365,25 @@ class _HeapLoopSimulation(Simulation):
     (exit_time, vid) at a time, each entering the vehicle's next edge.  It
     keeps its vehicles as plain per-vehicle lists, draws its demand one step
     at a time, expands each drawn pair into one (origin, destination) per
-    vehicle and routes each vehicle with its own `_route` call; it shares
-    the run's refresh and tau table."""
+    vehicle and routes each vehicle in conftest's `heap_dijkstra` tree from
+    its origin, one tree per origin per refresh; it shares the run's refresh
+    and tau table."""
 
     def __init__(self, network, od, config):
         super().__init__(network, od, config)
         self.heap = []
         self.departs, self.routes, self.positions = [], [], []
         self.entries, self.arrivals = [], []
+        self.trees = {}  # origin -> heap_dijkstra tree under self.weights
+
+    def _refresh(self):
+        super()._refresh()
+        self.trees.clear()
+
+    def _reference_route(self, origin, dest):
+        if origin not in self.trees:
+            self.trees[origin] = heap_dijkstra(self.network, self.weights.tolist(), origin)
+        return tree_path(self.network, self.trees[origin], origin, dest)
 
     def step(self, steps=1):
         for _ in range(steps):
@@ -343,7 +405,7 @@ class _HeapLoopSimulation(Simulation):
                 self._demand, cfg.demand_multiplier, cfg.timestep, self.demand_rng))
             departures += [(t, *self._demand.pairs[i]) for i in drawn.tolist()]
             for time, o, d in departures:
-                route = self._route(o, d)
+                route = self._reference_route(o, d)
                 if route:
                     entering.append(len(self.routes))
                 else:
@@ -457,6 +519,36 @@ def test_batched_step_matches_heap_loop(case):
         assert states[0] == states[1]
 
 
+def test_tied_exits_pop_in_id_order_at_both_ends_and_across_steps():
+    # 10 s steps, 60 s batches.  Vehicles 0-2 leave node 1 and 3-5 node 4 at
+    # 0 s; free 10 s first hops put them at 10 s on the free edges 2 -> 3
+    # (60 s) and 5 -> 3 (70 s), onto which vehicles 6-8 (from node 2) and
+    # 9-11 (from node 5) depart at 10 s.  A pass files its departures before
+    # its moved exits, so the next batch's first pass finds the exits due
+    # at 70 s and at 80 s, two of its steps, pending with the higher ids
+    # first: sorted by time they are one tied run at each end of the array.
+    # All twelve then enter the congestible 3 -> 6 in pop order, so the
+    # count each sees, and its arrival, depends on how the ties broke.
+    def free(t0):
+        return DelayFunction(t0=t0, capacity=1e9)
+
+    edges = [Edge(0, 1, 2, free(10.0)), Edge(1, 2, 3, free(60.0)), Edge(2, 4, 5, free(10.0)),
+             Edge(3, 5, 3, free(70.0)), Edge(4, 3, 6, DelayFunction(t0=10.0, capacity=1.0))]
+    net = RoadNetwork(range(1, 7), edges)
+    cfg = SimConfig(timestep=10.0, refresh_period=60.0, horizon=60.0, seed=0, debug_checks=True)
+    batched, heap_loop = (cls(net, OdDemand({}), cfg) for cls in (Simulation, _HeapLoopSimulation))
+    for sim in (batched, heap_loop):
+        for origin, time in ((1, 0.0), (4, 0.0), (2, 10.0), (5, 10.0)):
+            for _ in range(3):
+                sim.inject(origin, 6, time)
+    batched.run()
+    _step_one_at_a_time(heap_loop)
+    got = [(v.route, v.entry_times, v.arrival) for v in batched.vehicles]
+    assert got == list(zip(heap_loop.routes, heap_loop.entries, heap_loop.arrivals))
+    assert [v.entry_times[-1] for v in batched.vehicles] == ([70.0] * 3 + [80.0] * 3) * 2
+    assert len({v.arrival for v in batched.vehicles}) == 12 and batched.arrived == 12
+
+
 @pytest.mark.parametrize("t0, stop", [
     (60.0, (18, 180.0, 0)),  # the vehicle arrives at 180 s
     (90.0, (20, 200.0, 1)),  # the vehicle is still on the road at the 200 s hard stop
@@ -492,8 +584,9 @@ def test_route_table_matches_shortest_path_after_each_refresh():
             continue
         # the refresh step departed drawn vehicles, so it built the table
         lengths, offsets, edges = sim._table
-        routes = [edges[start:start + n].tolist() for start, n in zip(offsets, lengths)]
-        assert routes == [shortest_path(net, sim.weights, o, d) for o, d in sim._demand.pairs]
+        routes = [tuple(edges[start:start + n].tolist()) for start, n in zip(offsets, lengths)]
+        trees = {o: heap_dijkstra(net, sim.weights.tolist(), o) for o in net.nodes}
+        assert routes == [tree_path(net, trees[o], o, d) for o, d in sim._demand.pairs]
         tables.append(routes)
     assert len(tables) == 5 and len({repr(t) for t in tables}) > 1
 
@@ -511,9 +604,10 @@ def test_drain_refreshes_build_no_trees(monkeypatch):
     cfg = SimConfig(mode="private", horizon=300.0, demand_multiplier=2.0, seed=4)
     sim = Simulation(net, od, cfg)
     sim.run()
-    # refreshes ran at 360 s and later, but every tree was built before 300 s
+    # refreshes ran at 360 s and later, but every tree was built before 300 s:
+    # one `_sp_tree` call for all origins per refresh that departs someone
     assert sim.clock > 360.0 and sim._table is None
-    assert clocks and max(clocks) < cfg.horizon
+    assert clocks == [0.0, 120.0, 240.0]
     # the demand was drawn for the 30 steps before the horizon and no later,
     # and no period's departures are left over
     rng, _ = _one_step_draws(sim, 30)
