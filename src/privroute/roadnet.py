@@ -11,6 +11,7 @@ All operations accept scalars or numpy arrays.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -72,6 +73,8 @@ class RoadNetwork:
     when, or by which run, the table grew: every simulation on one network
     shares it.  A column also equals _tau_vector over one count per edge,
     bit for bit, so the non-private refresh reads its weights from it.
+    `relaxation_layout`, the in-edge layout of the simulator's shortest-path
+    relaxation, is built on first use and kept.
     """
 
     def __init__(self, nodes: Sequence[int], edges: Sequence[Edge]):
@@ -102,6 +105,43 @@ class RoadNetwork:
     @property
     def n_edges(self) -> int:
         return len(self.edges)
+
+    @functools.cached_property
+    def relaxation_layout(self) -> tuple:
+        """(in_edge, tail, padded, cells): each node's in-edges as slots,
+        for `sim._sp_tree`, which relaxes over them.
+
+        Nodes are columns in `nodes` order.  Slot 0 of each column is a
+        zero-weight loop; the node's in-edges follow, one slot each in
+        (tail id, edge id) order, then padding.  `in_edge[s, v]` is the edge
+        in slot s of node v (-1 in slot 0 and the padding), `tail[s, v]` the
+        column of its tail (v in slot 0 and the padding).  `padded` is the
+        weight array, shape (slots, n_nodes, 1), with 0 in slot 0 and inf
+        everywhere else; an edge weight vector in edge-id order goes into
+        its flat positions `cells`.  The layout depends on the graph alone,
+        so it is built once, on the first tree, and the arrays are
+        read-only.
+        """
+        n, m = self.n_nodes, self.n_edges
+        nodes = np.array(self.nodes)
+        by_id = np.argsort(nodes)
+        tails, heads = by_id[np.searchsorted(nodes, np.stack((self.tails, self.heads)),
+                                             sorter=by_id)]
+        edge = np.lexsort((self.tails, heads))
+        head = heads[edge]
+        slot = np.arange(1, m + 1) - np.searchsorted(head, head)
+        shape = (int(slot.max(initial=0)) + 1, n)  # [slot, node]
+        in_edge = np.full(shape, -1)
+        tail = np.broadcast_to(np.arange(n), shape).copy()
+        padded = np.full((*shape, 1), math.inf)
+        padded[0] = 0.0
+        in_edge[slot, head], tail[slot, head] = edge, tails[edge]
+        cells = np.empty(m, dtype=np.int64)
+        cells[edge] = slot * n + head
+        layout = in_edge, tail, padded, cells
+        for array in layout:
+            array.flags.writeable = False
+        return layout
 
     def grow_tau(self, count: int) -> np.ndarray:
         """Widen the tau table to cover counts up to 2 * count + 8 on every

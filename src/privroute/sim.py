@@ -14,27 +14,31 @@ Mersenne field 2^521 - 1; modest values keep the round affordable.
 
 A vehicle's route is its OD pair's shortest-time route under the estimates
 last published.  Within a refresh period the demand rates and the estimates,
-so every route, stay fixed, and departures are prepared once per period.  A
-refresh before the horizon draws the Poisson demand of every step of its
-period that starts before the horizon in one `draw_demand` call: numpy draws
-in order, so this is, value for value and in the generator's state, one draw
-per step.  It then builds a route table, the route of every OD pair (the
-shortest-path trees of every origin from one numpy relaxation, `_sp_tree`,
-whose distances and ties are a heap Dijkstra's, then one numpy walk back
-from every destination at once), and gathers the drawn vehicles' routes from
-it in one index.  Refreshes after the horizon depart nobody, so they draw
-nothing and build no table and no tree.
+so every route, stay fixed, and departures are prepared once per period.
+The run's first refresh draws the Poisson demand of every step that starts
+before the horizon in one `draw_demand` call: numpy draws in order, so this
+is, value for value and in the generator's state, one draw per step.
+`run_experiment`'s two runs draw the same demand, so it hands the
+non-private run's draw to the private run, which draws nothing.  A refresh
+before the horizon takes its period's slice of the draw, builds a route
+table, the route of every OD pair (the shortest-path trees of every origin
+from one numpy relaxation, `_sp_tree`, whose distances and ties are a heap
+Dijkstra's, then one numpy walk back from every destination at once), and
+gathers the drawn vehicles' routes from it in one index.  The relaxation's
+in-edge layout depends on the network alone; the network builds it on its
+first tree and keeps it.  Refreshes after the horizon depart nobody, so
+they build no table and no tree.
 
 The simulator advances a batch of steps at a time: `run` calls `step(k)` with
 k running to the next refresh, and `step()` alone is a batch of one.  A batch
 departs each of its steps that starts before the horizon: the injected
 vehicles due within the step first, each routed by `_route` over the same
-trees, then the step's slice of the period's drawn ones; the columns grow by
-`frombytes`.  It then moves its vehicles as if one edge event at a time, step
-by step: a step's departures, in id order, enter their first edges, then the
-exits due by the step's end pop in (exit time, vehicle id) order; a vehicle
-leaving one edge enters the next at its exit time, so it can cross several
-edges in one step.  An exit belongs to the first step whose end, on the clock
+trees, then the step's slice of the period's drawn ones, written into
+column slots reserved ahead.  It then moves its vehicles as if one edge
+event at a time, step by step: a step's departures, in id order, enter their
+first edges, then the exits due by the step's end pop in (exit time, vehicle
+id) order; a vehicle leaving one edge enters the next at its exit time, so
+it can cross several edges in one step.  An exit belongs to the first step whose end, on the clock
 that adds one timestep per step, is at or after its exit time.
 
 The batch does this in numpy passes.  Pending exits are two arrays, exit time
@@ -67,7 +71,11 @@ one flat `array('d')`.  Edge ids and positions use the smallest typecode
 that holds the network's edge count (one byte on Sioux Falls).  The step,
 `compare_runs` and the invariant check read the columns through numpy views
 that live only within one call; indexing or iterating the table builds
-`Vehicle` values on demand.  A baseline Sioux Falls pair departs about 480k
+`Vehicle` values on demand.  The run's first refresh reserves one slot per
+drawn vehicle in every per-vehicle column, and route slots for their routes
+at the first route table's lengths; a column that runs out (injected
+vehicles, longer routes) doubles, and `run` trims every column to the
+vehicles departed.  A baseline Sioux Falls pair departs about 480k
 vehicles.  Kept as one slotted `Vehicle` per departure, with a boxed id,
 block start and arrival, each cost about 192 B; the columns take about 43 B,
 entry times aside.
@@ -87,7 +95,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, replace
-from itertools import accumulate, chain, groupby, repeat
+from itertools import accumulate, chain, groupby, repeat, takewhile
 from typing import Optional
 
 import numpy as np
@@ -100,6 +108,7 @@ from .tntp import DEFAULT_DEMAND_SCALE, OdDemand
 
 MPC_DEGREE = 7
 MPC_SEED_BITS = 16
+_DRAW_CELLS = 1 << 20  # the (step, pair) cells one draw_demand call of a run draws at most
 DRAIN_FACTOR = 2.0  # a run stops at DRAIN_FACTOR * horizon, even with vehicles left
 
 
@@ -177,6 +186,21 @@ def _index_typecode(n: int) -> str:
     return next(code for code in "bhiq" if n < 1 << (8 * array(code).itemsize - 1))
 
 
+_RESERVED = 0xFF  # every byte of a reserved slot until written (the entry buffer's hold NaN)
+_NAN = array("d", [math.nan]).tobytes()
+
+
+def _view(column: array) -> np.ndarray:
+    return np.frombuffer(column, dtype=column.typecode)
+
+
+def _grow(column: array, size: int, item: bytes) -> None:
+    """Make `column` hold at least `size` items, adding copies of `item` (at
+    least as many as it holds, so repeated growth takes linear time)."""
+    if len(column) < size:
+        column.frombytes(item * max(size - len(column), len(column)))
+
+
 class VehicleColumns(Sequence):
     """A run's vehicles, one column per field, indexed by vehicle id.
 
@@ -185,15 +209,18 @@ class VehicleColumns(Sequence):
     times take the same slots of `entry_buffer`.  Edge ids and route
     positions use the smallest typecode that holds the network's edge count.
 
-    Only the run appends and writes to the columns.  As a Sequence it is
-    read-only: each index or iteration builds a new `Vehicle` from the
-    columns as they are then, and a slice is a list of them.  `arrivals` holds
-    NaN while a vehicle is in transit.  Two VehicleColumns are equal when
-    their vehicles are.
+    Only the run appends and writes to the columns.  It reserves their
+    slots ahead (`reserve`): until `trim`, which `Simulation.run` calls at
+    its end, a column may hold slots past the vehicles appended, each byte
+    0xFF (NaN in the entry buffer) until written.  `len` and `views` count
+    only the vehicles appended.  As a Sequence it is read-only: each index
+    or iteration builds a new `Vehicle` from the columns as they are then,
+    and a slice is a list of them.  `arrivals` holds NaN while a vehicle is
+    in transit.  Two VehicleColumns are equal when their vehicles are.
     """
 
     __slots__ = ("origins", "dests", "departs", "arrivals", "starts", "route_edges",
-                 "positions", "entry_buffer")
+                 "positions", "entry_buffer", "_n")
 
     def __init__(self, n_edges: int):
         self.origins = array("q")
@@ -203,19 +230,71 @@ class VehicleColumns(Sequence):
         self.starts = array("q", [0])  # first slot of each route block, and the end
         self.route_edges = array(_index_typecode(n_edges))
         self.positions = array(self.route_edges.typecode)  # route index of the current edge
-        # every vehicle's entry times, in its route block's slots (Simulation._depart
-        # grows it by doubling, Simulation.run trims it to len(route_edges))
-        self.entry_buffer = array("d")
+        self.entry_buffer = array("d")  # every vehicle's entry times, in its route block's slots
+        self._n = 0  # vehicles appended
 
     def __len__(self) -> int:
-        return len(self.origins)
+        return self._n
+
+    def _per_vehicle(self) -> tuple:
+        return self.origins, self.dests, self.departs, self.arrivals, self.positions
+
+    def reserve(self, vehicles: int, slots: int) -> None:
+        """Make room for `vehicles` more vehicles with `slots` more route
+        slots between them.  A column that must grow at least doubles."""
+        n = self._n
+        used = self.starts[n]
+        for column in self._per_vehicle():
+            _grow(column, n + vehicles, bytes([_RESERVED]) * column.itemsize)
+        _grow(self.starts, n + 1 + vehicles, bytes([_RESERVED]) * self.starts.itemsize)
+        _grow(self.route_edges, used + slots, bytes([_RESERVED]) * self.route_edges.itemsize)
+        _grow(self.entry_buffer, used + slots, _NAN)
+
+    def append(self, ends, edges, origins, dests, departs, arrivals) -> None:
+        """Append one vehicle per entry of `ends`, the end of each one's
+        route block counted from the current end of the blocks; the other
+        arguments are arrays, or one value for every vehicle."""
+        n, k = self._n, len(ends)
+        if not k:
+            return
+        used = self.starts[n]
+        self.reserve(k, int(ends[-1]))
+        _view(self.starts)[n + 1:n + 1 + k] = used + ends
+        _view(self.route_edges)[used:used + len(edges)] = edges
+        for column, values in zip(self._per_vehicle(), (origins, dests, departs, arrivals, 0)):
+            _view(column)[n:n + k] = values
+        self._n = n + k
+
+    def trim(self) -> None:
+        """Drop the slots reserved past the vehicles appended."""
+        n = self._n
+        used = self.starts[n]
+        for column in self._per_vehicle():
+            del column[n:]
+        del self.starts[n + 1:]
+        del self.route_edges[used:]
+        del self.entry_buffer[used:]
+
+    def reserve_untouched(self) -> bool:
+        """Whether every slot reserved past the vehicles appended holds its
+        fill as `reserve` left it."""
+        n = self._n
+        used = self.starts[n]
+        tails = [_view(column)[n:] for column in self._per_vehicle()]
+        tails += [_view(self.starts)[n + 1:], _view(self.route_edges)[used:]]
+        return (all((tail.view(np.uint8) == _RESERVED).all() for tail in tails)
+                and np.isnan(_view(self.entry_buffer)[used:]).all())
 
     def views(self) -> tuple:
         """numpy views of (starts, route_edges, positions, arrivals,
-        entry_buffer).  While a view lives its array cannot grow, so callers
-        drop them before returning."""
-        return tuple(np.frombuffer(column, dtype=column.typecode) for column in (
-            self.starts, self.route_edges, self.positions, self.arrivals, self.entry_buffer))
+        entry_buffer), over the vehicles appended and their slots.  While a
+        view lives its array cannot grow, so callers drop them before
+        returning."""
+        n = self._n
+        used = self.starts[n]
+        return (_view(self.starts)[:n + 1], _view(self.route_edges)[:used],
+                _view(self.positions)[:n], _view(self.arrivals)[:n],
+                _view(self.entry_buffer)[:used])
 
     def current_edges(self, ids: np.ndarray) -> np.ndarray:
         """The edge each of the vehicles `ids`, all in transit, is on."""
@@ -255,9 +334,12 @@ def shortest_path(
     """Minimum-total-weight edge sequence from origin to destination.
 
     Ties break as `_sp_tree` breaks them.  origin == destination gives the
-    empty path.  Raises ValueError unless there is one positive, finite
-    weight per edge.
+    empty path.  Raises ValueError for an endpoint the network lacks, and
+    unless there is one positive, finite weight per edge.
     """
+    for role, node in (("origin", origin), ("destination", destination)):
+        if node not in network.out_arcs:
+            raise ValueError(f"{role} node {node} is not in the network")
     weights = np.asarray(edge_weights, dtype=float)
     if weights.shape != (network.n_edges,):
         raise ValueError(f"need one weight per edge ({network.n_edges}),"
@@ -279,7 +361,8 @@ def _sp_tree(network: RoadNetwork, weights: np.ndarray) -> tuple:
     v is unreachable; `pred[r, v]` is the edge by which r's tree reaches v,
     -1 at the origin and at nodes the tree does not reach.
 
-    A Bellman-Ford relaxation of all origins together.  Each node's
+    A Bellman-Ford relaxation of all origins together, over the network's
+    `relaxation_layout`, built on its first tree and kept: each node's
     in-edges take one slot each, in (tail id, edge id) order, after a slot
     0 that holds a zero-weight loop (so a pass keeps what it has) and
     before padding of infinite weight.  Each pass gathers `dist[tail] + w`
@@ -295,20 +378,10 @@ def _sp_tree(network: RoadNetwork, weights: np.ndarray) -> tuple:
     node's out-edges in edge-id order with a strict `<`, so ties break as
     it breaks them.
     """
-    n, m = network.n_nodes, network.n_edges
-    nodes = np.array(network.nodes)
-    by_id = np.argsort(nodes)
-    tails, heads = by_id[np.searchsorted(nodes, np.stack((network.tails, network.heads)),
-                                         sorter=by_id)]
-    edge = np.lexsort((network.tails, heads))
-    head = heads[edge]
-    slot = np.arange(1, m + 1) - np.searchsorted(head, head)
-    shape = (int(slot.max(initial=0)) + 1, n)  # [slot, node]
-    in_edge = np.full(shape, -1)
-    tail = np.broadcast_to(np.arange(n), shape).copy()
-    w = np.full((*shape, 1), math.inf)
-    w[0] = 0.0
-    in_edge[slot, head], tail[slot, head], w[slot, head, 0] = edge, tails[edge], weights[edge]
+    n = network.n_nodes
+    in_edge, tail, padded, cells = network.relaxation_layout
+    w = padded.copy()
+    w.reshape(-1)[cells] = weights
     # dist[v, r], and pred below, hold node v's entry in origin r's tree
     dist = np.full((n, n), math.inf)
     np.fill_diagonal(dist, 0.0)
@@ -448,6 +521,7 @@ class Simulation:
                               for nodes in (self._demand.origins, self._demand.dests))
         self._walk = (rows, dest_columns,
                       np.array([column[t] for t in network.tails.tolist()] + [network.n_nodes]))
+        self._drawn = None  # the run's drawn vehicles, see _draw_run
         self._period = None  # the drawn departures of this period, see _draw_period
         self._scheduled: list = []  # heap of injected (time, origin, dest)
         self._mpc_polys: dict = {}
@@ -604,23 +678,54 @@ class Simulation:
         timestep per step."""
         return list(accumulate(repeat(self.config.timestep, steps), initial=self.clock))[1:]
 
+    def _draw_run(self) -> np.ndarray:
+        """The demand of every step that starts before the horizon: each
+        drawn vehicle's step * len(pairs) + pair, ascending.
+
+        One `draw_demand` call draws it, or one per _DRAW_CELLS cells of
+        (step, pair) when there are more.  numpy draws in order, so these
+        are the values, and leave `demand_rng` in the state, of one draw
+        per step."""
+        cfg = self.config
+        n_pairs = len(self._demand.pairs)
+        starts = accumulate(repeat(cfg.timestep), initial=0.0)  # the clock at each step's start
+        k = sum(1 for _ in takewhile(lambda t: t < cfg.horizon, starts))
+        rows = max(1, _DRAW_CELLS // max(1, n_pairs))
+        parts = []
+        for first in range(0, k, rows):
+            cells, counts = draw_demand(self._demand, cfg.demand_multiplier, cfg.timestep,
+                                        self.demand_rng, min(rows, k - first))
+            parts.append(np.repeat(cells + first * n_pairs, counts))
+        return np.concatenate(parts)
+
     def _draw_period(self) -> None:
-        """Draw the demand of the period's steps that start before the
-        horizon in one call, and gather the drawn vehicles' routes from the
-        route table in one index.  `_period` holds each step's first
-        vehicle, then per drawn vehicle in departure order its step in the
-        period, its route block's end, its route edges, origin and
-        destination; None when nobody is drawn."""
+        """Take the period's slice of the run's drawn vehicles, and gather
+        their routes from the route table in one index.  The run's first
+        refresh draws them (`_draw_run`) unless `run_experiment` handed
+        them over, and reserves their columns: a slot for each vehicle drawn
+        or injected so far, and route slots for the drawn ones at their
+        pairs' route lengths in the first table, with 1/16 to spare (a
+        baseline Sioux Falls run's routes come within 2% of that).
+        `_period` holds each step's first vehicle, then per drawn vehicle
+        in departure order its step in the period, its route block's end,
+        its route edges, origin and destination; None when nobody is
+        drawn."""
         cfg = self.config
         demand = self._demand
+        n_pairs = len(demand.pairs)
+        if self._drawn is None:
+            self._drawn = self._draw_run()
+        if not self.step_index:
+            drawn = self._drawn
+            slots = int(self._route_table()[0][drawn % n_pairs].sum()) if len(drawn) else 0
+            self.vehicles.reserve(len(drawn) + len(self._scheduled), slots + slots // 16)
         k = bisect_left([self.clock, *self._step_ends(self.steps_per_refresh - 1)], cfg.horizon)
-        cells, counts = draw_demand(demand, cfg.demand_multiplier, cfg.timestep,
-                                    self.demand_rng, k)
-        cells = np.repeat(cells, counts)  # each vehicle's step * len(pairs) + pair
+        first = self.step_index * n_pairs
+        a, b = np.searchsorted(self._drawn, (first, first + k * n_pairs))
+        cells = self._drawn[a:b] - first  # each vehicle's step in the period * len(pairs) + pair
         self._period = None
         if not len(cells):
             return
-        n_pairs = len(demand.pairs)
         steps, pairs = np.divmod(cells, n_pairs)
         lengths, offsets, table_edges = self._route_table()
         lengths = lengths[pairs]
@@ -639,7 +744,6 @@ class Simulation:
         period's drawn ones.  Returns the ids, times and steps (counted from
         the batch's first) of those with a nonempty route, which `_move`
         enters."""
-        vs = self.vehicles
         starts = [self.clock, *ends[:-1]]
         n = bisect_left(starts, self.config.horizon)  # the steps that depart
         scheduled = self._scheduled
@@ -656,9 +760,6 @@ class Simulation:
             parts.append(self._depart_injected([g[1:] for g in group], j))
             drawn = j
         parts.append(self._depart_drawn(drawn, n, starts))
-        buffer = vs.entry_buffer
-        if vs.starts[-1] > len(buffer):
-            buffer += array("d", [math.nan]) * max(vs.starts[-1] - len(buffer), len(buffer))
         return tuple(map(np.concatenate, zip(*parts)))
 
     def _depart_injected(self, injected: list, step: int) -> tuple:
@@ -673,11 +774,11 @@ class Simulation:
         self.arrived += int(np.count_nonzero(parked))
         moving = np.flatnonzero(~parked)
         entering = moving + len(vs), departs[moving], np.full(len(moving), step)
-        self._append(np.cumsum(lengths),
-                     np.fromiter(chain.from_iterable(routes), vs.route_edges.typecode),
-                     np.array([o for _, o, _ in injected], dtype=np.int64),
-                     np.array([d for _, _, d in injected], dtype=np.int64),
-                     departs, np.where(parked, departs, math.nan))
+        vs.append(np.cumsum(lengths),
+                  np.fromiter(chain.from_iterable(routes), vs.route_edges.typecode),
+                  np.array([o for _, o, _ in injected], dtype=np.int64),
+                  np.array([d for _, _, d in injected], dtype=np.int64),
+                  departs, np.where(parked, departs, math.nan))
         return entering
 
     def _depart_drawn(self, lo: int, hi: int, starts: np.ndarray) -> tuple:
@@ -695,22 +796,9 @@ class Simulation:
         steps = steps[a:b] - first
         departs = starts[steps]
         entering = np.arange(len(vs), len(vs) + b - a), departs, steps
-        if a < b:
-            self._append(ends[a:b] - base, edges[base:ends[b - 1]], origins[a:b], dests[a:b],
-                         departs, np.full(b - a, math.nan))
+        vs.append(ends[a:b] - base, edges[base:ends[b - 1]], origins[a:b], dests[a:b], departs,
+                  math.nan)
         return entering
-
-    def _append(self, ends, edges, origins, dests, departs, arrivals) -> None:
-        """Grow every column by one vehicle per entry of `ends`, the end of
-        each one's route block counted from the current end of the blocks."""
-        vs = self.vehicles
-        vs.starts.frombytes((vs.starts[-1] + ends).tobytes())
-        vs.route_edges.frombytes(edges.tobytes())
-        vs.positions.frombytes(bytes(len(ends) * vs.positions.itemsize))
-        vs.origins.frombytes(origins.tobytes())
-        vs.dests.frombytes(dests.tobytes())
-        vs.departs.frombytes(departs.tobytes())
-        vs.arrivals.frombytes(arrivals.tobytes())
 
     def _move(self, enter_ids: np.ndarray, enter_times: np.ndarray, enter_steps: np.ndarray,
               ends: list) -> float:
@@ -838,15 +926,15 @@ class Simulation:
 
     def _check_invariants(self) -> None:
         vs = self.vehicles
-        transit = np.flatnonzero(np.isnan(np.frombuffer(vs.arrivals)))
+        starts, route_edges, _, arrivals, _ = vs.views()
+        transit = np.flatnonzero(np.isnan(arrivals))
         recount = np.bincount(vs.current_edges(transit), minlength=len(self.counts))
         pending = np.sort(self._exit_ids)
         # each nonempty route block runs from its vehicle's origin to its
         # destination, every edge's head the next one's tail
-        starts, route_edges, _, _, _ = vs.views()
         tails, heads = self.network.tails, self.network.heads
         routed = np.flatnonzero(np.diff(starts))
-        origins, dests = (np.frombuffer(c, np.int64)[routed] for c in (vs.origins, vs.dests))
+        origins, dests = (_view(c)[routed] for c in (vs.origins, vs.dests))
         linked = heads[route_edges[:-1]] == tails[route_edges[1:]]
         bounds = starts[(starts > 0) & (starts < len(route_edges))]
         linked[bounds - 1] = True  # the last edge of one block, the first of the next
@@ -855,6 +943,7 @@ class Simulation:
                   and linked.all())
         checks = (
             (joined, "a route does not join its origin to its destination"),
+            (vs.reserve_untouched(), "a slot reserved past the vehicles was written"),
             (recount.tolist() == self.counts, "counts drifted from vehicle state"),
             (len(transit) == self.in_transit, "in_transit drifted from vehicle state"),
             (len(vs) == self.arrived + self.in_transit, "vehicle conservation"),
@@ -873,13 +962,13 @@ class Simulation:
         reaches DRAIN_FACTOR * horizon, each `step` call a batch that runs
         to the next refresh.
 
-        The entry-time buffer is then trimmed to the slots reserved.
+        The columns are then trimmed to the vehicles departed.
         """
         cfg = self.config
         hard_stop = DRAIN_FACTOR * cfg.horizon
         while self.clock < cfg.horizon or (self.in_transit and self.clock < hard_stop):
             self.step(self.steps_per_refresh - self.step_index % self.steps_per_refresh)
-        del self.vehicles.entry_buffer[len(self.vehicles.route_edges):]
+        self.vehicles.trim()
         return RunResult(
             vehicles=self.vehicles,
             entries_horizon=self.entries_horizon.copy(),
@@ -948,11 +1037,16 @@ def run_experiment(
 ) -> tuple[Metrics, RunResult, RunResult]:
     """Run the paired experiment: non-private and private with shared demand.
 
-    `config.mode` is ignored; both modes run.  Returns the metrics plus both
-    run results for further inspection.
+    `config.mode` is ignored; both modes run.  The two runs differ only in
+    mode, so they draw the same demand: the private run departs the
+    vehicles the non-private run drew, and draws none itself.  Returns the
+    metrics plus both run results for further inspection.
     """
-    result_np = Simulation(network, od, replace(config, mode="non-private")).run()
-    result_p = Simulation(network, od, replace(config, mode="private")).run()
+    run_np = Simulation(network, od, replace(config, mode="non-private"))
+    result_np = run_np.run()
+    run_p = Simulation(network, od, replace(config, mode="private"))
+    run_p._drawn = run_np._drawn
+    result_p = run_p.run()
     return compare_runs(result_np, result_p), result_np, result_p
 
 
@@ -981,9 +1075,11 @@ def compare_runs(result_np: RunResult, result_p: RunResult) -> Metrics:
     same_length = both & (length == np.diff(starts_p))
     compared = same_length & (length > 0)
     differs = edges_np[np.repeat(compared, length)] != edges_p[np.repeat(compared, np.diff(starts_p))]
-    lengths = length[compared]
-    changed = np.logical_or.reduceat(differs, np.cumsum(lengths) - lengths) if len(lengths) else differs
-    unchanged = int(np.count_nonzero(same_length)) - int(np.count_nonzero(changed))
+    # the compared blocks with a differing slot: the block of slot i is the
+    # first whose end lies past i
+    block_ends = np.cumsum(length[compared])
+    changed = np.unique(np.searchsorted(block_ends, np.flatnonzero(differs), side="right"))
+    unchanged = int(np.count_nonzero(same_length)) - len(changed)
     no_increase = int(np.count_nonzero(tt_p <= tt_np + 1e-9))
     mean_np = float(np.mean(tt_np)) if n else 0.0
     mean_p = float(np.mean(tt_p)) if n else 0.0

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +91,14 @@ def test_shortest_path_rejects_wrong_weight_count(weights):
         shortest_path(_triangle(), weights, 1, 3)
 
 
+@pytest.mark.parametrize("origin, destination, role", [
+    (1, 99, "destination"), (99, 3, "origin"), (99, 99, "origin"),
+], ids=["destination", "origin", "both"])
+def test_shortest_path_rejects_unknown_node(origin, destination, role):
+    with pytest.raises(ValueError, match=f"{role} node 99 is not in the network"):
+        shortest_path(_triangle(), [60.0, 60.0, 180.0], origin, destination)
+
+
 @st.composite
 def _graphs_and_weights(draw):
     # distinct node ids in no particular order; edges may repeat a pair
@@ -123,6 +132,20 @@ def test_sp_tree_matches_heap_dijkstra(case):
         ref_dist, ref_pred = heap_dijkstra(net, weights, origin)
         assert dist[row].tolist() == list(ref_dist.values())
         assert pred[row].tolist() == list(ref_pred.values())
+
+
+def test_relaxation_layout_is_built_on_the_first_tree_and_kept():
+    net, _ = load_sioux_falls()
+    assert "relaxation_layout" not in vars(net)  # loading does not build it
+    dist, pred = _sp_tree(net, net.t0)
+    layout = net.relaxation_layout
+    assert all(not array.flags.writeable for array in layout)
+    weights = net.t0 * np.linspace(1.0, 3.0, net.n_edges)
+    again = _sp_tree(net, weights)
+    assert net.relaxation_layout is layout
+    fresh, _ = load_sioux_falls()
+    for mine, theirs in zip((dist, pred, *again), (*_sp_tree(fresh, net.t0), *_sp_tree(fresh, weights))):
+        assert mine.tobytes() == theirs.tobytes()
 
 
 def test_shortest_path_against_brute_force():
@@ -241,16 +264,65 @@ def _one_step_draws(sim, steps):
     return rng, departures
 
 
-@pytest.mark.parametrize("horizon, steps", [(120.0, 12), (245.0, 25)])
-def test_period_draws_depart_as_one_step_draws(horizon, steps):
-    # at 245 s the last refresh (240 s) draws one step of its twelve
+@pytest.mark.parametrize("horizon, steps, injected", [
+    pytest.param(120.0, 12, None, id="120.0-12"),
+    pytest.param(245.0, 25, None, id="245.0-25"),
+    pytest.param(605.0, 61, (1, 20, 240.0), id="605.0-61-injected"),
+])
+def test_period_draws_depart_as_one_step_draws(horizon, steps, injected):
+    # the run draws its demand at its first refresh; at 245 s the last
+    # period (240 s) departs one step of its twelve, at 605 s the sixth
+    # (600 s) does.  A departure injected at a period's start departs first
+    # in its step, before the step's drawn vehicles.
     net, od = load_sioux_falls()
     sim = Simulation(net, od, SimConfig(horizon=horizon, demand_multiplier=2.0, seed=5))
+    if injected:
+        sim.inject(*injected)
     sim.run()
     rng, departures = _one_step_draws(sim, steps)
+    if injected:
+        departures.insert(next(i for i, d in enumerate(departures) if d[2] >= injected[2]),
+                          injected)
     vs = sim.vehicles
     assert list(zip(vs.origins, vs.dests, vs.departs)) == departures
     assert sim.demand_rng.bit_generator.state == rng.bit_generator.state
+
+
+def test_run_draw_in_blocks_departs_as_one_step_draws(monkeypatch):
+    # a run whose (step, pair) cells exceed _DRAW_CELLS draws them in
+    # blocks of whole steps, with the same values and generator state
+    calls = []
+    monkeypatch.setattr("privroute.sim._DRAW_CELLS", 2000)  # three steps of 528 pairs
+    monkeypatch.setattr("privroute.sim.draw_demand",
+                        lambda *args: calls.append(args[-1]) or draw_demand(*args))
+    net, od = load_sioux_falls()
+    sim = Simulation(net, od, SimConfig(horizon=245.0, demand_multiplier=2.0, seed=5))
+    sim.run()
+    rng, departures = _one_step_draws(sim, 25)
+    vs = sim.vehicles
+    assert calls == [3] * 8 + [1]
+    assert list(zip(vs.origins, vs.dests, vs.departs)) == departures
+    assert sim.demand_rng.bit_generator.state == rng.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", [21, 22])
+def test_paired_private_run_equals_a_standalone_one(seed, monkeypatch):
+    # run_experiment's private run departs the vehicles its non-private run
+    # drew; a private run on its own draws them itself, to the same bits
+    calls = []
+    monkeypatch.setattr("privroute.sim.draw_demand",
+                        lambda *args: calls.append(args[-1]) or draw_demand(*args))
+    net, od = load_sioux_falls()
+    cfg = SimConfig(horizon=605.0, demand_multiplier=2.0, seed=seed)
+    _, _, paired = run_experiment(net, od, cfg)
+    assert calls == [61]  # one draw for the pair
+    alone = Simulation(net, od, replace(cfg, mode="private")).run()
+    columns = ("origins", "dests", "departs", "arrivals", "starts", "route_edges",
+               "positions", "entry_buffer")
+    for name in columns:
+        assert getattr(paired.vehicles, name).tobytes() == getattr(alone.vehicles, name).tobytes()
+    assert paired.entries_horizon.tobytes() == alone.entries_horizon.tobytes()
+    assert paired.n_incomplete == alone.n_incomplete > 1000
 
 
 def test_unknown_od_node_fails_at_construction():
@@ -589,6 +661,41 @@ def test_route_table_matches_shortest_path_after_each_refresh():
         assert routes == [tree_path(net, trees[o], o, d) for o, d in sim._demand.pairs]
         tables.append(routes)
     assert len(tables) == 5 and len({repr(t) for t in tables}) > 1
+
+
+def test_reserved_columns_are_trimmed_to_the_vehicles():
+    net, od = load_sioux_falls()
+    sim = Simulation(net, od, SimConfig(horizon=300.0, demand_multiplier=2.0, seed=7,
+                                        debug_checks=True))
+    sim.step()
+    vs = sim.vehicles
+    # the first refresh reserved one slot per vehicle drawn before the horizon
+    drawn = len(sim._drawn)
+    assert len(vs.origins) == drawn > len(vs) > 0
+    sim.inject(1, 20, 200.0)  # one more than reserved: the reservation grows
+    sim.run()
+    n = len(vs)
+    assert n == drawn + 1
+    assert [len(c) for c in (vs.origins, vs.dests, vs.departs, vs.arrivals, vs.positions)] == [n] * 5
+    assert len(vs.starts) == n + 1
+    assert len(vs.entry_buffer) == len(vs.route_edges) == vs.starts[-1]
+
+
+@pytest.mark.parametrize("column", ["departs", "starts", "route_edges", "entry_buffer"])
+def test_invariant_check_catches_a_write_past_the_vehicles(column):
+    net, od = load_sioux_falls()
+    sim = Simulation(net, od, SimConfig(horizon=300.0, demand_multiplier=2.0, seed=7,
+                                        debug_checks=True))
+    vs = sim.vehicles
+    used = (lambda: vs.starts[len(vs)]) if column in ("route_edges", "entry_buffer") else (
+        lambda: len(vs) + (column == "starts"))
+    sim.step()
+    while len(getattr(vs, column)) == used():  # no slot reserved past the vehicles yet
+        sim.step()
+    sim._check_invariants()
+    getattr(vs, column)[-1] = 0
+    with pytest.raises(RuntimeError, match="reserved past the vehicles was written"):
+        sim._check_invariants()
 
 
 def test_drain_refreshes_build_no_trees(monkeypatch):
