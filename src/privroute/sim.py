@@ -194,10 +194,12 @@ def _view(column: array) -> np.ndarray:
     return np.frombuffer(column, dtype=column.typecode)
 
 
-def _grow(column: array, size: int, item: bytes) -> None:
-    """Make `column` hold at least `size` items, adding copies of `item` (at
-    least as many as it holds, so repeated growth takes linear time)."""
+def _grow(column: array, size: int, item: bytes = b"") -> None:
+    """Make `column` hold at least `size` items, adding copies of `item`, by
+    default 0xFF bytes (at least as many as it holds, so repeated growth
+    takes linear time)."""
     if len(column) < size:
+        item = item or bytes([_RESERVED]) * column.itemsize
         column.frombytes(item * max(size - len(column), len(column)))
 
 
@@ -245,9 +247,9 @@ class VehicleColumns(Sequence):
         n = self._n
         used = self.starts[n]
         for column in self._per_vehicle():
-            _grow(column, n + vehicles, bytes([_RESERVED]) * column.itemsize)
-        _grow(self.starts, n + 1 + vehicles, bytes([_RESERVED]) * self.starts.itemsize)
-        _grow(self.route_edges, used + slots, bytes([_RESERVED]) * self.route_edges.itemsize)
+            _grow(column, n + vehicles)
+        _grow(self.starts, n + 1 + vehicles)
+        _grow(self.route_edges, used + slots)
         _grow(self.entry_buffer, used + slots, _NAN)
 
     def append(self, ends, edges, origins, dests, departs, arrivals) -> None:
@@ -717,8 +719,8 @@ class Simulation:
             self._drawn = self._draw_run()
         if not self.step_index:
             drawn = self._drawn
-            slots = int(self._route_table()[0][drawn % n_pairs].sum()) if len(drawn) else 0
-            self.vehicles.reserve(len(drawn) + len(self._scheduled), slots + slots // 16)
+            routed = int(self._route_table()[0][drawn % n_pairs].sum()) if len(drawn) else 0
+            self.vehicles.reserve(len(drawn) + len(self._scheduled), routed + routed // 16)
         k = bisect_left([self.clock, *self._step_ends(self.steps_per_refresh - 1)], cfg.horizon)
         first = self.step_index * n_pairs
         a, b = np.searchsorted(self._drawn, (first, first + k * n_pairs))

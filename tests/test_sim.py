@@ -144,7 +144,8 @@ def test_relaxation_layout_is_built_on_the_first_tree_and_kept():
     again = _sp_tree(net, weights)
     assert net.relaxation_layout is layout
     fresh, _ = load_sioux_falls()
-    for mine, theirs in zip((dist, pred, *again), (*_sp_tree(fresh, net.t0), *_sp_tree(fresh, weights))):
+    expected = (*_sp_tree(fresh, net.t0), *_sp_tree(fresh, weights))
+    for mine, theirs in zip((dist, pred, *again), expected):
         assert mine.tobytes() == theirs.tobytes()
 
 
@@ -676,7 +677,8 @@ def test_reserved_columns_are_trimmed_to_the_vehicles():
     sim.run()
     n = len(vs)
     assert n == drawn + 1
-    assert [len(c) for c in (vs.origins, vs.dests, vs.departs, vs.arrivals, vs.positions)] == [n] * 5
+    per_vehicle = (vs.origins, vs.dests, vs.departs, vs.arrivals, vs.positions)
+    assert [len(c) for c in per_vehicle] == [n] * 5
     assert len(vs.starts) == n + 1
     assert len(vs.entry_buffer) == len(vs.route_edges) == vs.starts[-1]
 
