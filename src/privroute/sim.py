@@ -64,21 +64,26 @@ invariants after each batch.
 
 A run keeps its vehicles in a `VehicleColumns`, one column per field indexed
 by vehicle id: `array('d')` departure and arrival times (NaN in transit),
-`array('q')` origins, destinations and route-block starts, and route
+origins and destinations, `array('i')` route-block starts, and route
 positions.  Routes sit in one flat column of edge ids, a block of
 `len(route)` slots per vehicle, and edge entry times take the same slots of
-one flat `array('d')`.  Edge ids and positions use the smallest typecode
-that holds the network's edge count (one byte on Sioux Falls).  The step,
+one flat `array('d')`.  Origins and destinations use the smallest typecode
+that holds every node id, edge ids and positions the smallest that holds
+the network's edge count: one byte each on Sioux Falls.  The step,
 `compare_runs` and the invariant check read the columns through numpy views
-that live only within one call; indexing or iterating the table builds
-`Vehicle` values on demand.  The run's first refresh reserves one slot per
-drawn vehicle in every per-vehicle column, and route slots for their routes
-at the first route table's lengths; a column that runs out (injected
-vehicles, longer routes) doubles, and `run` trims every column to the
-vehicles departed.  A baseline Sioux Falls pair departs about 480k
-vehicles.  Kept as one slotted `Vehicle` per departure, with a boxed id,
-block start and arrival, each cost about 192 B; the columns take about 43 B,
-entry times aside.
+that live only within one call (`compare_runs` compares routes
+_COMPARE_VEHICLES vehicles at a time, so its temporaries stay small);
+indexing or iterating the table builds `Vehicle` values on demand.  The
+run's first refresh reserves one slot per drawn vehicle in every
+per-vehicle column, and route slots for their routes at the first route
+table's lengths; a column that runs out (injected vehicles, longer routes)
+doubles, and `run` trims every column to the vehicles departed.  A
+baseline Sioux Falls pair departs about 480k vehicles.  Kept as one slotted
+`Vehicle` per departure, with a boxed id, block start and arrival, each
+cost about 192 B; the columns take about 25 B (23 B plus 2.4 one-byte route
+slots), entry times aside, where int64 endpoints and starts took 43 B.  A
+baseline pair's `peak_rss_mb` fell with them from 89.0 to 75.2 MB
+(`BENCH_sf_paired_narrow.json`).
 
 Paired runs share the demand stream: the demand and noise generators are
 independent substreams of one seed, so flipping the mode or epsilon never
@@ -109,6 +114,7 @@ from .tntp import DEFAULT_DEMAND_SCALE, OdDemand
 MPC_DEGREE = 7
 MPC_SEED_BITS = 16
 _DRAW_CELLS = 1 << 20  # the (step, pair) cells one draw_demand call of a run draws at most
+_COMPARE_VEHICLES = 1 << 15  # the vehicles whose routes one pass of compare_runs compares
 DRAIN_FACTOR = 2.0  # a run stops at DRAIN_FACTOR * horizon, even with vehicles left
 
 
@@ -182,7 +188,7 @@ class Vehicle:
 
 
 def _index_typecode(n: int) -> str:
-    """The smallest signed `array` typecode that holds 0..n."""
+    """The smallest signed `array` typecode that holds -n - 1..n."""
     return next(code for code in "bhiq" if n < 1 << (8 * array(code).itemsize - 1))
 
 
@@ -208,8 +214,11 @@ class VehicleColumns(Sequence):
 
     Vehicle i's route is the block `route_edges[starts[i]:starts[i + 1]]`,
     so `starts` holds one more entry than there are vehicles; its entry
-    times take the same slots of `entry_buffer`.  Edge ids and route
-    positions use the smallest typecode that holds the network's edge count.
+    times take the same slots of `entry_buffer`.  Origins and destinations
+    use the smallest typecode that holds every node id of `network`, edge
+    ids and route positions the smallest that holds its edge count, and
+    `starts` is `array('i')`, so a run holds at most 2^31 - 1 route slots:
+    23 B per vehicle and 1 B per route slot on Sioux Falls, entry times aside.
 
     Only the run appends and writes to the columns.  It reserves their
     slots ahead (`reserve`): until `trim`, which `Simulation.run` calls at
@@ -224,13 +233,14 @@ class VehicleColumns(Sequence):
     __slots__ = ("origins", "dests", "departs", "arrivals", "starts", "route_edges",
                  "positions", "entry_buffer", "_n")
 
-    def __init__(self, n_edges: int):
-        self.origins = array("q")
-        self.dests = array("q")
+    def __init__(self, network: RoadNetwork):
+        nodes = network.nodes
+        self.origins = array(_index_typecode(max(max(nodes, default=0), ~min(nodes, default=0))))
+        self.dests = array(self.origins.typecode)
         self.departs = array("d")
         self.arrivals = array("d")
-        self.starts = array("q", [0])  # first slot of each route block, and the end
-        self.route_edges = array(_index_typecode(n_edges))
+        self.starts = array("i", [0])  # first slot of each route block, and the end
+        self.route_edges = array(_index_typecode(network.n_edges))
         self.positions = array(self.route_edges.typecode)  # route index of the current edge
         self.entry_buffer = array("d")  # every vehicle's entry times, in its route block's slots
         self._n = 0  # vehicles appended
@@ -243,9 +253,13 @@ class VehicleColumns(Sequence):
 
     def reserve(self, vehicles: int, slots: int) -> None:
         """Make room for `vehicles` more vehicles with `slots` more route
-        slots between them.  A column that must grow at least doubles."""
+        slots between them.  A column that must grow at least doubles.
+        Raises OverflowError, before growing any, if the route slots would
+        not fit in `starts`' typecode."""
         n = self._n
         used = self.starts[n]
+        if used + slots >= 1 << (8 * self.starts.itemsize - 1):
+            raise OverflowError(f"{used + slots} route slots overflow the block starts")
         for column in self._per_vehicle():
             _grow(column, n + vehicles)
         _grow(self.starts, n + 1 + vehicles)
@@ -507,7 +521,7 @@ class Simulation:
         self.clock = 0.0
         self.step_index = 0
         self.steps_per_refresh = round(config.refresh_period / config.timestep)
-        self.vehicles = VehicleColumns(m)
+        self.vehicles = VehicleColumns(network)
         self.in_transit = 0
         self.arrived = 0
         # pending exits, one per vehicle in transit, in no particular order
@@ -1068,23 +1082,31 @@ def compare_runs(result_np: RunResult, result_p: RunResult) -> Metrics:
     starts_p, edges_p, _, arrival_p, _ = vb.views()
     both = ~(np.isnan(arrival_np) | np.isnan(arrival_p))
     # travel times of the vehicles that arrived in both runs, in id order
-    tt_np = (arrival_np - depart)[both]
-    tt_p = (arrival_p - depart)[both]
+    depart = depart[both]
+    tt_np, tt_p = arrival_np[both], arrival_p[both]
+    tt_np -= depart
+    tt_p -= depart
     n = len(tt_np)
     # a route is unchanged when its two blocks have one length and no slot
-    # differs; the blocks of nonempty ones line up once the rest are dropped
-    length = np.diff(starts_np)
-    same_length = both & (length == np.diff(starts_p))
-    compared = same_length & (length > 0)
-    differs = edges_np[np.repeat(compared, length)] != edges_p[np.repeat(compared, np.diff(starts_p))]
-    # the compared blocks with a differing slot: the block of slot i is the
-    # first whose end lies past i
-    block_ends = np.cumsum(length[compared])
-    changed = np.unique(np.searchsorted(block_ends, np.flatnonzero(differs), side="right"))
-    unchanged = int(np.count_nonzero(same_length)) - len(changed)
-    no_increase = int(np.count_nonzero(tt_p <= tt_np + 1e-9))
+    # differs.  Per chunk of vehicles, the blocks of nonempty ones line up
+    # once the rest are dropped
+    unchanged = 0
+    for lo in range(0, len(va), _COMPARE_VEHICLES):
+        a, b = (s[lo:lo + _COMPARE_VEHICLES + 1] for s in (starts_np, starts_p))
+        length = np.diff(a)
+        same_length = both[lo:lo + _COMPARE_VEHICLES] & (length == np.diff(b))
+        compared = same_length & (length > 0)
+        differs = (edges_np[a[0]:a[-1]][np.repeat(compared, length)]
+                   != edges_p[b[0]:b[-1]][np.repeat(compared, np.diff(b))])
+        # the compared blocks with a differing slot: the block of slot i is
+        # the first whose end lies past i
+        block_ends = np.cumsum(length[compared])
+        changed = np.unique(np.searchsorted(block_ends, np.flatnonzero(differs), side="right"))
+        unchanged += int(np.count_nonzero(same_length)) - len(changed)
     mean_np = float(np.mean(tt_np)) if n else 0.0
     mean_p = float(np.mean(tt_p)) if n else 0.0
+    tt_np += 1e-9  # the means are taken: no_increase allows 1e-9 s
+    no_increase = int(np.count_nonzero(tt_p <= tt_np))
     util = result_np.utilization()
     return Metrics(
         travel_time_s=mean_np,

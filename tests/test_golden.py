@@ -22,6 +22,7 @@ import hashlib
 import random
 from importlib import resources
 
+import numpy as np
 import pytest
 
 from privroute.cli import main
@@ -134,7 +135,9 @@ SIOUX_FALLS_MORE_SEEDS = {
 
 # sha256 over the column bytes of the benchmark's baseline pair (seed 1,
 # multiplier 2.0, 7,200 s), non-private run then private, recorded while each
-# vehicle still routed on its own and the columns grew from lists
+# vehicle still routed on its own and the columns grew from lists.  Origins,
+# destinations and block starts were int64 then; they are hashed widened to
+# int64, so their narrower typecodes since hash as the values did
 SIOUX_FALLS_FULL_COLUMNS = "05dfea5b4b054cd8cb5bf39e661cd9a3488b1a6185fc26407ab037219ffcb5a6"
 
 
@@ -145,8 +148,8 @@ def test_sioux_falls_full_horizon_columns_pinned():
     h = hashlib.sha256()
     for result in (result_np, result_p):
         vs = result.vehicles
-        for column in (vs.departs, vs.arrivals, vs.origins, vs.dests, vs.starts,
-                       vs.route_edges, vs.entry_buffer):
+        widened = (np.asarray(c, dtype=np.int64) for c in (vs.origins, vs.dests, vs.starts))
+        for column in (vs.departs, vs.arrivals, *widened, vs.route_edges, vs.entry_buffer):
             h.update(column.tobytes())
     assert h.hexdigest() == SIOUX_FALLS_FULL_COLUMNS
 

@@ -851,6 +851,43 @@ def test_vehicle_columns_is_a_sequence():
     assert other.vehicles != vs
 
 
+@pytest.mark.parametrize("nodes, typecode", [
+    ([-128, 127], "b"), ([-129, 0], "h"), ([0, 128], "h"), ([-2**63, 2**63 - 1], "q"),
+])
+def test_endpoint_typecode_holds_every_node_id(nodes, typecode):
+    net = RoadNetwork(nodes, [Edge(0, nodes[0], nodes[1], _delay())])
+    assert VehicleColumns(net).origins.typecode == VehicleColumns(net).dests.typecode == typecode
+
+
+def test_wide_node_ids_read_back_exactly():
+    # ids past int16 and below zero take 32-bit endpoints, drawn or injected
+    ids = [-1000, 7, 70000]
+    edges = [Edge(i, u, v, _delay()) for i, (u, v) in enumerate(
+        [(-1000, 7), (7, 70000), (70000, 7), (7, -1000)])]
+    od = OdDemand({(-1000, 70000): 360 / DEFAULT_DEMAND_SCALE})
+    sim = Simulation(RoadNetwork(ids, edges), od,
+                     SimConfig(horizon=60.0, seed=3, debug_checks=True))
+    sim.inject(70000, -1000, 5.0)
+    sim.run()
+    vs = sim.vehicles
+    assert vs.origins.typecode == vs.dests.typecode == "i" and vs.starts.typecode == "i"
+    trips = [(v.origin, v.dest) for v in vs]
+    assert len(trips) > 2 and set(trips) == {(-1000, 70000), (70000, -1000)}
+    sioux_falls = Simulation(*load_sioux_falls(), SimConfig()).vehicles
+    assert (sioux_falls.origins.typecode, sioux_falls.starts.typecode) == ("b", "i")
+
+
+def test_reserve_refuses_more_route_slots_than_starts_hold():
+    vs = VehicleColumns(_line_network())
+    with pytest.raises(OverflowError):
+        vs.reserve(0, 2**31)
+    with pytest.raises(OverflowError):
+        vs.append(np.array([2**31]), np.empty(0, dtype=np.int8), 1, 3, 0.0, math.nan)
+    columns = (vs.origins, vs.dests, vs.departs, vs.arrivals, vs.positions, vs.route_edges,
+               vs.entry_buffer)
+    assert [len(c) for c in columns] == [0] * 7 and vs.starts.tolist() == [0] and not vs
+
+
 def test_vehicle_columns_read_mid_run():
     # 60 s edges, 10 s steps: the vehicle enters its second edge at 60 s and
     # its third at 120 s, and arrives at 180 s
@@ -996,6 +1033,18 @@ def test_compare_runs_matches_per_vehicle_loop():
     assert got == _compare_by_vehicle(result_np, result_p)
     assert 0 < metrics.routes_unchanged_pct < 100 and 0 < metrics.no_increase_pct < 100
     assert all(type(x) is float for x in got[:4]) and type(got[4]) is int
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_compare_runs_chunk_size_changes_nothing(chunk, monkeypatch):
+    # routes compared a few vehicles at a time give the metrics of the
+    # default chunk, which holds the whole run here
+    net, od = load_sioux_falls()
+    cfg = SimConfig(demand_multiplier=2.0, seed=12, horizon=600.0)
+    metrics, result_np, result_p = run_experiment(net, od, cfg)
+    assert 0 < metrics.routes_unchanged_pct < 100
+    monkeypatch.setattr("privroute.sim._COMPARE_VEHICLES", chunk)
+    assert compare_runs(result_np, result_p).as_dict() == metrics.as_dict()
 
 
 @pytest.mark.parametrize("second", [
