@@ -71,13 +71,15 @@ one flat `array('d')`.  Origins and destinations use the smallest typecode
 that holds every node id, edge ids and positions the smallest that holds
 the network's edge count: one byte each on Sioux Falls.  The step,
 `compare_runs` and the invariant check read the columns through numpy views
-that live only within one call (`compare_runs` compares routes
-_COMPARE_VEHICLES vehicles at a time, so its temporaries stay small);
+that live only within one call (`compare_runs` builds one run's travel
+times at a time and compares routes and travel times _COMPARE_VEHICLES
+vehicles at a time, so its temporaries stay small);
 indexing or iterating the table builds `Vehicle` values on demand.  The
 run's first refresh reserves one slot per drawn vehicle in every
 per-vehicle column, and route slots for their routes at the first route
 table's lengths; a column that runs out (injected vehicles, longer routes)
-doubles, and `run` trims every column to the vehicles departed.  A
+doubles, and `run` trims every column to the vehicles departed.  A fill
+goes in _GROW_ITEMS items at a time, never built whole.  A
 baseline Sioux Falls pair departs about 480k vehicles.  Kept as one slotted
 `Vehicle` per departure, with a boxed id, block start and arrival, each
 cost about 192 B; the columns take about 25 B (23 B plus 2.4 one-byte route
@@ -87,7 +89,10 @@ baseline pair's `peak_rss_mb` fell with them from 89.0 to 75.2 MB
 
 Paired runs share the demand stream: the demand and noise generators are
 independent substreams of one seed, so flipping the mode or epsilon never
-perturbs who departs when.  The run is single-threaded and deterministic
+perturbs who departs when.  So `run_experiment`'s private run borrows the
+non-private run's finished origins, destinations and departure times
+instead of writing its own, and the pair drops each `Simulation` as soon
+as its run ends.  The run is single-threaded and deterministic
 given the config.
 """
 
@@ -115,6 +120,7 @@ MPC_DEGREE = 7
 MPC_SEED_BITS = 16
 _DRAW_CELLS = 1 << 20  # the (step, pair) cells one draw_demand call of a run draws at most
 _COMPARE_VEHICLES = 1 << 15  # the vehicles whose routes one pass of compare_runs compares
+_GROW_ITEMS = 1 << 14  # the fill items one write of _grow adds
 DRAIN_FACTOR = 2.0  # a run stops at DRAIN_FACTOR * horizon, even with vehicles left
 
 
@@ -203,10 +209,13 @@ def _view(column: array) -> np.ndarray:
 def _grow(column: array, size: int, item: bytes = b"") -> None:
     """Make `column` hold at least `size` items, adding copies of `item`, by
     default 0xFF bytes (at least as many as it holds, so repeated growth
-    takes linear time)."""
+    takes linear time).  The fill goes in _GROW_ITEMS items at a time, so
+    growth never holds a second copy of what it adds."""
     if len(column) < size:
-        item = item or bytes([_RESERVED]) * column.itemsize
-        column.frombytes(item * max(size - len(column), len(column)))
+        add = max(size - len(column), len(column))
+        block = (item or bytes([_RESERVED]) * column.itemsize) * min(add, _GROW_ITEMS)
+        for done in range(0, add, _GROW_ITEMS):
+            column.frombytes(block[:(add - done) * column.itemsize])
 
 
 class VehicleColumns(Sequence):
@@ -220,24 +229,28 @@ class VehicleColumns(Sequence):
     `starts` is `array('i')`, so a run holds at most 2^31 - 1 route slots:
     23 B per vehicle and 1 B per route slot on Sioux Falls, entry times aside.
 
-    Only the run appends and writes to the columns.  It reserves their
-    slots ahead (`reserve`): until `trim`, which `Simulation.run` calls at
-    its end, a column may hold slots past the vehicles appended, each byte
-    0xFF (NaN in the entry buffer) until written.  `len` and `views` count
-    only the vehicles appended.  As a Sequence it is read-only: each index
+    Only the run appends and writes to the columns.  Given a `_lender`, the
+    finished columns of a run that departed the same vehicles, it shares
+    that one's origins, dests and departs and never grows, writes or trims
+    them.  It reserves the slots of the rest ahead (`reserve`): until
+    `trim`, which `Simulation.run` calls at its end, a column may hold slots
+    past the vehicles appended, each byte 0xFF (NaN in the entry buffer)
+    until written.  `len` and `views` count only the vehicles appended.  As a Sequence it is read-only: each index
     or iteration builds a new `Vehicle` from the columns as they are then,
     and a slice is a list of them.  `arrivals` holds NaN while a vehicle is
     in transit.  Two VehicleColumns are equal when their vehicles are.
     """
 
     __slots__ = ("origins", "dests", "departs", "arrivals", "starts", "route_edges",
-                 "positions", "entry_buffer", "_n")
+                 "positions", "entry_buffer", "_borrowed", "_n")
 
-    def __init__(self, network: RoadNetwork):
+    def __init__(self, network: RoadNetwork, _lender: Optional["VehicleColumns"] = None):
         nodes = network.nodes
-        self.origins = array(_index_typecode(max(max(nodes, default=0), ~min(nodes, default=0))))
-        self.dests = array(self.origins.typecode)
-        self.departs = array("d")
+        endpoint = _index_typecode(max(max(nodes, default=0), ~min(nodes, default=0)))
+        self.origins, self.dests, self.departs = (
+            (array(endpoint), array(endpoint), array("d")) if _lender is None
+            else (_lender.origins, _lender.dests, _lender.departs))
+        self._borrowed = 3 * (_lender is not None)  # the lender's, first in _per_vehicle order
         self.arrivals = array("d")
         self.starts = array("i", [0])  # first slot of each route block, and the end
         self.route_edges = array(_index_typecode(network.n_edges))
@@ -249,7 +262,9 @@ class VehicleColumns(Sequence):
         return self._n
 
     def _per_vehicle(self) -> tuple:
-        return self.origins, self.dests, self.departs, self.arrivals, self.positions
+        """The per-vehicle columns it writes, those of a lender left out."""
+        columns = self.origins, self.dests, self.departs, self.arrivals, self.positions
+        return columns[self._borrowed:]
 
     def reserve(self, vehicles: int, slots: int) -> None:
         """Make room for `vehicles` more vehicles with `slots` more route
@@ -277,7 +292,8 @@ class VehicleColumns(Sequence):
         self.reserve(k, int(ends[-1]))
         _view(self.starts)[n + 1:n + 1 + k] = used + ends
         _view(self.route_edges)[used:used + len(edges)] = edges
-        for column, values in zip(self._per_vehicle(), (origins, dests, departs, arrivals, 0)):
+        fills = (origins, dests, departs, arrivals, 0)[self._borrowed:]
+        for column, values in zip(self._per_vehicle(), fills):
             _view(column)[n:n + k] = values
         self._n = n + k
 
@@ -507,7 +523,13 @@ def check_demand(network: RoadNetwork, od: OdDemand) -> None:
 class Simulation:
     """One simulation run; construct, optionally inject vehicles, then run()."""
 
-    def __init__(self, network: RoadNetwork, od: OdDemand, config: SimConfig):
+    def __init__(self, network: RoadNetwork, od: OdDemand, config: SimConfig,
+                 _shared: tuple = (None, None)):
+        """`_shared`, which only `run_experiment` passes, is the draw and the
+        finished VehicleColumns of a run on the same demand: this run departs
+        that draw instead of drawing its own, and borrows the columns'
+        origins, destinations and departure times, which it would write the
+        same, instead of writing its own."""
         check_demand(network, od)
         self.network = network
         self.config = config
@@ -521,7 +543,8 @@ class Simulation:
         self.clock = 0.0
         self.step_index = 0
         self.steps_per_refresh = round(config.refresh_period / config.timestep)
-        self.vehicles = VehicleColumns(network)
+        self._drawn, lender = _shared  # the run's drawn vehicles, see _draw_run
+        self.vehicles = VehicleColumns(network, lender)
         self.in_transit = 0
         self.arrived = 0
         # pending exits, one per vehicle in transit, in no particular order
@@ -537,7 +560,6 @@ class Simulation:
                               for nodes in (self._demand.origins, self._demand.dests))
         self._walk = (rows, dest_columns,
                       np.array([column[t] for t in network.tails.tolist()] + [network.n_nodes]))
-        self._drawn = None  # the run's drawn vehicles, see _draw_run
         self._period = None  # the drawn departures of this period, see _draw_period
         self._scheduled: list = []  # heap of injected (time, origin, dest)
         self._mpc_polys: dict = {}
@@ -1055,14 +1077,17 @@ def run_experiment(
 
     `config.mode` is ignored; both modes run.  The two runs differ only in
     mode, so they draw the same demand: the private run departs the
-    vehicles the non-private run drew, and draws none itself.  Returns the
+    vehicles the non-private run drew, and draws none itself; its results
+    share the non-private run's origins, dests and departs.  Returns the
     metrics plus both run results for further inspection.
     """
     run_np = Simulation(network, od, replace(config, mode="non-private"))
     result_np = run_np.run()
-    run_p = Simulation(network, od, replace(config, mode="private"))
-    run_p._drawn = run_np._drawn
+    run_p = Simulation(network, od, replace(config, mode="private"),
+                       _shared=(run_np._drawn, result_np.vehicles))
+    del run_np  # its trees and pending exits go before the private run starts
     result_p = run_p.run()
+    del run_p  # and the draw before compare_runs
     return compare_runs(result_np, result_p), result_np, result_p
 
 
@@ -1073,28 +1098,37 @@ def compare_runs(result_np: RunResult, result_p: RunResult) -> Metrics:
     time) differ, which means their demand streams were not shared.
     """
     va, vb = result_np.vehicles, result_p.vehicles
-    depart = np.frombuffer(va.departs)
+    depart = _view(va.departs)
     if len(va) != len(vb) or va.origins != vb.origins or va.dests != vb.dests or (
-        not np.array_equal(depart, np.frombuffer(vb.departs))
+        not np.array_equal(depart, _view(vb.departs))
     ):
         raise ValueError("paired runs diverged in demand; seeds were not shared")
     starts_np, edges_np, _, arrival_np, _ = va.views()
     starts_p, edges_p, _, arrival_p, _ = vb.views()
     both = ~(np.isnan(arrival_np) | np.isnan(arrival_p))
-    # travel times of the vehicles that arrived in both runs, in id order
-    depart = depart[both]
-    tt_np, tt_p = arrival_np[both], arrival_p[both]
-    tt_np -= depart
-    tt_p -= depart
-    n = len(tt_np)
+    n = int(np.count_nonzero(both))
+
+    def mean_travel_time(arrival: np.ndarray) -> float:
+        # over the vehicles that arrived in both runs, in id order: one run's
+        # travel times at a time, summed by numpy over the whole array
+        tt = arrival[both]
+        tt -= depart[both]
+        return float(np.mean(tt)) if n else 0.0
+
+    mean_np, mean_p = mean_travel_time(arrival_np), mean_travel_time(arrival_p)
     # a route is unchanged when its two blocks have one length and no slot
     # differs.  Per chunk of vehicles, the blocks of nonempty ones line up
-    # once the rest are dropped
-    unchanged = 0
+    # once the rest are dropped.  no_increase allows 1e-9 s
+    unchanged = no_increase = 0
     for lo in range(0, len(va), _COMPARE_VEHICLES):
+        block = slice(lo, lo + _COMPARE_VEHICLES)
+        arrived = both[block]
+        tt_np, tt_p = (arrival[block][arrived] - depart[block][arrived]
+                       for arrival in (arrival_np, arrival_p))
+        no_increase += int(np.count_nonzero(tt_p <= tt_np + 1e-9))
         a, b = (s[lo:lo + _COMPARE_VEHICLES + 1] for s in (starts_np, starts_p))
         length = np.diff(a)
-        same_length = both[lo:lo + _COMPARE_VEHICLES] & (length == np.diff(b))
+        same_length = arrived & (length == np.diff(b))
         compared = same_length & (length > 0)
         differs = (edges_np[a[0]:a[-1]][np.repeat(compared, length)]
                    != edges_p[b[0]:b[-1]][np.repeat(compared, np.diff(b))])
@@ -1103,10 +1137,6 @@ def compare_runs(result_np: RunResult, result_p: RunResult) -> Metrics:
         block_ends = np.cumsum(length[compared])
         changed = np.unique(np.searchsorted(block_ends, np.flatnonzero(differs), side="right"))
         unchanged += int(np.count_nonzero(same_length)) - len(changed)
-    mean_np = float(np.mean(tt_np)) if n else 0.0
-    mean_p = float(np.mean(tt_p)) if n else 0.0
-    tt_np += 1e-9  # the means are taken: no_increase allows 1e-9 s
-    no_increase = int(np.count_nonzero(tt_p <= tt_np))
     util = result_np.utilization()
     return Metrics(
         travel_time_s=mean_np,

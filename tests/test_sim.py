@@ -5,7 +5,9 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
+from array import array
 from dataclasses import replace
 from pathlib import Path
 
@@ -25,6 +27,7 @@ from privroute.sim import (
     Unreachable,
     VehicleColumns,
     _DemandTable,
+    _grow,
     _sp_tree,
     compare_runs,
     draw_demand,
@@ -324,6 +327,26 @@ def test_paired_private_run_equals_a_standalone_one(seed, monkeypatch):
         assert getattr(paired.vehicles, name).tobytes() == getattr(alone.vehicles, name).tobytes()
     assert paired.entries_horizon.tobytes() == alone.entries_horizon.tobytes()
     assert paired.n_incomplete == alone.n_incomplete > 1000
+
+
+def test_paired_private_run_borrows_the_departure_columns():
+    # the private run departs the vehicles the non-private run wrote, so it
+    # shares their origin, destination and departure columns and writes
+    # its own of the rest; its invariant check after each batch finds its
+    # reserved slots untouched and every route joining the borrowed endpoints
+    net, od = load_sioux_falls()
+    cfg = SimConfig(horizon=605.0, demand_multiplier=2.0, seed=21, debug_checks=True)
+    _, result_np, result_p = run_experiment(net, od, cfg)
+    vs_np, vs_p = result_np.vehicles, result_p.vehicles
+    assert len(vs_p) == len(vs_np) > 1000
+    for name in ("origins", "dests", "departs"):
+        assert getattr(vs_p, name) is getattr(vs_np, name)
+    for name in ("arrivals", "starts", "route_edges", "positions", "entry_buffer"):
+        assert getattr(vs_p, name) is not getattr(vs_np, name)
+    # columns lent by a run of other vehicles do not join the borrower's routes
+    other = Simulation(net, od, replace(cfg, mode="private", seed=22), _shared=(None, vs_np))
+    with pytest.raises(RuntimeError, match="does not join its origin to its destination"):
+        other.run()
 
 
 def test_unknown_od_node_fails_at_construction():
@@ -877,6 +900,23 @@ def test_wide_node_ids_read_back_exactly():
     assert (sioux_falls.origins.typecode, sioux_falls.starts.typecode) == ("b", "i")
 
 
+@pytest.mark.parametrize("typecode", ["d", "b"])
+def test_grow_holds_no_second_copy_of_its_fill(typecode):
+    # the fill goes into the column a block at a time: growing an empty
+    # column to 2^20 items peaks near the column's own size, not twice it
+    column = array(typecode)
+    nan = array("d", [math.nan]).tobytes()
+    tracemalloc.start()
+    try:
+        _grow(column, 1 << 20, nan if typecode == "d" else b"")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = len(column) * column.itemsize
+    assert len(column) == 1 << 20 and peak < 1.25 * size
+    assert column.tobytes() == (nan if typecode == "d" else b"\xff") * len(column)
+
+
 def test_reserve_refuses_more_route_slots_than_starts_hold():
     vs = VehicleColumns(_line_network())
     with pytest.raises(OverflowError):
@@ -1148,6 +1188,30 @@ def test_config_validation():
     ):
         with pytest.raises(ValueError):
             SimConfig(**bad)
+
+
+# -- memory ------------------------------------------------------------------
+
+def test_baseline_pair_peaks_near_the_columns_it_keeps():
+    # a baseline pair (seed 11) stores its shared columns once and builds no
+    # whole-run transient: its traced peak stays within 1.3x the column
+    # bytes of its two results, each run's counted in full (21.6 MB).  A
+    # pair that kept both runs' copies and full-length travel times peaked
+    # at 1.49x
+    net, od = load_sioux_falls()
+    cfg = SimConfig(demand_multiplier=2.0, seed=11)
+    run_experiment(net, od, cfg)  # the network's tau table grows once, here
+    tracemalloc.start()
+    try:
+        _, result_np, result_p = run_experiment(net, od, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    names = ("origins", "dests", "departs", "arrivals", "starts", "route_edges", "positions",
+             "entry_buffer")
+    columns = sum(len(c) * c.itemsize for c in (
+        getattr(r.vehicles, name) for r in (result_np, result_p) for name in names))
+    assert peak < 1.3 * columns, f"peak {peak / 1e6:.1f} MB over {columns / 1e6:.1f} MB"
 
 
 # -- garbage collector ---------------------------------------------------------
