@@ -78,8 +78,7 @@ indexing or iterating the table builds `Vehicle` values on demand.  The
 run's first refresh reserves one slot per drawn vehicle in every
 per-vehicle column, and route slots for their routes at the first route
 table's lengths; a column that runs out (injected vehicles, longer routes)
-doubles, and `run` trims every column to the vehicles departed.  A fill
-goes in _GROW_ITEMS items at a time, never built whole.  A
+doubles, and `run` trims every column to the vehicles departed.  A
 baseline Sioux Falls pair departs about 480k vehicles.  Kept as one slotted
 `Vehicle` per departure, with a boxed id, block start and arrival, each
 cost about 192 B; the columns take about 25 B (23 B plus 2.4 one-byte route
@@ -235,9 +234,10 @@ class VehicleColumns(Sequence):
     them.  It reserves the slots of the rest ahead (`reserve`): until
     `trim`, which `Simulation.run` calls at its end, a column may hold slots
     past the vehicles appended, each byte 0xFF (NaN in the entry buffer)
-    until written.  `len` and `views` count only the vehicles appended.  As a Sequence it is read-only: each index
-    or iteration builds a new `Vehicle` from the columns as they are then,
-    and a slice is a list of them.  `arrivals` holds NaN while a vehicle is
+    until written.  `len` and `views` count only the vehicles appended.  As
+    a Sequence it is read-only: each index or iteration builds a new
+    `Vehicle` from the columns as they are then, and a slice is a list of
+    them.  `arrivals` holds NaN while a vehicle is
     in transit.  Two VehicleColumns are equal when their vehicles are.
     """
 
