@@ -4,107 +4,60 @@ Vehicles arrive as per-OD Poisson streams, get a fixed shortest-time route at
 departure based on the most recently published travel-time estimates, and
 traverse each edge in the time implied by the ground-truth count at entry.
 Estimates refresh every `refresh_period` seconds: the non-private run
-publishes tau(counts), read from the network's tau table (below); the private
-run bisects for tau(max(0, counts + Z)), with Z either exact Laplace noise
+publishes tau(counts), read from the network's tau table; the private run
+bisects for tau(max(0, counts + Z)), with Z either exact Laplace noise
 (fast path, default) or the output of the full multi-party round
 (`noise="mpc"`, small scenarios only: the round costs
 O(edges * parties^2 * degree) per refresh).  The round's polynomial has degree
 MPC_DEGREE and each party draws its seed from MPC_SEED_BITS bits, in the
 Mersenne field 2^521 - 1; modest values keep the round affordable.
 
-A vehicle's route is its OD pair's shortest-time route under the estimates
-last published.  Within a refresh period the demand rates and the estimates,
-so every route, stay fixed, and departures are prepared once per period.
 The run's first refresh draws the Poisson demand of every step that starts
 before the horizon in one `draw_demand` call: numpy draws in order, so this
-is, value for value and in the generator's state, one draw per step.
-`run_experiment`'s two runs draw the same demand, so it hands the
-non-private run's draw to the private run, which draws nothing.  A refresh
-before the horizon takes its period's slice of the draw, builds a route
-table, the route of every OD pair (the shortest-path trees of every origin
-from one numpy relaxation, `_sp_tree`, whose distances and ties are a heap
+is, value for value and in the generator's state, one draw per step.  Within
+a refresh period the estimates, so every route, stay fixed.  A refresh
+before the horizon takes its period's slice of the draw, builds the route
+table (`Simulation._route`: the shortest-path trees of every origin from one
+numpy relaxation, `_sp_tree`, whose distances and ties are a heap
 Dijkstra's, then one numpy walk back from every destination at once), and
-gathers the drawn vehicles' routes from it in one index.  The relaxation's
-in-edge layout depends on the network alone; the network builds it on its
-first tree and keeps it.  Refreshes after the horizon depart nobody, so
-they build no table and no tree.
+gathers the drawn vehicles' routes from it in one index.  Refreshes after
+the horizon depart nobody, so they build no table and no tree.
 
-The simulator advances a batch of steps at a time: `run` calls `step(k)` with
-k running to the next refresh, and `step()` alone is a batch of one.  A batch
-departs each of its steps that starts before the horizon: the injected
-vehicles due within the step first, each routed by `_route` over the same
-trees, then the step's slice of the period's drawn ones, written into
-column slots reserved ahead.  It then moves its vehicles as if one edge
-event at a time, step by step: a step's departures, in id order, enter their
-first edges, then the exits due by the step's end pop in (exit time, vehicle
-id) order; a vehicle leaving one edge enters the next at its exit time, so
-it can cross several edges in one step.  An exit belongs to the first step whose end, on the clock
-that adds one timestep per step, is at or after its exit time.
+`run` calls `step(k)` with k running to the next refresh; `step()` alone is
+a batch of one.  A batch departs the drawn vehicles of each of its steps
+that starts before the horizon, then moves its vehicles as if one edge
+event at a time, step by step: a step's departures, in id order, enter
+their first edges, then the exits due by the step's end pop in (exit time,
+vehicle id) order; a vehicle leaving one edge enters the next at its exit
+time, so it can cross several edges in one step.  An exit belongs to the
+first step whose end, on the clock that adds one timestep per step, is at
+or after its exit time.  `_move` does this in numpy passes, each cut where
+an entrant's new exit would pop inside it.  A batch ends where `run` stops:
+after the step that reaches DRAIN_FACTOR * horizon, or after the first step
+that ends at or past the horizon with nobody in transit.  So `clock` and
+`step_index` end where a step-by-step loop ends them, and no extra refresh
+draws noise.  `debug_checks` checks the invariants after each batch.
 
-The batch does this in numpy passes.  Pending exits are two arrays, exit time
-and vehicle id; a pass takes the ones due by the batch's end, sorts them by
-time, re-sorts by id only the runs of equal times, and places them and the
-departures in processing order, keyed by (step, departures before exits,
-exit time, id).  The count an entrant sees is its edge's count at pass start
-plus the +1 and -1 events before it on that edge (a cumulative sum within
-each edge after a stable sort by edge of the events in processing order);
-its exit time is its entry time plus a gather from the network's tau table
-(`RoadNetwork.tau_by_count`, one row per edge, shared by every run on the
-network).  The cut rule: an entrant's new exit that falls due
-within the batch would pop inside the pass, so only the events before the
-position where it would pop commit, and the rest go back for the next pass.
-On Sioux Falls, whose free-flow times are at least the 120 s refresh period,
-only an entry at a period's start onto an empty 120 s edge can cut; a
-baseline pair (seed 11) moves in 144 batches and 146 passes.  A batch ends
-where `run` stops: after the step that reaches DRAIN_FACTOR * horizon, or
-after the first step that ends at or past the horizon with nobody in
-transit.  So `clock` and `step_index` end where a step-by-step loop ends
-them, and no extra refresh draws noise.  `debug_checks` checks the
-invariants after each batch.
-
-A run keeps its vehicles in a `VehicleColumns`, one column per field indexed
-by vehicle id: `array('d')` departure and arrival times (NaN in transit),
-origins and destinations, `array('i')` route-block starts, and route
-positions.  Routes sit in one flat column of edge ids, a block of
-`len(route)` slots per vehicle, and edge entry times take the same slots of
-one flat `array('d')`.  Origins and destinations use the smallest typecode
-that holds every node id, edge ids and positions the smallest that holds
-the network's edge count: one byte each on Sioux Falls.  The step,
-`compare_runs` and the invariant check read the columns through numpy views
-that live only within one call (`compare_runs` builds one run's travel
-times at a time and compares routes and travel times _COMPARE_VEHICLES
-vehicles at a time, so its temporaries stay small);
-indexing or iterating the table builds `Vehicle` values on demand.  The
-run's first refresh reserves one slot per drawn vehicle in every
-per-vehicle column, and route slots for their routes at the first route
-table's lengths; a column that runs out (injected vehicles, longer routes)
-doubles, and `run` trims every column to the vehicles departed.  A
-baseline Sioux Falls pair departs about 480k vehicles.  Kept as one slotted
-`Vehicle` per departure, with a boxed id, block start and arrival, each
-cost about 192 B; the columns take about 25 B (23 B plus 2.4 one-byte route
-slots), entry times aside, where int64 endpoints and starts took 43 B.  A
-baseline pair's `peak_rss_mb` fell with them from 89.0 to 75.2 MB
-(`BENCH_sf_paired_narrow.json`).
-
+A run keeps its vehicles in a `VehicleColumns`, one narrow `array` column
+per field indexed by vehicle id, with each vehicle's route and edge entry
+times in one block of a flat column; the first refresh reserves the slots
+of the vehicles drawn, and `run` trims the columns to the vehicles departed.
 Paired runs share the demand stream: the demand and noise generators are
-independent substreams of one seed, so flipping the mode or epsilon never
-perturbs who departs when.  So `run_experiment`'s private run borrows the
-non-private run's finished origins, destinations and departure times
-instead of writing its own, and the pair drops each `Simulation` as soon
-as its run ends.  The run is single-threaded and deterministic
-given the config.
+independent substreams of one seed, so `run_experiment`'s private run
+departs the non-private run's draw and borrows its finished origins,
+destinations and departure times.  The run is single-threaded and
+deterministic given the config.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import operator
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, replace
-from itertools import accumulate, chain, groupby, repeat, takewhile
+from itertools import accumulate, repeat, takewhile
 from typing import Optional
 
 import numpy as np
@@ -231,14 +184,15 @@ class VehicleColumns(Sequence):
     Only the run appends and writes to the columns.  Given a `_lender`, the
     finished columns of a run that departed the same vehicles, it shares
     that one's origins, dests and departs and never grows, writes or trims
-    them.  It reserves the slots of the rest ahead (`reserve`): until
-    `trim`, which `Simulation.run` calls at its end, a column may hold slots
-    past the vehicles appended, each byte 0xFF (NaN in the entry buffer)
-    until written.  `len` and `views` count only the vehicles appended.  As
-    a Sequence it is read-only: each index or iteration builds a new
-    `Vehicle` from the columns as they are then, and a slice is a list of
-    them.  `arrivals` holds NaN while a vehicle is
-    in transit.  Two VehicleColumns are equal when their vehicles are.
+    them.  It reserves the slots of the rest ahead (`reserve`), and a column
+    that runs out, as when routes outgrow their reservation, at least
+    doubles.  Until `trim`, which `Simulation.run` calls at its end, a
+    column may hold slots past the vehicles appended, each byte 0xFF (NaN
+    in the entry buffer) until written.  `len` and `views` count only the
+    vehicles appended.  As a Sequence it is read-only: each index or
+    iteration builds a new `Vehicle` from the columns as they are then, and
+    a slice is a list of them.  `arrivals` holds NaN while a vehicle is in
+    transit.  Two VehicleColumns are equal when their vehicles are.
     """
 
     __slots__ = ("origins", "dests", "departs", "arrivals", "starts", "route_edges",
@@ -521,7 +475,7 @@ def check_demand(network: RoadNetwork, od: OdDemand) -> None:
 
 
 class Simulation:
-    """One simulation run; construct, optionally inject vehicles, then run()."""
+    """One simulation run; construct, then run()."""
 
     def __init__(self, network: RoadNetwork, od: OdDemand, config: SimConfig,
                  _shared: tuple = (None, None)):
@@ -550,9 +504,8 @@ class Simulation:
         # pending exits, one per vehicle in transit, in no particular order
         self._exit_times = np.empty(0)
         self._exit_ids = np.empty(0, dtype=np.int64)
-        self._tree = None  # _sp_tree under self.weights, built on first use
-        self._table = None  # route table under self.weights, see _route_table
-        # the route walk's index (see _route_table): each pair's origin row
+        self._table = None  # route table under self.weights, see _route
+        # the route walk's index (see _route): each pair's origin row
         # and destination column, and each edge's tail column, then column
         # n_nodes for edge -1
         column = {n: i for i, n in enumerate(network.nodes)}
@@ -561,7 +514,6 @@ class Simulation:
         self._walk = (rows, dest_columns,
                       np.array([column[t] for t in network.tails.tolist()] + [network.n_nodes]))
         self._period = None  # the drawn departures of this period, see _draw_period
-        self._scheduled: list = []  # heap of injected (time, origin, dest)
         self._mpc_polys: dict = {}
         self._mpc_refresh_index = 0
 
@@ -569,22 +521,6 @@ class Simulation:
         demand_ss, noise_ss = ss.spawn(2)
         self.demand_rng = np.random.default_rng(demand_ss)
         self.noise_rng = np.random.default_rng(noise_ss)
-
-    def inject(self, origin: int, dest: int, time: float = 0.0) -> None:
-        """Schedule a single departure (test hook, bypasses the Poisson draw).
-
-        Raises as `check_demand` does for an unknown node or an unreachable
-        pair, and ValueError for a departure the run would never make: at or
-        past the horizon, or after the clock has reached it.
-        """
-        check_demand(self.network, OdDemand({(origin, dest): 1.0}))
-        horizon = self.config.horizon
-        if not time < horizon or self.clock >= horizon:
-            raise ValueError(
-                f"departure at {time} s never happens: the horizon is {horizon} s"
-                f" and the clock is at {self.clock} s"
-            )
-        heapq.heappush(self._scheduled, (time, origin, dest))
 
     # -- estimate refresh ---------------------------------------------------
 
@@ -608,7 +544,7 @@ class Simulation:
             else:
                 noisy = self._mpc_counts()
             self.weights = _tau_vector(net.t0, net.capacity, net.alpha, net.beta, noisy)
-        self._tree = self._table = None
+        self._table = None
 
     def _mpc_counts(self) -> np.ndarray:
         cfg = self.config
@@ -636,33 +572,22 @@ class Simulation:
 
     # -- movement -----------------------------------------------------------
 
-    def _trees(self) -> tuple:
-        """`_sp_tree` under the current weights, built once per refresh."""
-        if self._tree is None:
-            self._tree = _sp_tree(self.network, self.weights)
-        return self._tree
-
-    def _route(self, origin: int, dest: int) -> tuple:
-        dist, pred = self._trees()
-        row = self.network.nodes.index(origin)
-        return tuple(_extract_path(self.network, pred[row], dist[row], origin, dest))
-
-    def _route_table(self) -> tuple:
+    def _route(self) -> tuple:
         """(lengths, offsets, edges): the route of every demand pair under the
         current weights, as one flat block of edges per pair in pair order,
-        self pairs empty.
+        self pairs empty; built once per refresh.
 
-        The trees are `_sp_tree`'s, kept for `_route`: `pred[r, v]` is the
-        edge by which origin r's tree reaches node v, -1 at the origin, and
-        a column n_nodes of -1 is added.  All routes are walked back from
-        their destinations together: `into[r, e]` is the edge by which row
-        r's tree reaches edge e's tail (-1 at the origin, and at e = -1, so
-        a finished walk stays put).  Each walk step is one gather, as many
-        as the longest route has edges.
+        The trees are `_sp_tree`'s: `pred[r, v]` is the edge by which origin
+        r's tree reaches node v, -1 at the origin, and a column n_nodes of
+        -1 is added.  All routes are walked back from their destinations
+        together: `into[r, e]` is the edge by which row r's tree reaches
+        edge e's tail (-1 at the origin, and at e = -1, so a finished walk
+        stays put).  Each walk step is one gather, as many as the longest
+        route has edges.
         """
         if self._table is None:
             row, dest_column, tail_column = self._walk
-            _, pred = self._trees()
+            _, pred = _sp_tree(self.network, self.weights)
             pred = np.hstack((pred, np.full((len(pred), 1), -1)))
             into = pred[:, tail_column]
             edge = pred[row, dest_column]
@@ -740,9 +665,9 @@ class Simulation:
         """Take the period's slice of the run's drawn vehicles, and gather
         their routes from the route table in one index.  The run's first
         refresh draws them (`_draw_run`) unless `run_experiment` handed
-        them over, and reserves their columns: a slot for each vehicle drawn
-        or injected so far, and route slots for the drawn ones at their
-        pairs' route lengths in the first table, with 1/16 to spare (a
+        them over, and reserves their columns: a slot for each vehicle
+        drawn, and route slots for them at their pairs' route lengths in
+        the first table, with 1/16 to spare (a
         baseline Sioux Falls run's routes come within 2% of that).
         `_period` holds each step's first vehicle, then per drawn vehicle
         in departure order its step in the period, its route block's end,
@@ -755,8 +680,8 @@ class Simulation:
             self._drawn = self._draw_run()
         if not self.step_index:
             drawn = self._drawn
-            routed = int(self._route_table()[0][drawn % n_pairs].sum()) if len(drawn) else 0
-            self.vehicles.reserve(len(drawn) + len(self._scheduled), routed + routed // 16)
+            routed = int(self._route()[0][drawn % n_pairs].sum()) if len(drawn) else 0
+            self.vehicles.reserve(len(drawn), routed + routed // 16)
         k = bisect_left([self.clock, *self._step_ends(self.steps_per_refresh - 1)], cfg.horizon)
         first = self.step_index * n_pairs
         a, b = np.searchsorted(self._drawn, (first, first + k * n_pairs))
@@ -765,7 +690,7 @@ class Simulation:
         if not len(cells):
             return
         steps, pairs = np.divmod(cells, n_pairs)
-        lengths, offsets, table_edges = self._route_table()
+        lengths, offsets, table_edges = self._route()
         lengths = lengths[pairs]
         ends = np.cumsum(lengths)
         # vehicle i's block copies its pair's: slot s of the period's blocks
@@ -776,48 +701,11 @@ class Simulation:
                         demand.origins[pairs], demand.dests[pairs])
 
     def _depart(self, ends: list) -> tuple:
-        """Append the departures of the batch's steps that start before the
-        horizon to the columns: per step, the injected ones due before its
-        end, in (time, origin, destination) order, then its slice of the
-        period's drawn ones.  Returns the ids, times and steps (counted from
-        the batch's first) of those with a nonempty route, which `_move`
-        enters."""
+        """Append the period's drawn departures of the batch's steps that
+        start before the horizon to the columns.  Returns their ids, times
+        and steps (counted from the batch's first), which `_move` enters."""
         starts = [self.clock, *ends[:-1]]
-        n = bisect_left(starts, self.config.horizon)  # the steps that depart
-        scheduled = self._scheduled
-        injected = []
-        while n and scheduled and scheduled[0][0] < ends[n - 1]:
-            st, o, d = heapq.heappop(scheduled)
-            j = bisect_right(ends, st)  # the first step that ends after st
-            injected.append((j, max(st, starts[j]), o, d))
-        starts = np.array(starts)
-        parts = []  # (ids, times, steps) of the entrants, in id order
-        drawn = 0  # the batch's steps whose drawn vehicles are appended
-        for j, group in groupby(injected, key=operator.itemgetter(0)):
-            parts.append(self._depart_drawn(drawn, j, starts))
-            parts.append(self._depart_injected([g[1:] for g in group], j))
-            drawn = j
-        parts.append(self._depart_drawn(drawn, n, starts))
-        return tuple(map(np.concatenate, zip(*parts)))
-
-    def _depart_injected(self, injected: list, step: int) -> tuple:
-        """Append the injected (time, origin, destination) departures of
-        the batch's step `step`, each routed by `_route`; (ids, times,
-        steps) of those that move."""
-        vs = self.vehicles
-        routes = [self._route(o, d) for _, o, d in injected]
-        lengths = np.fromiter(map(len, routes), np.int64, len(routes))
-        departs = np.array([st for st, _, _ in injected], dtype=float)
-        parked = lengths == 0  # origin == destination: arrives as it departs
-        self.arrived += int(np.count_nonzero(parked))
-        moving = np.flatnonzero(~parked)
-        entering = moving + len(vs), departs[moving], np.full(len(moving), step)
-        vs.append(np.cumsum(lengths),
-                  np.fromiter(chain.from_iterable(routes), vs.route_edges.typecode),
-                  np.array([o for _, o, _ in injected], dtype=np.int64),
-                  np.array([d for _, _, d in injected], dtype=np.int64),
-                  departs, np.where(parked, departs, math.nan))
-        return entering
+        return self._depart_drawn(0, bisect_left(starts, self.config.horizon), np.array(starts))
 
     def _depart_drawn(self, lo: int, hi: int, starts: np.ndarray) -> tuple:
         """Append the period's drawn departures of the batch's steps lo to
@@ -1018,7 +906,7 @@ class Simulation:
 
 @dataclass
 class RunResult:
-    vehicles: Sequence  # a VehicleColumns, shared with the Simulation
+    vehicles: VehicleColumns  # shared with the Simulation
     entries_horizon: np.ndarray
     capacities: np.ndarray
     config: SimConfig

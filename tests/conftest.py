@@ -1,11 +1,16 @@
 import heapq
 import math
+import operator
+from bisect import bisect_left, bisect_right
+from itertools import chain, groupby
 
 import numpy as np
 import pytest
 
 from privroute.field import _lagrange_weights_at_zero_ints
 from privroute.sharing import _deal_additive, _draw, _smpa_phase, _smpm_phase
+from privroute.sim import Simulation, check_demand, shortest_path
+from privroute.tntp import OdDemand
 
 
 def laplace_pdf(z, params):
@@ -119,6 +124,75 @@ def tree_path(network, tree, origin, destination):
         path.append(pred[node])
         node = network.edges[pred[node]].tail
     return tuple(reversed(path))
+
+
+class InjectingSimulation(Simulation):
+    """A Simulation that also departs single vehicles scheduled by `inject`,
+    bypassing the Poisson draw.
+
+    Per step of a batch, the injected vehicles due before its end depart
+    first, in (time, origin, destination) order, each at its time or the
+    step's start if later and routed by `shortest_path` under the current
+    weights (whose ties are `_sp_tree`'s); then the step's drawn ones.  With
+    nothing injected it runs as `Simulation` does.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._scheduled = []  # heap of injected (time, origin, dest)
+
+    def inject(self, origin, dest, time=0.0):
+        """Schedule a single departure.
+
+        Raises as `check_demand` does for an unknown node or an unreachable
+        pair, and ValueError for a departure the run would never make: at or
+        past the horizon, or after the clock has reached it.
+        """
+        check_demand(self.network, OdDemand({(origin, dest): 1.0}))
+        horizon = self.config.horizon
+        if not time < horizon or self.clock >= horizon:
+            raise ValueError(
+                f"departure at {time} s never happens: the horizon is {horizon} s"
+                f" and the clock is at {self.clock} s"
+            )
+        heapq.heappush(self._scheduled, (time, origin, dest))
+
+    def _depart(self, ends):
+        starts = [self.clock, *ends[:-1]]
+        n = bisect_left(starts, self.config.horizon)  # the steps that depart
+        scheduled = self._scheduled
+        injected = []
+        while n and scheduled and scheduled[0][0] < ends[n - 1]:
+            st, o, d = heapq.heappop(scheduled)
+            j = bisect_right(ends, st)  # the first step that ends after st
+            injected.append((j, max(st, starts[j]), o, d))
+        starts = np.array(starts)
+        parts = []  # (ids, times, steps) of the entrants, in id order
+        drawn = 0  # the batch's steps whose drawn vehicles are appended
+        for j, group in groupby(injected, key=operator.itemgetter(0)):
+            parts.append(self._depart_drawn(drawn, j, starts))
+            parts.append(self._depart_injected([g[1:] for g in group], j))
+            drawn = j
+        parts.append(self._depart_drawn(drawn, n, starts))
+        return tuple(map(np.concatenate, zip(*parts)))
+
+    def _depart_injected(self, injected, step):
+        """Append the injected (time, origin, destination) departures of
+        the batch's step `step`; (ids, times, steps) of those that move."""
+        vs = self.vehicles
+        routes = [shortest_path(self.network, self.weights, o, d) for _, o, d in injected]
+        lengths = np.fromiter(map(len, routes), np.int64, len(routes))
+        departs = np.array([st for st, _, _ in injected], dtype=float)
+        parked = lengths == 0  # origin == destination: arrives as it departs
+        self.arrived += int(np.count_nonzero(parked))
+        moving = np.flatnonzero(~parked)
+        entering = moving + len(vs), departs[moving], np.full(len(moving), step)
+        vs.append(np.cumsum(lengths),
+                  np.fromiter(chain.from_iterable(routes), vs.route_edges.typecode),
+                  np.array([o for _, o, _ in injected], dtype=np.int64),
+                  np.array([d for _, _, d in injected], dtype=np.int64),
+                  departs, np.where(parked, departs, math.nan))
+        return entering
 
 
 @pytest.fixture

@@ -32,7 +32,7 @@ from privroute.protocol import PartyInput, run_round
 from privroute.roadnet import DelayFunction, Edge, RoadNetwork
 from privroute.sim import SimConfig, Simulation, run_experiment
 from privroute.tntp import OdDemand, load_sioux_falls
-from conftest import smpa_one_rng, smpm_one_rng
+from conftest import InjectingSimulation, smpa_one_rng, smpm_one_rng
 
 M521 = PrimeModulus(MERSENNE_521)
 
@@ -187,7 +187,7 @@ def test_short_edges_tied_and_boundary_exits_pinned(mode):
     od = OdDemand({(1, 6): 360.0, (2, 6): 180.0, (1, 5): 360.0, (2, 4): 180.0, (6, 3): 360.0})
     config = SimConfig(mode=mode, epsilon=0.5, horizon=300.0, refresh_period=30.0,
                        demand_multiplier=6.0, seed=11, debug_checks=True)
-    sim = Simulation(_short_edge_network(), od, config)
+    sim = InjectingSimulation(_short_edge_network(), od, config)
     sim.inject(1, 5, 0.0)
     sim.inject(2, 5, 0.0)
     sim.inject(1, 6, 7.5)

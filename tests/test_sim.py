@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import heap_dijkstra, tree_path
+from conftest import InjectingSimulation, heap_dijkstra, tree_path
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -279,7 +279,8 @@ def test_period_draws_depart_as_one_step_draws(horizon, steps, injected):
     # (600 s) does.  A departure injected at a period's start departs first
     # in its step, before the step's drawn vehicles.
     net, od = load_sioux_falls()
-    sim = Simulation(net, od, SimConfig(horizon=horizon, demand_multiplier=2.0, seed=5))
+    cls = InjectingSimulation if injected else Simulation
+    sim = cls(net, od, SimConfig(horizon=horizon, demand_multiplier=2.0, seed=5))
     if injected:
         sim.inject(*injected)
     sim.run()
@@ -329,6 +330,23 @@ def test_paired_private_run_equals_a_standalone_one(seed, monkeypatch):
     assert paired.n_incomplete == alone.n_incomplete > 1000
 
 
+def test_injecting_simulation_with_nothing_injected_runs_as_simulation():
+    # the test subclass's departure step, with no injection due, writes the
+    # columns the program's own does, byte for byte
+    net, od = load_sioux_falls()
+    cfg = SimConfig(mode="private", horizon=605.0, demand_multiplier=2.0, seed=21)
+    plain, injecting = (cls(net, od, cfg) for cls in (Simulation, InjectingSimulation))
+    results = [sim.run() for sim in (plain, injecting)]
+    columns = ("origins", "dests", "departs", "arrivals", "starts", "route_edges",
+               "positions", "entry_buffer")
+    for name in columns:
+        mine, theirs = (getattr(result.vehicles, name) for result in results)
+        assert mine.tobytes() == theirs.tobytes()
+    assert results[0].entries_horizon.tobytes() == results[1].entries_horizon.tobytes()
+    assert (plain.step_index, plain.clock) == (injecting.step_index, injecting.clock)
+    assert len(results[0].vehicles) > 1000
+
+
 def test_paired_private_run_borrows_the_departure_columns():
     # the private run departs the vehicles the non-private run wrote, so it
     # shares their origin, destination and departure columns and writes
@@ -364,14 +382,14 @@ def test_unreachable_od_pair_fails_at_construction():
 
 
 def test_inject_rejects_unknown_node():
-    sim = Simulation(_line_network(), OdDemand({}), SimConfig(seed=1))
+    sim = InjectingSimulation(_line_network(), OdDemand({}), SimConfig(seed=1))
     with pytest.raises(ValueError, match="node 9"):
         sim.inject(1, 9)
     assert not sim._scheduled
 
 
 def test_inject_rejects_unreachable_pair_before_any_step():
-    sim = Simulation(_line_network(), OdDemand({}), SimConfig(seed=1))
+    sim = InjectingSimulation(_line_network(), OdDemand({}), SimConfig(seed=1))
     sim.inject(1, 3, time=0.0)
     with pytest.raises(Unreachable, match="no path from 3 to 1"):
         sim.inject(3, 1, time=50.0)
@@ -380,7 +398,7 @@ def test_inject_rejects_unreachable_pair_before_any_step():
 
 @pytest.mark.parametrize("time", [100.0, 250.0, math.nan])
 def test_inject_rejects_departure_at_or_past_horizon(time):
-    sim = Simulation(_line_network(), OdDemand({}), SimConfig(horizon=100.0, seed=1))
+    sim = InjectingSimulation(_line_network(), OdDemand({}), SimConfig(horizon=100.0, seed=1))
     with pytest.raises(ValueError, match="never happens"):
         sim.inject(1, 3, time=time)
     assert not sim._scheduled
@@ -414,7 +432,7 @@ def test_single_vehicle_arrives_after_ceil_steps():
     # t0 = 30 s on an uncongested edge, 10 s steps: in transit for 3 steps
     net = RoadNetwork([1, 2], [Edge(0, 1, 2, _delay(30.0, cap=1000.0))])
     cfg = SimConfig(horizon=30.0, timestep=10.0, refresh_period=10.0, seed=0)
-    sim = Simulation(net, OdDemand({}), cfg)
+    sim = InjectingSimulation(net, OdDemand({}), cfg)
     sim.inject(1, 2, time=0.0)
     sim.run()
     v = sim.vehicles[0]
@@ -434,7 +452,7 @@ def test_exit_pops_in_its_step_after_many_short_steps():
         start += 0.3
     cfg = SimConfig(timestep=0.3, refresh_period=120.0, horizon=start + 0.1,
                     seed=0, debug_checks=True)
-    sim = Simulation(net, OdDemand({}), cfg)
+    sim = InjectingSimulation(net, OdDemand({}), cfg)
     sim.inject(1, 2, time=start)
     sim.run()
     assert sim.step_index == step + 1
@@ -455,7 +473,7 @@ def _step_one_at_a_time(sim):
         sim.step()
 
 
-class _HeapLoopSimulation(Simulation):
+class _HeapLoopSimulation(InjectingSimulation):
     """The sequential event loop that `Simulation.step` batches, kept as the
     reference: step by step, departures in id order, then one heap pop of
     (exit_time, vid) at a time, each entering the vehicle's next edge.  It
@@ -586,11 +604,26 @@ def _heap_loop_cases(draw):
     return net, OdDemand({(1, 2): 20.0, (2, 1): 40.0}), cfg, injections, windows
 
 
+# drawn demand alone on a congestible ring, run by Simulation.run
+_DRAWN_ONLY = (
+    RoadNetwork(range(1, 4), [
+        Edge(i, u, v, DelayFunction(t0=t0, capacity=cap)) for i, (u, v, t0, cap) in enumerate(
+            [(1, 2, 5.0, 0.1), (2, 3, 10.0, 1.0), (3, 1, 25.0, 0.1), (2, 1, 10.0, 0.02)])]),
+    OdDemand({(1, 2): 20.0, (2, 1): 40.0}),
+    SimConfig(timestep=10.0, refresh_period=20.0, horizon=60.0, mode="private", epsilon=0.5,
+              seed=7, debug_checks=True, demand_multiplier=50.0),
+    [], [])
+
+
 @settings(max_examples=150, deadline=None)
 @given(_heap_loop_cases())
+@example(_DRAWN_ONLY)
 def test_batched_step_matches_heap_loop(case):
+    # with nothing injected the batched side is a plain Simulation, so the
+    # departure path the program runs is the one checked
     net, od, cfg, injections, windows = case
-    batched, heap_loop = Simulation(net, od, cfg), _HeapLoopSimulation(net, od, cfg)
+    batched = (InjectingSimulation if injections else Simulation)(net, od, cfg)
+    heap_loop = _HeapLoopSimulation(net, od, cfg)
     for sim in (batched, heap_loop):
         for o, d, time in injections:
             sim.inject(o, d, time)
@@ -632,7 +665,8 @@ def test_tied_exits_pop_in_id_order_at_both_ends_and_across_steps():
              Edge(3, 5, 3, free(70.0)), Edge(4, 3, 6, DelayFunction(t0=10.0, capacity=1.0))]
     net = RoadNetwork(range(1, 7), edges)
     cfg = SimConfig(timestep=10.0, refresh_period=60.0, horizon=60.0, seed=0, debug_checks=True)
-    batched, heap_loop = (cls(net, OdDemand({}), cfg) for cls in (Simulation, _HeapLoopSimulation))
+    batched, heap_loop = (cls(net, OdDemand({}), cfg)
+                          for cls in (InjectingSimulation, _HeapLoopSimulation))
     for sim in (batched, heap_loop):
         for origin, time in ((1, 0.0), (4, 0.0), (2, 10.0), (5, 10.0)):
             for _ in range(3):
@@ -654,7 +688,8 @@ def test_run_stops_mid_period_where_single_steps_stop(t0, stop):
     # the period that starts at 120 s, one when its last vehicle arrives and
     # one at DRAIN_FACTOR * horizon
     cfg = SimConfig(mode="private", horizon=100.0, seed=3)
-    batched, stepped = (Simulation(_line_network(4, t0), OdDemand({}), cfg) for _ in range(2))
+    batched, stepped = (InjectingSimulation(_line_network(4, t0), OdDemand({}), cfg)
+                        for _ in range(2))
     for sim in (batched, stepped):
         sim.inject(1, 4, 0.0)
     with pytest.raises(ValueError, match="refresh period"):
@@ -689,8 +724,8 @@ def test_route_table_matches_shortest_path_after_each_refresh():
 
 def test_reserved_columns_are_trimmed_to_the_vehicles():
     net, od = load_sioux_falls()
-    sim = Simulation(net, od, SimConfig(horizon=300.0, demand_multiplier=2.0, seed=7,
-                                        debug_checks=True))
+    sim = InjectingSimulation(net, od, SimConfig(horizon=300.0, demand_multiplier=2.0, seed=7,
+                                                 debug_checks=True))
     sim.step()
     vs = sim.vehicles
     # the first refresh reserved one slot per vehicle drawn before the horizon
@@ -769,7 +804,7 @@ def test_traversal_time_reflects_existing_occupancy():
     # second vehicle enters while the first is still on the road
     net = RoadNetwork([1, 2], [Edge(0, 1, 2, _delay(30.0, cap=0.05))])
     cfg = SimConfig(horizon=30.0, timestep=10.0, refresh_period=10.0, seed=0)
-    sim = Simulation(net, OdDemand({}), cfg)
+    sim = InjectingSimulation(net, OdDemand({}), cfg)
     sim.inject(1, 2, time=0.0)
     sim.inject(1, 2, time=10.0)
     sim.run()
@@ -810,7 +845,7 @@ def test_entry_times_in_transit_empty_route_and_copies():
     cfg = SimConfig(horizon=30.0, timestep=10.0, refresh_period=10.0, seed=0)
     runs = []
     for _ in range(2):
-        sim = Simulation(_line_network(4), OdDemand({}), cfg)
+        sim = InjectingSimulation(_line_network(4), OdDemand({}), cfg)
         sim.inject(1, 4, 0.0)
         sim.inject(2, 2, 5.0)
         runs.append(sim.run())
@@ -835,7 +870,7 @@ def test_entry_times_in_transit_empty_route_and_copies():
 
 def _three_vehicle_run():
     # two vehicles through the 60 s line, one parked (origin == destination)
-    sim = Simulation(_line_network(), OdDemand({}), SimConfig(horizon=100.0, seed=1))
+    sim = InjectingSimulation(_line_network(), OdDemand({}), SimConfig(horizon=100.0, seed=1))
     sim.inject(1, 3, 0.0)
     sim.inject(2, 3, 5.0)
     sim.inject(2, 2, 7.0)
@@ -867,7 +902,7 @@ def test_vehicle_columns_is_a_sequence():
 
     # tables are equal when their vehicles are; a list of them is not a table
     assert vs == _three_vehicle_run().vehicles and vs != list(vs)
-    other = Simulation(_line_network(), OdDemand({}), SimConfig(horizon=100.0, seed=1))
+    other = InjectingSimulation(_line_network(), OdDemand({}), SimConfig(horizon=100.0, seed=1))
     for o, d, time in ((1, 3, 0.0), (2, 3, 6.0), (2, 2, 7.0)):
         other.inject(o, d, time)
     other.run()
@@ -888,8 +923,8 @@ def test_wide_node_ids_read_back_exactly():
     edges = [Edge(i, u, v, _delay()) for i, (u, v) in enumerate(
         [(-1000, 7), (7, 70000), (70000, 7), (7, -1000)])]
     od = OdDemand({(-1000, 70000): 360 / DEFAULT_DEMAND_SCALE})
-    sim = Simulation(RoadNetwork(ids, edges), od,
-                     SimConfig(horizon=60.0, seed=3, debug_checks=True))
+    sim = InjectingSimulation(RoadNetwork(ids, edges), od,
+                              SimConfig(horizon=60.0, seed=3, debug_checks=True))
     sim.inject(70000, -1000, 5.0)
     sim.run()
     vs = sim.vehicles
@@ -932,7 +967,7 @@ def test_vehicle_columns_read_mid_run():
     # 60 s edges, 10 s steps: the vehicle enters its second edge at 60 s and
     # its third at 120 s, and arrives at 180 s
     cfg = SimConfig(horizon=100.0, timestep=10.0, refresh_period=10.0, seed=0)
-    sim = Simulation(_line_network(4), OdDemand({}), cfg)
+    sim = InjectingSimulation(_line_network(4), OdDemand({}), cfg)
     sim.inject(1, 4, 0.0)
     for _ in range(7):
         sim.step()
@@ -974,8 +1009,8 @@ def test_vehicle_conservation_debug_checks():
     assert sim.arrived + sim.in_transit == len(sim.vehicles)
 
 
-# builds a one-vehicle run, corrupts its counts, and prints the error the next
-# step's invariant check raises
+# builds a run with nobody on the road, corrupts its counts, and prints the
+# error the next step's invariant check raises
 CORRUPT_COUNTS = """
 import sys
 from privroute.roadnet import DelayFunction, Edge, RoadNetwork
@@ -985,7 +1020,6 @@ from privroute.tntp import OdDemand
 edges = [Edge(i, i + 1, i + 2, DelayFunction(t0=60.0, capacity=10.0)) for i in range(2)]
 sim = Simulation(RoadNetwork([1, 2, 3], edges), OdDemand({}),
                  SimConfig(horizon=100.0, seed=1, debug_checks=True))
-sim.inject(1, 3)
 sim.step()
 sim.counts[1] += 1
 try:
@@ -1096,7 +1130,7 @@ def test_compare_runs_chunk_size_changes_nothing(chunk, monkeypatch):
 def test_compare_runs_rejects_diverged_demand(second):
     runs = []
     for trips in ([(1, 3, 0.0), (1, 3, 5.0)], second):
-        sim = Simulation(_line_network(), OdDemand({}), SimConfig(horizon=100.0, seed=1))
+        sim = InjectingSimulation(_line_network(), OdDemand({}), SimConfig(horizon=100.0, seed=1))
         for o, d, time in trips:
             sim.inject(o, d, time)
         runs.append(sim.run())
