@@ -39,9 +39,12 @@ that ends at or past the horizon with nobody in transit.  So `clock` and
 draws noise.  `debug_checks` checks the invariants after each batch.
 
 A run keeps its vehicles in a `VehicleColumns`, one narrow `array` column
-per field indexed by vehicle id, with each vehicle's route and edge entry
-times in one block of a flat column; the first refresh reserves the slots
-of the vehicles drawn, and `run` trims the columns to the vehicles departed.
+per field indexed by vehicle id, with each vehicle's route, and the count
+it saw on entering each edge, in one block of two flat columns; the first
+refresh reserves the slots of the vehicles drawn, and `run` trims the
+columns to the vehicles departed.  Entry times are not stored: each is the
+previous one plus the tau table's entry at the previous edge and count,
+the sum `_move` made, so `Vehicle.entry_times` rebuilds them bit for bit.
 Paired runs share the demand stream: the demand and noise generators are
 independent substreams of one seed, so `run_experiment`'s private run
 departs the non-private run's draw and borrows its finished origins,
@@ -119,9 +122,11 @@ class SimConfig:
 @dataclass(slots=True)
 class Vehicle:
     """One departure, as its run's columns held it when this value was built.
-    Its edge-entry times live in the run's shared buffer: `len(route)` slots
-    from `_start`, filled as it enters each edge.  The buffer takes no part
-    in repr or equality."""
+    The counts it saw on entering its edges live in the run's shared
+    `entry_counts` column, `len(route)` slots from `_start`, filled as it
+    enters each edge; `_tau` is the network's tau table as it stood then,
+    which holds every count written (the table only grows).  Neither takes
+    part in repr or equality."""
 
     id: int
     origin: int
@@ -131,14 +136,21 @@ class Vehicle:
     pos: int
     arrival: Optional[float]
     _start: int = field(repr=False, compare=False)
-    _buffer: array = field(repr=False, compare=False)
+    _counts: array = field(repr=False, compare=False)
+    _tau: np.ndarray = field(repr=False, compare=False)
 
     @property
     def entry_times(self) -> list:
         """Time of entry to each edge entered so far, as a new list: one per
-        route edge once arrived, `pos + 1` while in transit."""
+        route edge once arrived, `pos + 1` while in transit.  Each after the
+        departure adds the tau of the edge before at the count seen there,
+        the float sum `_move` made."""
+        after = min(self.pos, len(self.route) - 1)  # the entries after the departure's
+        if after < 0:
+            return []
         start = self._start
-        return self._buffer[start:start + min(self.pos + 1, len(self.route))].tolist()
+        return list(accumulate(map(self._tau.item, self.route, self._counts[start:start + after]),
+                               initial=self.depart))
 
     @property
     def travel_time(self) -> Optional[float]:
@@ -150,22 +162,22 @@ def _index_typecode(n: int) -> str:
     return next(code for code in "bhiq" if n < 1 << (8 * array(code).itemsize - 1))
 
 
-_RESERVED = 0xFF  # every byte of a reserved slot until written (the entry buffer's hold NaN)
-_NAN = array("d", [math.nan]).tobytes()
+_RESERVED = 0xFF  # every byte of a reserved slot until written
+_UNSEEN = 0xFFFF  # an entry count slot's reserve fill, so every count seen stays below it
 
 
 def _view(column: array) -> np.ndarray:
     return np.frombuffer(column, dtype=column.typecode)
 
 
-def _grow(column: array, size: int, item: bytes = b"") -> None:
-    """Make `column` hold at least `size` items, adding copies of `item`, by
-    default 0xFF bytes (at least as many as it holds, so repeated growth
-    takes linear time).  The fill goes in _GROW_ITEMS items at a time, so
-    growth never holds a second copy of what it adds."""
+def _grow(column: array, size: int) -> None:
+    """Make `column` hold at least `size` items, adding items of 0xFF bytes
+    (at least as many as it holds, so repeated growth takes linear time).
+    The fill goes in _GROW_ITEMS items at a time, so growth never holds a
+    second copy of what it adds."""
     if len(column) < size:
         add = max(size - len(column), len(column))
-        block = (item or bytes([_RESERVED]) * column.itemsize) * min(add, _GROW_ITEMS)
+        block = bytes([_RESERVED]) * (column.itemsize * min(add, _GROW_ITEMS))
         for done in range(0, add, _GROW_ITEMS):
             column.frombytes(block[:(add - done) * column.itemsize])
 
@@ -174,12 +186,14 @@ class VehicleColumns(Sequence):
     """A run's vehicles, one column per field, indexed by vehicle id.
 
     Vehicle i's route is the block `route_edges[starts[i]:starts[i + 1]]`,
-    so `starts` holds one more entry than there are vehicles; its entry
-    times take the same slots of `entry_buffer`.  Origins and destinations
+    so `starts` holds one more entry than there are vehicles; the same
+    slots of `entry_counts`, `array('H')`, hold the count it saw on entering
+    each edge, from which `Vehicle.entry_times` rebuilds its entry times
+    (a count must stay below the fill, 0xFFFF).  Origins and destinations
     use the smallest typecode that holds every node id of `network`, edge
     ids and route positions the smallest that holds its edge count, and
     `starts` is `array('i')`, so a run holds at most 2^31 - 1 route slots:
-    23 B per vehicle and 1 B per route slot on Sioux Falls, entry times aside.
+    23 B per vehicle and 3 B per route slot on Sioux Falls.
 
     Only the run appends and writes to the columns.  Given a `_lender`, the
     finished columns of a run that departed the same vehicles, it shares
@@ -187,16 +201,16 @@ class VehicleColumns(Sequence):
     them.  It reserves the slots of the rest ahead (`reserve`), and a column
     that runs out, as when routes outgrow their reservation, at least
     doubles.  Until `trim`, which `Simulation.run` calls at its end, a
-    column may hold slots past the vehicles appended, each byte 0xFF (NaN
-    in the entry buffer) until written.  `len` and `views` count only the
-    vehicles appended.  As a Sequence it is read-only: each index or
-    iteration builds a new `Vehicle` from the columns as they are then, and
-    a slice is a list of them.  `arrivals` holds NaN while a vehicle is in
-    transit.  Two VehicleColumns are equal when their vehicles are.
+    column may hold slots past the vehicles appended, each byte 0xFF until
+    written.  `len` and `views` count only the vehicles appended.  As a
+    Sequence it is read-only: each index or iteration builds a new
+    `Vehicle` from the columns as they are then, and a slice is a list of
+    them.  `arrivals` holds NaN while a vehicle is in transit.  Two
+    VehicleColumns are equal when their vehicles are.
     """
 
     __slots__ = ("origins", "dests", "departs", "arrivals", "starts", "route_edges",
-                 "positions", "entry_buffer", "_borrowed", "_n")
+                 "positions", "entry_counts", "_network", "_borrowed", "_n")
 
     def __init__(self, network: RoadNetwork, _lender: Optional["VehicleColumns"] = None):
         nodes = network.nodes
@@ -209,7 +223,8 @@ class VehicleColumns(Sequence):
         self.starts = array("i", [0])  # first slot of each route block, and the end
         self.route_edges = array(_index_typecode(network.n_edges))
         self.positions = array(self.route_edges.typecode)  # route index of the current edge
-        self.entry_buffer = array("d")  # every vehicle's entry times, in its route block's slots
+        self.entry_counts = array("H")  # the count each edge entry saw, in its route block's slots
+        self._network = network  # whose tau table turns entry counts into times
         self._n = 0  # vehicles appended
 
     def __len__(self) -> int:
@@ -233,7 +248,7 @@ class VehicleColumns(Sequence):
             _grow(column, n + vehicles)
         _grow(self.starts, n + 1 + vehicles)
         _grow(self.route_edges, used + slots)
-        _grow(self.entry_buffer, used + slots, _NAN)
+        _grow(self.entry_counts, used + slots)
 
     def append(self, ends, edges, origins, dests, departs, arrivals) -> None:
         """Append one vehicle per entry of `ends`, the end of each one's
@@ -259,7 +274,7 @@ class VehicleColumns(Sequence):
             del column[n:]
         del self.starts[n + 1:]
         del self.route_edges[used:]
-        del self.entry_buffer[used:]
+        del self.entry_counts[used:]
 
     def reserve_untouched(self) -> bool:
         """Whether every slot reserved past the vehicles appended holds its
@@ -267,20 +282,20 @@ class VehicleColumns(Sequence):
         n = self._n
         used = self.starts[n]
         tails = [_view(column)[n:] for column in self._per_vehicle()]
-        tails += [_view(self.starts)[n + 1:], _view(self.route_edges)[used:]]
-        return (all((tail.view(np.uint8) == _RESERVED).all() for tail in tails)
-                and np.isnan(_view(self.entry_buffer)[used:]).all())
+        tails += [_view(self.starts)[n + 1:], _view(self.route_edges)[used:],
+                  _view(self.entry_counts)[used:]]
+        return all((tail.view(np.uint8) == _RESERVED).all() for tail in tails)
 
     def views(self) -> tuple:
         """numpy views of (starts, route_edges, positions, arrivals,
-        entry_buffer), over the vehicles appended and their slots.  While a
+        entry_counts), over the vehicles appended and their slots.  While a
         view lives its array cannot grow, so callers drop them before
         returning."""
         n = self._n
         used = self.starts[n]
         return (_view(self.starts)[:n + 1], _view(self.route_edges)[:used],
                 _view(self.positions)[:n], _view(self.arrivals)[:n],
-                _view(self.entry_buffer)[:used])
+                _view(self.entry_counts)[:used])
 
     def current_edges(self, ids: np.ndarray) -> np.ndarray:
         """The edge each of the vehicles `ids`, all in transit, is on."""
@@ -292,7 +307,8 @@ class VehicleColumns(Sequence):
         start = self.starts[i]
         return Vehicle(i, self.origins[i], self.dests[i], self.departs[i],
                        tuple(self.route_edges[start:self.starts[i + 1]]), self.positions[i],
-                       None if math.isnan(arrival) else arrival, start, self.entry_buffer)
+                       None if math.isnan(arrival) else arrival, start, self.entry_counts,
+                       self._network.tau_by_count)
 
     def __getitem__(self, index):
         n = len(self)
@@ -743,7 +759,7 @@ class Simulation:
         pass.
         """
         vs = self.vehicles
-        starts, route_edges, positions, arrivals, buffer = vs.views()
+        starts, route_edges, positions, arrivals, entry_counts = vs.views()
         counts = np.array(self.counts, dtype=np.int64)
         table = self.network.tau_by_count
         m = len(counts)
@@ -809,8 +825,12 @@ class Simulation:
             seen = np.empty(len(edge), dtype=np.int64)
             seen[order] = counts[edge] + before - before[(np.cumsum(on_edge) - on_edge)[edge]]
             seen = seen[ent_ev]
-            if len(seen) and seen.max() >= table.shape[1]:
-                table = self.network.grow_tau(int(seen.max()))
+            if len(seen) and seen.max() >= min(table.shape[1], _UNSEEN):
+                top = int(seen.max())
+                if top >= _UNSEEN:  # an entry count slot would wrap or read as unwritten
+                    raise OverflowError(f"edge {int(ent_edge[seen.argmax()])} would hold"
+                                        f" {top} vehicles; entry counts stop at {_UNSEEN - 1}")
+                table = self.network.grow_tau(top)
             ent_exit = ent_t + table[ent_edge, seen]
 
             cut = n_dep + n_exit
@@ -831,7 +851,7 @@ class Simulation:
                 ent_v, ent_t, ent_edge, ent_exit = ent_v[go], ent_t[go], ent_edge[go], ent_exit[go]
             counts += np.bincount(ent_edge, minlength=m) - np.bincount(left[:done], minlength=m)
             self.entries_horizon += np.bincount(ent_edge[ent_t < self.config.horizon], minlength=m)
-            buffer[ent_slot[go]] = ent_t
+            entry_counts[ent_slot[go]] = seen[go]
             positions[exit_v[:done]] += 1
             ended = np.flatnonzero(~moves[:done])
             if len(ended):
@@ -852,7 +872,7 @@ class Simulation:
 
     def _check_invariants(self) -> None:
         vs = self.vehicles
-        starts, route_edges, _, arrivals, _ = vs.views()
+        starts, route_edges, positions, arrivals, entry_counts = vs.views()
         transit = np.flatnonzero(np.isnan(arrivals))
         recount = np.bincount(vs.current_edges(transit), minlength=len(self.counts))
         pending = np.sort(self._exit_ids)
@@ -867,8 +887,15 @@ class Simulation:
         joined = ((tails[route_edges[starts[routed]]] == origins).all()
                   and (heads[route_edges[starts[routed + 1] - 1]] == dests).all()
                   and linked.all())
+        # a vehicle has entered the edges of its block's slots 0..pos, all
+        # of them once it has arrived; the rest still hold the fill
+        lengths = np.diff(starts)
+        entered = np.minimum(positions, lengths - 1) + 1
+        unseen = np.arange(len(entry_counts)) >= np.repeat(starts[:-1] + entered, lengths)
         checks = (
             (joined, "a route does not join its origin to its destination"),
+            (np.array_equal(entry_counts == _UNSEEN, unseen),
+             "an entry count is missing, or written for an edge not yet entered"),
             (vs.reserve_untouched(), "a slot reserved past the vehicles was written"),
             (recount.tolist() == self.counts, "counts drifted from vehicle state"),
             (len(transit) == self.in_transit, "in_transit drifted from vehicle state"),

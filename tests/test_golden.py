@@ -14,12 +14,15 @@ polynomials at the benchmark's two round shapes while the fit still checked
 each vehicle still kept its own entry-time list, the `simulate --trace`
 vehicle CSVs while each run still kept a list of `Vehicle` objects, the
 7,200 s baseline pair's column bytes while each vehicle still routed on its
-own.  A change here means trajectories, entry times, metrics, vehicle CSVs,
+own, and that pair's entry counts when the run first stored them in place of
+entry times.  A change here means trajectories, entry times, metrics, vehicle CSVs,
 column bytes, field totals, transcripts or fitted coefficients moved.
 """
 
 import hashlib
+import math
 import random
+from array import array
 from importlib import resources
 
 import numpy as np
@@ -137,21 +140,31 @@ SIOUX_FALLS_MORE_SEEDS = {
 # multiplier 2.0, 7,200 s), non-private run then private, recorded while each
 # vehicle still routed on its own and the columns grew from lists.  Origins,
 # destinations and block starts were int64 then; they are hashed widened to
-# int64, so their narrower typecodes since hash as the values did
+# int64, so their narrower typecodes since hash as the values did.  The last
+# column was then a stored float64 entry time per route slot, NaN until
+# entered; it is hashed rebuilt from `Vehicle.entry_times`
 SIOUX_FALLS_FULL_COLUMNS = "05dfea5b4b054cd8cb5bf39e661cd9a3488b1a6185fc26407ab037219ffcb5a6"
+# sha256 over the same pair's `entry_counts` bytes, non-private run then private
+SIOUX_FALLS_FULL_ENTRY_COUNTS = "e1f19da21034fbfa7c52615a2de482cee52482e6b2cd124475ac08214362300f"
 
 
 def test_sioux_falls_full_horizon_columns_pinned():
     network, od = load_sioux_falls()
     config = SimConfig(demand_multiplier=2.0, seed=1, horizon=7200.0)
     _, result_np, result_p = run_experiment(network, od, config)
-    h = hashlib.sha256()
+    h, counts = hashlib.sha256(), hashlib.sha256()
     for result in (result_np, result_p):
         vs = result.vehicles
         widened = (np.asarray(c, dtype=np.int64) for c in (vs.origins, vs.dests, vs.starts))
-        for column in (vs.departs, vs.arrivals, *widened, vs.route_edges, vs.entry_buffer):
+        entry_times = array("d")
+        for v in vs:
+            times = v.entry_times
+            entry_times.extend(times + [math.nan] * (len(v.route) - len(times)))
+        for column in (vs.departs, vs.arrivals, *widened, vs.route_edges, entry_times):
             h.update(column.tobytes())
+        counts.update(vs.entry_counts.tobytes())
     assert h.hexdigest() == SIOUX_FALLS_FULL_COLUMNS
+    assert counts.hexdigest() == SIOUX_FALLS_FULL_ENTRY_COUNTS
 
 
 @pytest.mark.parametrize("seed", sorted(SIOUX_FALLS_MORE_SEEDS))

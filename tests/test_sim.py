@@ -323,7 +323,7 @@ def test_paired_private_run_equals_a_standalone_one(seed, monkeypatch):
     assert calls == [61]  # one draw for the pair
     alone = Simulation(net, od, replace(cfg, mode="private")).run()
     columns = ("origins", "dests", "departs", "arrivals", "starts", "route_edges",
-               "positions", "entry_buffer")
+               "positions", "entry_counts")
     for name in columns:
         assert getattr(paired.vehicles, name).tobytes() == getattr(alone.vehicles, name).tobytes()
     assert paired.entries_horizon.tobytes() == alone.entries_horizon.tobytes()
@@ -338,7 +338,7 @@ def test_injecting_simulation_with_nothing_injected_runs_as_simulation():
     plain, injecting = (cls(net, od, cfg) for cls in (Simulation, InjectingSimulation))
     results = [sim.run() for sim in (plain, injecting)]
     columns = ("origins", "dests", "departs", "arrivals", "starts", "route_edges",
-               "positions", "entry_buffer")
+               "positions", "entry_counts")
     for name in columns:
         mine, theirs = (getattr(result.vehicles, name) for result in results)
         assert mine.tobytes() == theirs.tobytes()
@@ -359,7 +359,7 @@ def test_paired_private_run_borrows_the_departure_columns():
     assert len(vs_p) == len(vs_np) > 1000
     for name in ("origins", "dests", "departs"):
         assert getattr(vs_p, name) is getattr(vs_np, name)
-    for name in ("arrivals", "starts", "route_edges", "positions", "entry_buffer"):
+    for name in ("arrivals", "starts", "route_edges", "positions", "entry_counts"):
         assert getattr(vs_p, name) is not getattr(vs_np, name)
     # columns lent by a run of other vehicles do not join the borrower's routes
     other = Simulation(net, od, replace(cfg, mode="private", seed=22), _shared=(None, vs_np))
@@ -738,16 +738,16 @@ def test_reserved_columns_are_trimmed_to_the_vehicles():
     per_vehicle = (vs.origins, vs.dests, vs.departs, vs.arrivals, vs.positions)
     assert [len(c) for c in per_vehicle] == [n] * 5
     assert len(vs.starts) == n + 1
-    assert len(vs.entry_buffer) == len(vs.route_edges) == vs.starts[-1]
+    assert len(vs.entry_counts) == len(vs.route_edges) == vs.starts[-1]
 
 
-@pytest.mark.parametrize("column", ["departs", "starts", "route_edges", "entry_buffer"])
+@pytest.mark.parametrize("column", ["departs", "starts", "route_edges", "entry_counts"])
 def test_invariant_check_catches_a_write_past_the_vehicles(column):
     net, od = load_sioux_falls()
     sim = Simulation(net, od, SimConfig(horizon=300.0, demand_multiplier=2.0, seed=7,
                                         debug_checks=True))
     vs = sim.vehicles
-    used = (lambda: vs.starts[len(vs)]) if column in ("route_edges", "entry_buffer") else (
+    used = (lambda: vs.starts[len(vs)]) if column in ("route_edges", "entry_counts") else (
         lambda: len(vs) + (column == "starts"))
     sim.step()
     while len(getattr(vs, column)) == used():  # no slot reserved past the vehicles yet
@@ -756,6 +756,60 @@ def test_invariant_check_catches_a_write_past_the_vehicles(column):
     getattr(vs, column)[-1] = 0
     with pytest.raises(RuntimeError, match="reserved past the vehicles was written"):
         sim._check_invariants()
+
+
+@pytest.mark.parametrize("entered", [True, False], ids=["entered", "ahead"])
+def test_invariant_check_catches_a_corrupted_entry_count(entered):
+    # a vehicle's block holds a count for each edge it has entered and the
+    # fill after them: clearing the slot of its current edge, or writing the
+    # one of its next, breaks the check
+    net, od = load_sioux_falls()
+    sim = Simulation(net, od, SimConfig(horizon=300.0, demand_multiplier=2.0, seed=7,
+                                        debug_checks=True))
+    sim.step()
+    vs = sim.vehicles
+    starts, _, positions, arrivals, _ = vs.views()
+    current = starts[:-1] + positions  # the slot of each vehicle's current edge
+    i = int(np.flatnonzero(np.isnan(arrivals) & (current + 1 < starts[1:]))[0])
+    slot = int(current[i]) + (not entered)
+    del starts, positions, arrivals, current
+    sim._check_invariants()
+    vs.entry_counts[slot] = 0xFFFF if entered else 0
+    with pytest.raises(RuntimeError, match="an entry count is missing"):
+        sim._check_invariants()
+
+
+def _wide_line():
+    # 1 -> 2 -> 3 with a capacity that keeps tau near t0 at any count
+    return RoadNetwork(range(1, 4), [Edge(i, i + 1, i + 2, DelayFunction(t0=60.0, capacity=1e6))
+                                     for i in range(2)])
+
+
+def test_largest_entry_count_is_stored_and_read_back():
+    net = _wide_line()
+    sim = InjectingSimulation(net, OdDemand({}), SimConfig(mode="private", horizon=100.0, seed=0))
+    sim.inject(1, 3, 0.0)
+    sim.counts[0] = 0xFFFE  # so the vehicle sees 0xFFFE on edge 0
+    sim.run()
+    v = sim.vehicles[0]
+    assert sim.vehicles.entry_counts.tolist() == [0xFFFE, 0]
+    assert v.entry_times == [0.0, net.tau_by_count[0, 0xFFFE]] and v.arrival > 120.0
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["table-narrow", "table-wide"])
+def test_entry_count_past_the_column_raises_naming_the_edge(wide):
+    # entry counts are array('H') filled with 0xFFFF: a count of 0xFFFF would
+    # read as unwritten and 0x10000 would wrap to 0, so the pass raises
+    # before it writes, also where the tau table already covers the count
+    net = _wide_line()
+    if wide:
+        net.grow_tau(0xFFFF)
+    sim = InjectingSimulation(net, OdDemand({}), SimConfig(mode="private", horizon=100.0, seed=0))
+    sim.inject(2, 3, 0.0)  # onto edge 1
+    sim.counts[1] = 0xFFFF
+    with pytest.raises(OverflowError, match="edge 1 would hold 65535 vehicles"):
+        sim.step()
+    assert sim.vehicles.entry_counts.tolist() == [0xFFFF]
 
 
 def test_drain_refreshes_build_no_trees(monkeypatch):
@@ -935,21 +989,20 @@ def test_wide_node_ids_read_back_exactly():
     assert (sioux_falls.origins.typecode, sioux_falls.starts.typecode) == ("b", "i")
 
 
-@pytest.mark.parametrize("typecode", ["d", "b"])
+@pytest.mark.parametrize("typecode", ["d", "b", "H"])
 def test_grow_holds_no_second_copy_of_its_fill(typecode):
     # the fill goes into the column a block at a time: growing an empty
     # column to 2^20 items peaks near the column's own size, not twice it
     column = array(typecode)
-    nan = array("d", [math.nan]).tobytes()
     tracemalloc.start()
     try:
-        _grow(column, 1 << 20, nan if typecode == "d" else b"")
+        _grow(column, 1 << 20)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     size = len(column) * column.itemsize
     assert len(column) == 1 << 20 and peak < 1.25 * size
-    assert column.tobytes() == (nan if typecode == "d" else b"\xff") * len(column)
+    assert column.tobytes() == b"\xff" * size
 
 
 def test_reserve_refuses_more_route_slots_than_starts_hold():
@@ -959,7 +1012,7 @@ def test_reserve_refuses_more_route_slots_than_starts_hold():
     with pytest.raises(OverflowError):
         vs.append(np.array([2**31]), np.empty(0, dtype=np.int8), 1, 3, 0.0, math.nan)
     columns = (vs.origins, vs.dests, vs.departs, vs.arrivals, vs.positions, vs.route_edges,
-               vs.entry_buffer)
+               vs.entry_counts)
     assert [len(c) for c in columns] == [0] * 7 and vs.starts.tolist() == [0] and not vs
 
 
@@ -1229,7 +1282,7 @@ def test_config_validation():
 def test_baseline_pair_peaks_near_the_columns_it_keeps():
     # a baseline pair (seed 11) stores its shared columns once and builds no
     # whole-run transient: its traced peak stays within 1.3x the column
-    # bytes of its two results, each run's counted in full (21.6 MB).  A
+    # bytes of its two results, each run's counted in full (14.6 MB).  A
     # pair that kept both runs' copies and full-length travel times peaked
     # at 1.49x
     net, od = load_sioux_falls()
@@ -1242,7 +1295,7 @@ def test_baseline_pair_peaks_near_the_columns_it_keeps():
     finally:
         tracemalloc.stop()
     names = ("origins", "dests", "departs", "arrivals", "starts", "route_edges", "positions",
-             "entry_buffer")
+             "entry_counts")
     columns = sum(len(c) * c.itemsize for c in (
         getattr(r.vehicles, name) for r in (result_np, result_p) for name in names))
     assert peak < 1.3 * columns, f"peak {peak / 1e6:.1f} MB over {columns / 1e6:.1f} MB"
@@ -1274,16 +1327,16 @@ def test_runs_leave_no_cyclic_garbage():
 
 def test_dropped_runs_are_freed_without_the_collector():
     # a run's results hold no reference cycle (no view points back at its
-    # Simulation), so dropping a pair frees each run's entry buffer at once,
+    # Simulation), so dropping a pair frees each run's entry counts at once,
     # with the collector off and no gc.collect()
     net, od = load_sioux_falls()
     gc.disable()
     try:
         results = run_experiment(net, od, SimConfig(horizon=300.0, seed=5,
                                                     demand_multiplier=0.2))
-        buffers = [weakref.ref(r.vehicles.entry_buffer) for r in results[1:]]
-        assert all(ref() is not None and len(ref()) > 100 for ref in buffers)
+        counts = [weakref.ref(r.vehicles.entry_counts) for r in results[1:]]
+        assert all(ref() is not None and len(ref()) > 100 for ref in counts)
         del results
-        assert [ref() for ref in buffers] == [None, None]
+        assert [ref() for ref in counts] == [None, None]
     finally:
         gc.enable()
