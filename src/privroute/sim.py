@@ -148,9 +148,14 @@ class Vehicle:
         after = min(self.pos, len(self.route) - 1)  # the entries after the departure's
         if after < 0:
             return []
-        start = self._start
-        return list(accumulate(map(self._tau.item, self.route, self._counts[start:start + after]),
-                               initial=self.depart))
+        # a plain loop: most vehicles enter one to three edges, too few for
+        # an accumulate chain's set-up to pay
+        t, times = self.depart, [self.depart]
+        tau, route, counts, start = self._tau.item, self.route, self._counts, self._start
+        for i in range(after):
+            t += tau(route[i], counts[start + i])
+            times.append(t)
+        return times
 
     @property
     def travel_time(self) -> Optional[float]:

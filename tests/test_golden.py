@@ -15,8 +15,8 @@ each vehicle still kept its own entry-time list, the `simulate --trace`
 vehicle CSVs while each run still kept a list of `Vehicle` objects, the
 7,200 s baseline pair's column bytes while each vehicle still routed on its
 own, and that pair's entry counts when the run first stored them in place of
-entry times.  A change here means trajectories, entry times, metrics, vehicle CSVs,
-column bytes, field totals, transcripts or fitted coefficients moved.
+entry times.  A change here means trajectories, entry times, metrics, vehicle
+CSVs, column bytes, field totals, transcripts or fitted coefficients moved.
 """
 
 import hashlib
