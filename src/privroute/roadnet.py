@@ -20,6 +20,11 @@ import numpy as np
 
 from .laplace import LaplaceParams, sample_laplace_vector
 
+# the most vehicles a simulated road holds: the simulator keeps every count an
+# entrant sees below it (its entry count column is array('H'), with 0xFFFF
+# marking unwritten slots), so the tau table never needs a wider column
+MAX_COUNT = 0xFFFF
+
 
 class NegativeFlow(ValueError):
     """Raised when a flow or count argument is negative where disallowed."""
@@ -68,7 +73,8 @@ class RoadNetwork:
     the edges' endpoints and BPR parameters as arrays in edge-id order, and
     `out_arcs[n]` the (edge id, head) of each edge out of node n.
     `tau_by_count[e, s]` is tau at count s on edge e, one row per edge;
-    `grow_tau` widens the table for every edge at once.
+    `grow_tau` widens the table for every edge at once, to at most
+    MAX_COUNT + 1 columns.
     _tau_vector works elementwise, so an entry's value does not depend on
     when, or by which run, the table grew: every simulation on one network
     shares it.  A column also equals _tau_vector over one count per edge,
@@ -145,9 +151,12 @@ class RoadNetwork:
 
     def grow_tau(self, count: int) -> np.ndarray:
         """Widen the tau table to cover counts up to 2 * count + 8 on every
-        edge, and return it."""
+        edge, or up to MAX_COUNT if that is fewer, and return it.  Raises
+        OverflowError for a count past MAX_COUNT."""
+        if count > MAX_COUNT:
+            raise OverflowError(f"count {count} is past the {MAX_COUNT} vehicles a road holds")
         table = self.tau_by_count
-        counts = np.arange(table.shape[1], 2 * count + 9, dtype=float)
+        counts = np.arange(table.shape[1], min(2 * count + 8, MAX_COUNT) + 1, dtype=float)
         self.tau_by_count = np.concatenate((table, _tau_vector(
             self.t0[:, None], self.capacity[:, None], self.alpha[:, None], self.beta[:, None],
             counts,

@@ -68,7 +68,7 @@ import numpy as np
 from .field import MERSENNE_521
 from .laplace import LaplaceParams, fit_inverse_cdf_poly, sample_laplace_vector
 from .protocol import PartyInput, run_round
-from .roadnet import RoadNetwork, _tau_vector
+from .roadnet import MAX_COUNT, RoadNetwork, _tau_vector
 from .tntp import DEFAULT_DEMAND_SCALE, OdDemand
 
 MPC_DEGREE = 7
@@ -168,7 +168,7 @@ def _index_typecode(n: int) -> str:
 
 
 _RESERVED = 0xFF  # every byte of a reserved slot until written
-_UNSEEN = 0xFFFF  # an entry count slot's reserve fill, so every count seen stays below it
+_UNSEEN = MAX_COUNT  # an entry count slot's reserve fill, so every count seen stays below it
 
 
 def _view(column: array) -> np.ndarray:
@@ -537,6 +537,7 @@ class Simulation:
         self._period = None  # the drawn departures of this period, see _draw_period
         self._mpc_polys: dict = {}
         self._mpc_refresh_index = 0
+        self._error = None  # what a batch raised; the run then refuses to step
 
         ss = np.random.SeedSequence(entropy=config.seed)
         demand_ss, noise_ss = ss.spawn(2)
@@ -632,22 +633,28 @@ class Simulation:
         A batch must not cross a refresh.  It ends early where `run` stops:
         after the first step that ends at or past DRAIN_FACTOR * horizon,
         or at or past the horizon with nobody in transit.  So it advances
-        one step at least."""
+        one step at least.  After a batch raises, every call raises RuntimeError."""
         cfg = self.config
         into = self.step_index % self.steps_per_refresh
+        if self._error is not None:
+            raise RuntimeError(f"a batch raised {self._error!r}; the run stopped") from self._error
         if not 0 < steps <= self.steps_per_refresh - into:
             raise ValueError(f"{steps} steps from step {self.step_index} do not fit in"
                              f" its refresh period of {self.steps_per_refresh} steps")
-        if into == 0:
-            self._refresh()
-            if self.clock < cfg.horizon:
-                self._draw_period()
-        ends = self._step_ends(steps)
-        del ends[bisect_left(ends, DRAIN_FACTOR * cfg.horizon) + 1:]
-        entering = self._depart(ends)
-        last = -math.inf  # the batch's last arrival
-        if len(entering[0]) or (self._exit_times <= ends[-1]).any():
-            last = self._move(*entering, ends)
+        try:
+            if into == 0:
+                self._refresh()
+                if self.clock < cfg.horizon:
+                    self._draw_period()
+            ends = self._step_ends(steps)
+            del ends[bisect_left(ends, DRAIN_FACTOR * cfg.horizon) + 1:]
+            entering = self._depart(ends)
+            last = -math.inf  # the batch's last arrival
+            if len(entering[0]) or (self._exit_times <= ends[-1]).any():
+                last = self._move(*entering, ends)
+        except BaseException as error:
+            self._error = error  # the batch may have written part of its events
+            raise
         if ends[-1] >= cfg.horizon and not self.in_transit:
             # the road drained: stop after the step of the last arrival,
             # or after the step that reaches the horizon if that is later
@@ -775,8 +782,8 @@ class Simulation:
         arrived, last = 0, -math.inf
         while True:
             due = pending_t <= t_end
-            exit_t, exit_v = pending_t[due], pending_v[due]
-            pending_t, pending_v = pending_t[~due], pending_v[~due]
+            exit_t, exit_v = pending_t.compress(due), pending_v.compress(due)
+            pending_t, pending_v = pending_t.compress(~due), pending_v.compress(~due)
             # in (time, vid) order: a sort by time, then the runs of equal
             # times, if any, by vid
             order = np.argsort(exit_t)
@@ -790,53 +797,55 @@ class Simulation:
                 exit_v[runs] = exit_v[runs][np.lexsort((exit_v[runs], exit_t[runs]))]
             n_dep, n_exit = len(enter_ids), len(exit_v)
             # each event's position in processing order: a departure comes
-            # after the exits of earlier steps, an exit after the departures
-            # of its own step and earlier ones
-            exit_step = np.searchsorted(ends, exit_t)
-            # the exits before each step, and the departures through it
-            exits_before = np.cumsum(np.bincount(exit_step + 1, minlength=len(ends)))[enter_steps]
+            # after the exits of earlier steps (an exit's step is the first
+            # whose end is at or after it), an exit after the departures of
+            # its own step and earlier ones
+            exits_in = np.diff(np.searchsorted(exit_t, ends, side="right"), prepend=0)
+            exits_before = (np.cumsum(exits_in) - exits_in)[enter_steps]
             deps_by = np.cumsum(np.bincount(enter_steps, minlength=len(ends)))
             dep_at = np.arange(n_dep) + exits_before
-            exit_at = np.arange(n_exit) + deps_by[exit_step]
-            slot = starts[exit_v] + positions[exit_v]  # of the edge each exit leaves
-            left = route_edges[slot]
-            moves = slot + 1 < starts[exit_v + 1]
+            exit_at = np.arange(n_exit) + np.repeat(deps_by, exits_in)
+            # slots and edge ids come narrow from the columns and are widened
+            # to intp at once, since numpy gathers by intp indices several
+            # times faster than by int8 or int16 ones; only the sort key stays narrow
+            slot = starts.take(exit_v).astype(np.intp) + positions.take(exit_v)  # of the edge left
+            left = route_edges.take(slot).astype(np.intp)
+            moves = slot + 1 < starts.take(exit_v + 1)
             moved = np.flatnonzero(moves)
             # entrants, departures first, and the position of each
             at = np.concatenate((dep_at, exit_at[moved]))
             ent_v = np.concatenate((enter_ids, exit_v[moved]))
             ent_t = np.concatenate((enter_times, exit_t[moved]))
-            ent_slot = np.concatenate((starts[enter_ids], slot[moved] + 1))
-            ent_edge = route_edges[ent_slot]
+            ent_slot = np.concatenate((starts.take(enter_ids), slot.take(moved) + 1))
+            ent_edge = route_edges.take(ent_slot).astype(np.intp)
 
             # the count an entrant sees is its edge's count at pass start
             # plus the +1 and -1 events before it on that edge, an exit's -1
             # coming before its own +1: traversal time reflects the vehicles
             # already on the road, not the entrant itself.  Laid out in
             # processing order, each exit's -1 just before its +1, the events
-            # need only a stable sort by edge (numpy sorts small integers by
-            # radix)
+            # need only a stable sort by edge (numpy sorts the narrow ids by
+            # radix); the sorted deltas' running sum before an entrant, less
+            # that of the edges sorted before its own, is what it adds
             moves_before = np.concatenate(([0], np.cumsum(moves)))
             exit_ev = exit_at + moves_before[:-1]
             ent_ev = np.concatenate((dep_at + moves_before[exits_before], exit_ev[moved] + 1))
-            edge = np.empty(len(at) + n_exit, route_edges.dtype)
-            edge[ent_ev], edge[exit_ev] = ent_edge, left
-            delta = np.ones(len(edge), np.int64)
-            delta[exit_ev] = -1
-            order = np.argsort(edge, kind="stable")
-            edge, delta = edge[order], delta[order]
-            before = np.cumsum(delta) - delta
-            on_edge = np.bincount(edge, minlength=m)
-            seen = np.empty(len(edge), dtype=np.int64)
-            seen[order] = counts[edge] + before - before[(np.cumsum(on_edge) - on_edge)[edge]]
-            seen = seen[ent_ev]
+            # one buffer holds each event's edge, then its delta, then the running sum
+            run = np.empty(len(at) + n_exit, np.intp)
+            run[ent_ev], run[exit_ev] = ent_edge, left
+            order = np.argsort(run.astype(route_edges.dtype), kind="stable")
+            run[ent_ev], run[exit_ev] = 1, -1
+            run[order] = np.cumsum(run.take(order))
+            net = np.bincount(ent_edge, minlength=m) - np.bincount(left, minlength=m)
+            seen = (counts - np.cumsum(net) + net - 1).take(ent_edge) + run.take(ent_ev)
+            del order, run, moves_before, exit_ev, ent_ev, slot
             if len(seen) and seen.max() >= min(table.shape[1], _UNSEEN):
                 top = int(seen.max())
                 if top >= _UNSEEN:  # an entry count slot would wrap or read as unwritten
                     raise OverflowError(f"edge {int(ent_edge[seen.argmax()])} would hold"
                                         f" {top} vehicles; entry counts stop at {_UNSEEN - 1}")
                 table = self.network.grow_tau(top)
-            ent_exit = ent_t + table[ent_edge, seen]
+            ent_exit = ent_t + table.take(ent_edge * table.shape[1] + seen)
 
             cut = n_dep + n_exit
             early = np.flatnonzero(ent_exit <= t_end)
@@ -855,12 +864,13 @@ class Simulation:
                 go = at < cut
                 ent_v, ent_t, ent_edge, ent_exit = ent_v[go], ent_t[go], ent_edge[go], ent_exit[go]
             counts += np.bincount(ent_edge, minlength=m) - np.bincount(left[:done], minlength=m)
-            self.entries_horizon += np.bincount(ent_edge[ent_t < self.config.horizon], minlength=m)
+            self.entries_horizon += np.bincount(ent_edge.compress(ent_t < self.config.horizon),
+                                                minlength=m)
             entry_counts[ent_slot[go]] = seen[go]
             positions[exit_v[:done]] += 1
             ended = np.flatnonzero(~moves[:done])
             if len(ended):
-                arrivals[exit_v[ended]] = exit_t[ended]
+                arrivals[exit_v.take(ended)] = exit_t.take(ended)
                 arrived += len(ended)
                 last = max(last, float(exit_t[ended[-1]]))
             pending_t = np.concatenate((pending_t, exit_t[done:], ent_exit))

@@ -615,9 +615,23 @@ _DRAWN_ONLY = (
     [], [])
 
 
+# a ring both ways round 65 nodes: 130 edges, so the run's edge ids are
+# array('h'), and the routes that go back past node 1 take edges 127-129
+_WIDE_RING = (
+    RoadNetwork(range(1, 66), [
+        Edge(i, u, v, DelayFunction(t0=(5.0, 10.0, 25.0)[i % 3], capacity=(0.1, 1.0)[i % 2]))
+        for i, (u, v) in enumerate([(u, u % 65 + 1) for u in range(1, 66)]
+                                   + [(u, (u - 2) % 65 + 1) for u in range(1, 66)])]),
+    OdDemand({(2, 62): 40.0, (3, 63): 20.0, (65, 63): 40.0, (30, 34): 40.0, (63, 65): 20.0}),
+    SimConfig(timestep=10.0, refresh_period=20.0, horizon=60.0, mode="private", epsilon=0.5,
+              seed=11, debug_checks=True, demand_multiplier=200.0),
+    [], [])
+
+
 @settings(max_examples=150, deadline=None)
 @given(_heap_loop_cases())
 @example(_DRAWN_ONLY)
+@example(_WIDE_RING)
 def test_batched_step_matches_heap_loop(case):
     # with nothing injected the batched side is a plain Simulation, so the
     # departure path the program runs is the one checked
@@ -794,6 +808,10 @@ def test_largest_entry_count_is_stored_and_read_back():
     v = sim.vehicles[0]
     assert sim.vehicles.entry_counts.tolist() == [0xFFFE, 0]
     assert v.entry_times == [0.0, net.tau_by_count[0, 0xFFFE]] and v.arrival > 120.0
+    # the table stops at the largest count a road holds, 0xFFFF
+    assert net.tau_by_count.shape == (2, 0x10000)
+    with pytest.raises(OverflowError, match="past the 65535 vehicles"):
+        net.grow_tau(0x10000)
 
 
 @pytest.mark.parametrize("wide", [False, True], ids=["table-narrow", "table-wide"])
@@ -810,6 +828,10 @@ def test_entry_count_past_the_column_raises_naming_the_edge(wide):
     with pytest.raises(OverflowError, match="edge 1 would hold 65535 vehicles"):
         sim.step()
     assert sim.vehicles.entry_counts.tolist() == [0xFFFF]
+    # the batch stopped partway through its events, so the run cannot go on
+    for go_on in (sim.step, sim.run):
+        with pytest.raises(RuntimeError, match=r"OverflowError\('edge 1 would hold 65535"):
+            go_on()
 
 
 def test_drain_refreshes_build_no_trees(monkeypatch):
