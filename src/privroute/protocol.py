@@ -6,9 +6,16 @@ For every edge the participating parties (vehicles) run, in-process:
    true count,
 2. secure addition of per-party uniform seed summands -> additive shares of
    the joint noise seed T,
-3. a ladder of secure multiplications producing shares of T^2..T^d,
-4. a local linear combination with the quantile polynomial's fixed-point
-   coefficients, and a broadcast of the resulting theta shares.
+3. a Paterson-Stockmeyer evaluation of the quantile polynomial's fixed-point
+   coefficients at T (`evaluation_schedule`): secure multiplications give
+   shares of T^2..T^k, then Horner in T^k runs over blocks of k coefficients,
+   each block a public combination of T^0..T^k that every party forms from
+   its own shares, and each Horner step one secure multiplication.  Degree d
+   takes (k - 1) + floor((d - 1) / k) products for the k with the fewest:
+   4 in place of d - 1 = 6 at d = 7, and 6 in place of 14 at d = 15.  Where
+   no k saves one (d <= 3) the schedule is the plain ladder T^2..T^d,
+4. a local sum of the count share, scaled, and the polynomial share, and a
+   broadcast of the resulting theta shares.
 
 Everyone can then sum the broadcast thetas, decode the signed field value and
 rescale, yielding count + noise without any party having seen another's
@@ -22,24 +29,24 @@ are plain `random.Random`s, and no rng may serve two parties.
 
 Drawing is split from arithmetic.  For each edge, each party draws in its
 stream order: the count-share deals (receivers in increasing index), the
-seed summand, then one run holding the seed-share deals and, for each power
-z, the Shamir coefficients for X before Y.  The runs go through
-`sharing._draw`, which takes them in one `getrandbits` run with replacement
-draws for the values `randrange` would reject, so every party gets the same
-values and ends in the same state as with one `randrange` call per value.
-An injected rng with only `randrange` (the tests' scripted rngs) is called
-per value.  Steps 1-3 then run the share loops `sharing._smpa_phase` and
-`sharing._smpm_phase` on the drawn values.
+seed summand, then one run holding the seed-share deals and, for every
+product in schedule order, the Shamir coefficients for X before Y.  The runs
+go through `sharing._draw`, which takes them in one `getrandbits` run with
+replacement draws for the values `randrange` would reject, so every party
+gets the same values and ends in the same state as with one `randrange` call
+per value.  An injected rng with only `randrange` (the tests' scripted rngs)
+is called per value.  Steps 1-3 then run the share loops
+`sharing._smpa_phase` and `sharing._smpm_phase` on the drawn values.
 
 Shamir evaluation is linear, so each multiplication step evaluates the sum of
 the parties' coefficient vectors once per receiver: O(N*h) Horner steps per
-power for Shamir degree h, the same shares as N^2 per-pair evaluations would
-give.  X's and Y's sums share one int, so one Horner pass gives both values,
-and the Lagrange weights enter as their signed values +-C(N, j).  A share is
-reduced only where it leaves its party: each power's shares stay unreduced
-(the next power reads only their sum mod p, and the transcript sends them
-reduced), and each party's theta, summed from those unreduced terms, is
-reduced once before the broadcast.  Recording a transcript
+product for Shamir degree h, the same shares as N^2 per-pair evaluations
+would give.  X's and Y's sums share one int, so one Horner pass gives both
+values, and the Lagrange weights enter as their signed values +-C(N, j).  A
+share is reduced only where it leaves its party: each product's shares stay
+unreduced (the next product reads only their sum mod p, and the transcript
+sends them reduced), and each party's theta, summed from those unreduced
+terms, is reduced once before the broadcast.  Recording a transcript
 (`record_transcript=True`; off by default, since it holds every
 point-to-point share) adds those O(N^2*h) per-pair evaluations, since each
 message is one of them.
@@ -52,7 +59,7 @@ import random
 import secrets
 from dataclasses import dataclass
 from operator import mul
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .field import PrimeModulus, _lagrange_weights_at_zero_ints
 from .laplace import InverseCdfPoly
@@ -76,11 +83,52 @@ class DecodeOverflow(ValueError):
 
 PHASE_COUNT = "SMPA-count"
 PHASE_UNIFORM = "SMPA-uniform"
+PHASE_HORNER = "SMPM-horner"
 PHASE_BROADCAST = "final-theta-broadcast"
 
 
 def phase_power(z: int) -> str:
     return f"SMPM-power-{z}"
+
+
+class Schedule(NamedTuple):
+    """The secure products a round runs per edge to evaluate its polynomial.
+
+    The powers T^2..T^k take k - 1 products, then `horner` Horner steps in
+    T^k take one each: block b holds the coefficients c_bk..c_(bk+k-1), the
+    top block runs on to c_d, and Horner starts from the top block.
+    """
+
+    k: int
+    horner: int
+
+    @property
+    def products(self) -> int:
+        return self.k - 1 + self.horner
+
+    @property
+    def phases(self) -> tuple:
+        """The phase name of every product, in the order the round runs them."""
+        powers = tuple(phase_power(z) for z in range(2, self.k + 1))
+        return powers + (PHASE_HORNER,) * self.horner
+
+
+def evaluation_schedule(degree: int) -> Schedule:
+    """Paterson-Stockmeyer's schedule for `degree`: the k with the fewest products.
+
+    Block size k takes (k - 1) + floor((d - 1) / k) products, and the
+    smallest k wins a tie.  Where no k beats the plain ladder (k = d, d - 1
+    products, which is every d <= 3), the ladder is kept.
+    """
+    ladder = max(degree, 1)
+
+    def horner(k):
+        return max(degree - 1, 0) // k
+
+    k = min(range(1, ladder + 1), key=lambda k: k - 1 + horner(k))
+    if k - 1 + horner(k) == ladder - 1 + horner(ladder):
+        k = ladder
+    return Schedule(k, horner(k))
 
 
 @dataclass(frozen=True)
@@ -123,8 +171,8 @@ class ProtocolTranscript:
         self.messages: list[Message] = []
 
     def expected_messages_per_edge(self) -> int:
-        n, d = self.n_parties, self.degree
-        return 2 * n * (n - 1) + max(d - 1, 0) * 2 * n * (n - 1) + n * (n - 1)
+        n, products = self.n_parties, evaluation_schedule(self.degree).products
+        return 2 * n * (n - 1) + products * 2 * n * (n - 1) + n * (n - 1)
 
     def dump_jsonl(self, fileobj) -> None:
         for m in self.messages:
@@ -147,13 +195,25 @@ class RoundResult:
     n_parties: int
 
 
+def _block_shares(cs: Sequence[int], powers: list) -> list:
+    """Each party's share of the public c_0 + c_1*T + c_2*T^2 + ...
+
+    `powers[z - 1]` holds the parties' shares of T^z.  Each party weights
+    its own shares by the coefficients, unreduced; the constant enters once,
+    at party 1.
+    """
+    shares = [sum(map(mul, cs[1:], own)) for own in zip(*powers)]
+    shares[0] += cs[0]
+    return shares
+
+
 def party_streams(seed: int, n_parties: int) -> list[random.Random]:
     """Independent per-party rngs derived from one round seed.
 
     Each is a `random.Random` seeded from the round seed and the party
     index.  `run_round` draws from it through `sharing._draw`: per edge, a
     run of count deals, the seed summand, then one run of seed deals and
-    Shamir coefficients, with replacement draws for the values `randrange`
+    every product's Shamir coefficients, with replacement draws for the values `randrange`
     would reject, so a party gets the same values and ends in the same state
     as with one `randrange` call per value.
     """
@@ -183,7 +243,7 @@ def run_round(
     """
     n = len(inputs)
     if n < 3:
-        raise TooFewParties(f"the multiplication ladder needs >= 3 parties, got {n}")
+        raise TooFewParties(f"secure multiplication needs >= 3 parties, got {n}")
     modulus: PrimeModulus = poly.modulus
     if poly.n_parties != n:
         raise ValueError(
@@ -214,21 +274,22 @@ def run_round(
     d = poly.degree
     scale = poly.scale
     coeffs = poly.field_coeffs  # signed and short; theta mod p is the same
-    constant = [coeffs[0]] + [0] * (n - 1)  # the constant term enters exactly once
+    schedule = evaluation_schedule(d)
+    k, horner = schedule
     # at indices 1..N the weights are +-C(N, j): signed, they are short ints
     lam = _lagrange_weights_at_zero_ints(list(range(1, n + 1)), pp)
     lam = [modulus.signed(w) for w in lam]
     transcript = ProtocolTranscript(n, m, d) if record_transcript else None
     messages = None if transcript is None else transcript.messages
     deals = n - 1
-    per_power = 2 * ((n - 1) // 2)  # X's then Y's Shamir coefficients
-    seed_draws = deals + max(d - 1, 0) * per_power
+    per_product = 2 * ((n - 1) // 2)  # X's then Y's Shamir coefficients
+    seed_draws = deals + schedule.products * per_product
 
     totals = []
     values = []
     for e in range(m):
         # each party's draws for the edge, in its stream order: count deals,
-        # seed summand, then seed deals and each power's coefficients in one run
+        # seed summand, then seed deals and each product's coefficients in one run
         count_deals, summands, drawn = [], [], []
         for rng in rngs:
             count_deals.append(_draw(rng, pp, deals))
@@ -241,19 +302,25 @@ def run_round(
         beta_1 = _smpa_phase(
             summands, [r[:deals] for r in drawn], pp, messages, e, PHASE_UNIFORM,
         )
-        powers = [None, beta_1]
-        for z in range(2, d + 1):
-            start = deals + (z - 2) * per_power
+        runs = (
+            [r[s:s + per_product] for r in drawn]
+            for s in range(deals, seed_draws, per_product)
+        )
+        powers = [beta_1]
+        for z in range(2, k + 1):
             powers.append(_smpm_phase(
-                powers[z - 1], beta_1, [r[start:start + per_power] for r in drawn],
-                pp, lam, messages, e, phase_power(z),
+                powers[-1], beta_1, next(runs), pp, lam, messages, e, phase_power(z),
             ))
-        # each party's terms, its power shares among them, are added
-        # unreduced and reduced once, where the theta leaves the party
-        theta = [
-            (const + scale * a + sum(map(mul, coeffs[1:], shares))) % pp
-            for const, a, *shares in zip(constant, alpha, *powers[1:])
-        ]
+        # Horner in T^k from the top block down; shares are added unreduced
+        # and reduced once, where the theta leaves the party
+        acc = _block_shares(coeffs[horner * k:], powers)
+        for b in reversed(range(horner)):
+            product = _smpm_phase(
+                acc, powers[-1], next(runs), pp, lam, messages, e, PHASE_HORNER,
+            )
+            block = _block_shares(coeffs[b * k:b * k + k], powers)
+            acc = [x + y for x, y in zip(product, block)]
+        theta = [(v + scale * a) % pp for v, a in zip(acc, alpha)]
         if messages is not None:
             for i in range(1, n + 1):
                 for j in range(1, n + 1):

@@ -557,7 +557,7 @@ class Simulation:
             self.weights = table[np.arange(net.n_edges), counts]
         else:
             if cfg.noise == "exact" or self.in_transit < 3:
-                # fewer than 3 parties cannot run the multiplication ladder;
+                # fewer than 3 parties cannot run secure multiplication;
                 # the fallback draws exact Laplace noise, whereas the fitted
                 # polynomial's law differs at the simulator's party counts
                 # (ROADMAP item 4)

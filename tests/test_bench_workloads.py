@@ -50,7 +50,7 @@ def test_sf_paired_smoke_records_cleanly_and_repeats():
 # seed 1, from its first call
 ROUND_SMOKE_DIGESTS = {
     "round_small": "a548ac4652b7ec1bb3b80232d3fdc25eb97f466cfcf664896ad9eb305d9431d3",
-    "round_sf": "e4d3efc56d4b32650b6538b1f357a8899a8c687fe12bd856a87fb3c2767be235",
+    "round_sf": "1f15e2316c1bdc44303fc1f86204bde437f8a11c0e7074b5b3bbfaf859683cec",
 }
 
 

@@ -240,7 +240,7 @@ def _triangle():
 # noise there moves no route, so the rounds' noisy counts are pinned as well:
 # they change with the degree or the seed bits.
 MPC_TRIANGLE_DIGEST = "aaf380c4c819f2956d52eaf1b168836397abd2e070a195506530bee28cd07a81"
-MPC_TRIANGLE_NOISY_DIGEST = "4aa69676711993bb09941bf47a1a88875484f4d12c2088684f12f58bc4b00155"
+MPC_TRIANGLE_NOISY_DIGEST = "1f0b0f4b6740f6e7c285df94647fc36a43fe56b7fb3c77e921f498dc4c5f8cf2"
 
 
 def test_mpc_noise_trajectories_pinned(monkeypatch):
@@ -289,9 +289,9 @@ def test_seeded_round_pinned_at_benchmark_shape():
     result = run_round(inputs, poly, seed=2026, record_transcript=False)
     assert result.field_totals == (
         207237358748080318132383021236861959457076,
-        115628929086512470243767347476497504866658,
-        103046254974865046505928986239651393989014,
-        104964537126871211906034197682767017469124,
+        67313406797998567970540798194757435724078,
+        182186480677529968142966359698272273318568,
+        113769306129904353443765836498424673549138,
     )
 
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from privroute.field import MERSENNE_61, MERSENNE_521, PrimeModulus
 from privroute.laplace import InverseCdfPoly
-from privroute.protocol import PartyInput, party_streams, run_round
+from privroute.protocol import PartyInput, evaluation_schedule, party_streams, run_round
 from privroute.sharing import _draw, _smpa_phase, _smpm_phase
 from conftest import additive_shares, smpa_one_rng, smpm_one_rng
 
@@ -62,7 +62,7 @@ def test_smpm_reconstructs_product(instance, data):
     st.sampled_from(PRIMES), st.integers(3, 12), st.integers(0, 2**32 - 1), st.data()
 )
 def test_share_loops_read_share_inputs_mod_p(p, n, seed, data):
-    # each power of the round's ladder takes the previous power's unreduced
+    # each secure product of the round takes earlier products' unreduced
     # outputs, so shifting a share by any multiple of p must change nothing
     rng = random.Random(seed)
     x = [rng.randrange(p) for _ in range(n)]
@@ -92,7 +92,7 @@ def test_share_loops_read_share_inputs_mod_p(p, n, seed, data):
 )
 def test_zero_noise_round_returns_exact_counts(n, m, degree, seed, data):
     where = data.draw(st.lists(st.integers(-1, m - 1), min_size=n, max_size=n))
-    # all-zero coefficients: the multiplication ladder still runs up to `degree`
+    # all-zero coefficients: every product of the evaluation schedule still runs
     poly = InverseCdfPoly(
         [0] * (degree + 1), modulus=M521, n_parties=n, seed_range=2
     )
@@ -126,12 +126,13 @@ def test_relabeling_parties_preserves_field_totals(n, m, degree, seed, data):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    st.integers(3, 12), st.integers(1, 3), st.integers(1, 5),
+    st.integers(3, 12), st.integers(1, 3), st.integers(1, 9),
     st.integers(1, 2**20), st.integers(0, 2**32 - 1), st.data(),
 )
 def test_round_leaves_streams_where_per_phase_randrange_does(n, m, degree, M, seed, data):
     # each party draws once per edge; its stream must end where the draws of
-    # every phase in turn, one randrange call per value, leave it
+    # every phase in turn, one randrange call per value, leave it: one
+    # Shamir pair per product of the evaluation schedule
     where = data.draw(st.lists(st.integers(-1, m - 1), min_size=n, max_size=n))
     poly = InverseCdfPoly([0] * (degree + 1), modulus=M521, n_parties=n, seed_range=M)
     inputs = [PartyInput.on_edge(i + 1, e, m) for i, e in enumerate(where)]
@@ -144,7 +145,7 @@ def test_round_leaves_streams_where_per_phase_randrange_does(n, m, degree, M, se
             [reference.randrange(p) for _ in range(n - 1)]  # count deals
             reference.randrange(M)  # seed summand
             [reference.randrange(p) for _ in range(n - 1)]  # seed deals
-            for _ in range(2, degree + 1):
+            for _ in evaluation_schedule(degree).phases:
                 [reference.randrange(p) for _ in range(2 * h)]  # X's, then Y's
         assert rng.getstate() == reference.getstate()
 

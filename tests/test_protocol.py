@@ -18,12 +18,14 @@ from privroute.laplace import (
 from privroute.protocol import (
     PHASE_BROADCAST,
     PHASE_COUNT,
+    PHASE_HORNER,
     PHASE_UNIFORM,
     DecodeOverflow,
     FullCoalition,
     InvalidInput,
     PartyInput,
     coalition_view,
+    evaluation_schedule,
     run_round,
 )
 from privroute import protocol
@@ -193,21 +195,54 @@ def test_wrong_share_raises_decode_overflow(monkeypatch):
 
 
 def test_transcript_schedule():
-    n, d, m = 4, 3, 2
-    poly = fit_inverse_cdf_poly(
-        LaplaceParams(0.3), d, MERSENNE_521, n_parties=n, seed_bits=8, ks_samples=1000
-    )
-    inputs = [PartyInput.on_edge(i, 0, m) for i in range(1, n + 1)]
-    tr = run_round(inputs, poly, seed=1, record_transcript=True).transcript
-    per_edge = tr.expected_messages_per_edge()
-    assert per_edge == 2 * n * (n - 1) + (d - 1) * 2 * n * (n - 1) + n * (n - 1)
-    assert len(tr.messages) == m * per_edge
-    counts = Counter(msg.phase for msg in tr.messages)
-    assert counts[PHASE_COUNT] == m * n * (n - 1)
-    assert counts[PHASE_UNIFORM] == m * n * (n - 1)
-    assert counts[PHASE_BROADCAST] == m * n * (n - 1)
-    for z in range(2, d + 1):
-        assert counts[f"SMPM-power-{z}"] == m * 2 * n * (n - 1)
+    # every phase sends exactly its messages, in schedule order, both where
+    # the schedule is the plain ladder (d = 3) and where Horner runs
+    n, m = 4, 2
+    pair = n * (n - 1)
+    for d in (3, 7, 15):
+        poly = fit_inverse_cdf_poly(
+            LaplaceParams(0.3), d, MERSENNE_521, n_parties=n, seed_bits=8, ks_samples=1000
+        )
+        inputs = [PartyInput.on_edge(i, 0, m) for i in range(1, n + 1)]
+        tr = run_round(inputs, poly, seed=1, record_transcript=True).transcript
+        products = evaluation_schedule(d).phases
+        per_edge = tr.expected_messages_per_edge()
+        assert per_edge == 2 * pair + len(products) * 2 * pair + pair
+        assert len(tr.messages) == m * per_edge
+        counts = Counter(msg.phase for msg in tr.messages)
+        assert counts[PHASE_COUNT] == m * pair
+        assert counts[PHASE_UNIFORM] == m * pair
+        assert counts[PHASE_BROADCAST] == m * pair
+        for phase, k in Counter(products).items():
+            assert counts[phase] == m * k * 2 * pair
+        assert len(counts) == 3 + len(set(products))
+        order = [PHASE_COUNT, PHASE_UNIFORM, *products, PHASE_BROADCAST]
+        sizes = [pair, pair, *[2 * pair] * len(products), pair]
+        assert [msg.phase for msg in tr.messages if msg.edge == 0] == [
+            phase for phase, size in zip(order, sizes) for _ in range(size)
+        ]
+
+
+def test_secure_products_per_edge(monkeypatch):
+    # Paterson-Stockmeyer: d - 1 products while no block size saves one,
+    # then 4 at d = 7 (k = 2) and 6 at d = 15 (k = 3)
+    calls = []
+    real_phase = protocol._smpm_phase
+
+    def counting(*args, **kwargs):
+        calls.append(args[-1])
+        return real_phase(*args, **kwargs)
+
+    monkeypatch.setattr(protocol, "_smpm_phase", counting)
+    n, m = 5, 3
+    inputs = [PartyInput.on_edge(i, i % m, m) for i in range(1, n + 1)]
+    for d, products in {1: 0, 2: 1, 3: 2, 7: 4, 15: 6}.items():
+        poly = InverseCdfPoly([0] * (d + 1), modulus=M521, n_parties=n, seed_range=2)
+        calls.clear()
+        run_round(inputs, poly, seed=d)
+        assert len(calls) == m * products
+        assert evaluation_schedule(d).products == products
+    assert calls == m * (["SMPM-power-2", "SMPM-power-3"] + [PHASE_HORNER] * 4)
 
 
 def test_coalition_view_contents():
