@@ -94,9 +94,10 @@ def phase_power(z: int) -> str:
 class Schedule(NamedTuple):
     """The secure products a round runs per edge to evaluate its polynomial.
 
-    The powers T^2..T^k take k - 1 products, then `horner` Horner steps in
-    T^k take one each: block b holds the coefficients c_bk..c_(bk+k-1), the
-    top block runs on to c_d, and Horner starts from the top block.
+    The powers T^2..T^k take k - 1 products (phases `SMPM-power-z`), then
+    `horner` Horner steps in T^k take one each (phase `SMPM-horner`).  Block
+    b holds the coefficients c_bk..c_(bk+k-1), the top block runs on to c_d,
+    and Horner starts from the top block.
     """
 
     k: int
@@ -106,29 +107,20 @@ class Schedule(NamedTuple):
     def products(self) -> int:
         return self.k - 1 + self.horner
 
-    @property
-    def phases(self) -> tuple:
-        """The phase name of every product, in the order the round runs them."""
-        powers = tuple(phase_power(z) for z in range(2, self.k + 1))
-        return powers + (PHASE_HORNER,) * self.horner
-
 
 def evaluation_schedule(degree: int) -> Schedule:
     """Paterson-Stockmeyer's schedule for `degree`: the k with the fewest products.
 
     Block size k takes (k - 1) + floor((d - 1) / k) products, and the
-    smallest k wins a tie.  Where no k beats the plain ladder (k = d, d - 1
-    products, which is every d <= 3), the ladder is kept.
+    smallest k wins a tie.  Where no k < d beats the plain ladder T^2..T^d
+    (k = d, d - 1 products), which is every d <= 3, the ladder is kept.
     """
-    ladder = max(degree, 1)
-
-    def horner(k):
-        return max(degree - 1, 0) // k
-
-    k = min(range(1, ladder + 1), key=lambda k: k - 1 + horner(k))
-    if k - 1 + horner(k) == ladder - 1 + horner(ladder):
-        k = ladder
-    return Schedule(k, horner(k))
+    ladder = Schedule(max(degree, 1), 0)
+    fewest = min(
+        (Schedule(k, (degree - 1) // k) for k in range(1, ladder.k)),
+        key=lambda schedule: schedule.products, default=ladder,
+    )
+    return fewest if fewest.products < ladder.products else ladder
 
 
 @dataclass(frozen=True)

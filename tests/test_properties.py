@@ -145,7 +145,7 @@ def test_round_leaves_streams_where_per_phase_randrange_does(n, m, degree, M, se
             [reference.randrange(p) for _ in range(n - 1)]  # count deals
             reference.randrange(M)  # seed summand
             [reference.randrange(p) for _ in range(n - 1)]  # seed deals
-            for _ in evaluation_schedule(degree).phases:
+            for _ in range(evaluation_schedule(degree).products):
                 [reference.randrange(p) for _ in range(2 * h)]  # X's, then Y's
         assert rng.getstate() == reference.getstate()
 

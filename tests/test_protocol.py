@@ -195,8 +195,9 @@ def test_wrong_share_raises_decode_overflow(monkeypatch):
 
 
 def test_transcript_schedule():
-    # every phase sends exactly its messages, in schedule order, both where
-    # the schedule is the plain ladder (d = 3) and where Horner runs
+    # every phase of every edge sends exactly its messages, in schedule
+    # order, both where the schedule is the plain ladder (d = 3) and where
+    # Horner runs
     n, m = 4, 2
     pair = n * (n - 1)
     for d in (3, 7, 15):
@@ -205,22 +206,16 @@ def test_transcript_schedule():
         )
         inputs = [PartyInput.on_edge(i, 0, m) for i in range(1, n + 1)]
         tr = run_round(inputs, poly, seed=1, record_transcript=True).transcript
-        products = evaluation_schedule(d).phases
-        per_edge = tr.expected_messages_per_edge()
-        assert per_edge == 2 * pair + len(products) * 2 * pair + pair
-        assert len(tr.messages) == m * per_edge
-        counts = Counter(msg.phase for msg in tr.messages)
-        assert counts[PHASE_COUNT] == m * pair
-        assert counts[PHASE_UNIFORM] == m * pair
-        assert counts[PHASE_BROADCAST] == m * pair
-        for phase, k in Counter(products).items():
-            assert counts[phase] == m * k * 2 * pair
-        assert len(counts) == 3 + len(set(products))
-        order = [PHASE_COUNT, PHASE_UNIFORM, *products, PHASE_BROADCAST]
-        sizes = [pair, pair, *[2 * pair] * len(products), pair]
-        assert [msg.phase for msg in tr.messages if msg.edge == 0] == [
-            phase for phase, size in zip(order, sizes) for _ in range(size)
-        ]
+        k, horner = evaluation_schedule(d)
+        products = [f"SMPM-power-{z}" for z in range(2, k + 1)] + [PHASE_HORNER] * horner
+        per_edge = (
+            [PHASE_COUNT] * pair + [PHASE_UNIFORM] * pair
+            + [phase for phase in products for _ in range(2 * pair)]
+            + [PHASE_BROADCAST] * pair
+        )
+        assert tr.expected_messages_per_edge() == len(per_edge)
+        assert [msg.phase for msg in tr.messages] == per_edge * m
+        assert [msg.edge for msg in tr.messages] == [e for e in range(m) for _ in per_edge]
 
 
 def test_secure_products_per_edge(monkeypatch):
