@@ -205,9 +205,9 @@ def party_streams(seed: int, n_parties: int) -> list[random.Random]:
     Each is a `random.Random` seeded from the round seed and the party
     index.  `run_round` draws from it through `sharing._draw`: per edge, a
     run of count deals, the seed summand, then one run of seed deals and
-    every product's Shamir coefficients, with replacement draws for the values `randrange`
-    would reject, so a party gets the same values and ends in the same state
-    as with one `randrange` call per value.
+    every product's Shamir coefficients, with replacement draws for the
+    values `randrange` would reject, so a party gets the same values and
+    ends in the same state as with one `randrange` call per value.
     """
     return [
         random.Random(f"privroute-round:{seed}:party:{i}") for i in range(1, n_parties + 1)
@@ -281,7 +281,8 @@ def run_round(
     values = []
     for e in range(m):
         # each party's draws for the edge, in its stream order: count deals,
-        # seed summand, then seed deals and each product's coefficients in one run
+        # seed summand, then seed deals and each product's coefficients in
+        # one run
         count_deals, summands, drawn = [], [], []
         for rng in rngs:
             count_deals.append(_draw(rng, pp, deals))
