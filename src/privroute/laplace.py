@@ -117,13 +117,35 @@ def seed_sum_cdf(w, n_parties: int, seed_range: int) -> np.ndarray:
     return 0.5 * (1.0 + erf.reshape(t.shape))
 
 
+def _fft_length(size: int) -> int:
+    """The smallest 2^a * 3^b * 5^c at least `size`: a length numpy's FFT
+    transforms fast, and often much shorter than the next power of two."""
+    best = 1 << (size - 1).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            best = min(best, odd << (-(-size // odd) - 1).bit_length())
+            odd *= 3
+        odd5 *= 5
+    return best
+
+
 def seed_sum_pmf(n_parties: int, seed_range: int) -> np.ndarray:
-    """Exact pmf of the seed sum on {0..n(M-1)} by repeated convolution."""
-    base = np.full(seed_range, 1.0 / seed_range)
-    pmf = base
-    for _ in range(n_parties - 1):
-        pmf = np.convolve(pmf, base)
-    return pmf
+    """Exact pmf of the seed sum on {0..n(M-1)}, to float rounding.
+
+    The sum of n uniforms on {0..M-1} has the n-fold convolution of the
+    uniform as its pmf: one real FFT of the uniform, raised to the n-th
+    power and transformed back.  The transform is at least the n(M-1) + 1
+    points of the result long, so the cyclic convolution does not wrap.
+    Rounding leaves values about 1e-16 off, and the ones pushed below 0 are
+    clipped to it.
+    """
+    size = n_parties * (seed_range - 1) + 1
+    length = _fft_length(size)
+    spectrum = np.fft.rfft(np.full(seed_range, 1.0 / seed_range), length)
+    pmf = np.fft.irfft(spectrum**n_parties, length)[:size]
+    return np.maximum(pmf, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,13 @@ For every edge the participating parties (vehicles) run, in-process:
    its own shares, and each Horner step one secure multiplication.  Degree d
    takes (k - 1) + floor((d - 1) / k) products for the k with the fewest:
    4 in place of d - 1 = 6 at d = 7, and 6 in place of 14 at d = 15.  Where
-   no k saves one (d <= 3) the schedule is the plain ladder T^2..T^d,
+   no k saves one (d <= 3) the schedule is the plain ladder T^2..T^d.
+   Each operand is Shamir-shared once per edge and its receivers keep what
+   they summed: T's sharing is both operands of T^2 and Y of every later
+   power product, T^k's is Y of every Horner step, and only each product's
+   X (T^(z-1), or the Horner accumulator) is shared fresh.  An edge so runs
+   `Schedule.sharings` sharings, products + 1 where Horner runs, in place
+   of two per product,
 4. a local sum of the count share, scaled, and the polynomial share, and a
    broadcast of the resulting theta shares.
 
@@ -30,24 +36,28 @@ are plain `random.Random`s, and no rng may serve two parties.
 Drawing is split from arithmetic.  For each edge, each party draws in its
 stream order: the count-share deals (receivers in increasing index), the
 seed summand, then one run holding the seed-share deals and, for every
-product in schedule order, the Shamir coefficients for X before Y.  The runs
-go through `sharing._draw`, which takes them in one `getrandbits` run with
-replacement draws for the values `randrange` would reject, so every party
-gets the same values and ends in the same state as with one `randrange` call
-per value.  An injected rng with only `randrange` (the tests' scripted rngs)
-is called per value.  Steps 1-3 then run the share loops
-`sharing._smpa_phase` and `sharing._smpm_phase` on the drawn values.
+sharing in schedule order, its h Shamir coefficients (T's with T^2, each
+power product's X, then the first Horner step's accumulator before T^k,
+then each later accumulator).  The runs go through `sharing._draw`, which
+takes them in one `getrandbits` run with replacement draws for the values
+`randrange` would reject, so every party gets the same values and ends in
+the same state as with one `randrange` call per value.  An injected rng
+with only `randrange` (the tests' scripted rngs) is called per value.
+Steps 1-3 then run the share loops `sharing._smpa_phase` and
+`sharing._smpm_phase` on the drawn values; each sharing is sent under the
+phase of the first product that uses it.
 
-Shamir evaluation is linear, so each multiplication step evaluates the sum of
-the parties' coefficient vectors once per receiver: O(N*h) Horner steps per
-product for Shamir degree h, the same shares as N^2 per-pair evaluations
-would give.  X's and Y's sums share one int, so one Horner pass gives both
-values, and the Lagrange weights enter as their signed values +-C(N, j).  A
-share is reduced only where it leaves its party: each product's shares stay
-unreduced (the next product reads only their sum mod p, and the transcript
-sends them reduced), and each party's theta, summed from those unreduced
-terms, is reduced once before the broadcast.  Recording a transcript
-(`record_transcript=True`; off by default, since it holds every
+Shamir evaluation is linear, so each sharing evaluates the sum of the
+parties' coefficient vectors once per receiver: O(N*h) Horner steps per
+sharing for Shamir degree h, the same values as N^2 per-pair evaluations
+would give.  Where a product shares both operands (the first Horner step)
+their sums share one int, so one Horner pass gives both values, and the
+Lagrange weights enter as their signed values +-C(N, j).  A share is
+reduced only where it leaves its party: each product's shares and the kept
+sharings stay unreduced (the next product reads only their sum mod p, and
+the transcript sends them reduced), and each party's theta, summed from
+those unreduced terms, is reduced once before the broadcast.  Recording a
+transcript (`record_transcript=True`; off by default, since it holds every
 point-to-point share) adds those O(N^2*h) per-pair evaluations, since each
 message is one of them.
 """
@@ -107,6 +117,15 @@ class Schedule(NamedTuple):
     def products(self) -> int:
         return self.k - 1 + self.horner
 
+    @property
+    def sharings(self) -> int:
+        """Shamir sharings per edge: each product's X, and T^k's if Horner runs.
+
+        T's sharing is both operands of T^2 and Y of every later power
+        product, and T^k's is Y of every Horner step.
+        """
+        return self.products + (self.horner > 0)
+
 
 def evaluation_schedule(degree: int) -> Schedule:
     """Paterson-Stockmeyer's schedule for `degree`: the k with the fewest products.
@@ -163,8 +182,9 @@ class ProtocolTranscript:
         self.messages: list[Message] = []
 
     def expected_messages_per_edge(self) -> int:
-        n, products = self.n_parties, evaluation_schedule(self.degree).products
-        return 2 * n * (n - 1) + products * 2 * n * (n - 1) + n * (n - 1)
+        # each SMPA phase, each sharing and the broadcast send n(n-1)
+        n, sharings = self.n_parties, evaluation_schedule(self.degree).sharings
+        return (3 + sharings) * n * (n - 1)
 
     def dump_jsonl(self, fileobj) -> None:
         for m in self.messages:
@@ -205,7 +225,7 @@ def party_streams(seed: int, n_parties: int) -> list[random.Random]:
     Each is a `random.Random` seeded from the round seed and the party
     index.  `run_round` draws from it through `sharing._draw`: per edge, a
     run of count deals, the seed summand, then one run of seed deals and
-    every product's Shamir coefficients, with replacement draws for the
+    every sharing's Shamir coefficients, with replacement draws for the
     values `randrange` would reject, so a party gets the same values and
     ends in the same state as with one `randrange` call per value.
     """
@@ -274,14 +294,14 @@ def run_round(
     transcript = ProtocolTranscript(n, m, d) if record_transcript else None
     messages = None if transcript is None else transcript.messages
     deals = n - 1
-    per_product = 2 * ((n - 1) // 2)  # X's then Y's Shamir coefficients
-    seed_draws = deals + schedule.products * per_product
+    h = (n - 1) // 2  # each sharing's Shamir coefficients per party
+    seed_draws = deals + schedule.sharings * h
 
     totals = []
     values = []
     for e in range(m):
         # each party's draws for the edge, in its stream order: count deals,
-        # seed summand, then seed deals and each product's coefficients in
+        # seed summand, then seed deals and each sharing's coefficients in
         # one run
         count_deals, summands, drawn = [], [], []
         for rng in rngs:
@@ -296,20 +316,27 @@ def run_round(
             summands, [r[:deals] for r in drawn], pp, messages, e, PHASE_UNIFORM,
         )
         runs = (
-            [r[s:s + per_product] for r in drawn]
-            for s in range(deals, seed_draws, per_product)
+            [r[s:s + h] for r in drawn] for s in range(deals, seed_draws, h)
         )
-        powers = [beta_1]
+        # T's sharing, made to square T, is Y of every later power product
+        powers, t_1 = [beta_1], None
         for z in range(2, k + 1):
-            powers.append(_smpm_phase(
-                powers[-1], beta_1, next(runs), pp, lam, messages, e, phase_power(z),
-            ))
-        # Horner in T^k from the top block down; shares are added unreduced
-        # and reduced once, where the theta leaves the party
+            product, t_1 = _smpm_phase(
+                powers[-1], t_1, next(runs), pp, lam, messages, e, phase_power(z),
+            )
+            powers.append(product)
+        # Horner in T^k from the top block down: the first step shares T^k
+        # after its accumulator, and every step multiplies by that sharing;
+        # shares are added unreduced and reduced once, where the theta leaves
+        # the party
         acc = _block_shares(coeffs[horner * k:], powers)
+        t_k = powers[-1]
         for b in reversed(range(horner)):
-            product = _smpm_phase(
-                acc, powers[-1], next(runs), pp, lam, messages, e, PHASE_HORNER,
+            coefficients = next(runs)
+            if b == horner - 1:
+                coefficients = [cx + cy for cx, cy in zip(coefficients, next(runs))]
+            product, t_k = _smpm_phase(
+                acc, t_k, coefficients, pp, lam, messages, e, PHASE_HORNER,
             )
             block = _block_shares(coeffs[b * k:b * k + k], powers)
             acc = [x + y for x, y in zip(product, block)]

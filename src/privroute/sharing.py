@@ -3,8 +3,10 @@
 Secure multi-party addition (`_smpa_phase`) turns private inputs into
 additive shares of their sum; secure multi-party multiplication
 (`_smpm_phase`) turns additive shares of x and y into additive shares of x*y
-through one round of Shamir re-sharing.  Both can append the messages
-exchanged, so tests can inspect exactly what each party saw.
+through one round of Shamir re-sharing, and returns y's sharing (a
+`Sharing`) so that a later product can multiply by y again without sharing
+it anew.  Both can append the messages exchanged, so tests can inspect
+exactly what each party saw.
 
 The loops do arithmetic only: each takes the values every party drew, and
 its caller draws them with `_draw`.  `protocol.run_round` draws from one rng
@@ -96,25 +98,47 @@ def _smpa_phase(secrets, dealt, p, messages=None, edge=0, phase="smpa") -> list:
     return [sum(held) % p for held in zip(*rows)]
 
 
-def _smpm_phase(x, y, coeffs, p, lam, messages=None, edge=0, phase="smpm") -> list:
-    """Secure multiplication: additive shares of x*y from additive shares x, y.
+class Sharing(NamedTuple):
+    """A Shamir sharing kept for reuse: `held[j-1]` is what receiver j summed.
 
-    Party i Shamir-shares x[i-1] then y[i-1] with polynomials of degree
-    h = floor((N-1)/2); coeffs[i-1] holds its 2h uniforms on Z_p, X's
-    higher coefficients before Y's.  `lam` are the Lagrange weights at zero
-    for indices 1..N, as any integers congruent to them mod p (the round
-    passes the signed ones, +-C(N, j), which are short); they turn the
-    summed product evaluations into additive shares.  The shares x, y are
-    read only mod p, so they may be any integers congruent to the shares,
-    such as a previous call's outputs.
+    Receiver j holds the sum of the dealers' polynomials at j, unreduced: an
+    integer congruent mod p to the summed polynomial's value there.  A later
+    `_smpm_phase` multiplies by it again without drawing or sending anything.
+    """
+
+    held: list
+
+
+def _smpm_phase(x, y, coeffs, p, lam, messages=None, edge=0, phase="smpm") -> tuple:
+    """Secure multiplication: additive shares of x*y, and y's Shamir sharing.
+
+    Party i Shamir-shares x[i-1] with a polynomial of degree
+    h = floor((N-1)/2) whose higher coefficients are coeffs[i-1][:h].  `y`
+    is one of
+      - additive shares, which party i shares the same way with the next h
+        coefficients, coeffs[i-1][h:2h];
+      - a `Sharing` that an earlier call returned: it costs no draws and no
+        messages;
+      - None, for x*x: x's sharing serves as both operands.
+    The call returns y's sharing (x's, for a square) with the product, so
+    a value is shared once and multiplied as often as needed (BGW; Gennaro,
+    Rabin & Rabin's degree reduction).  A coalition of at most h parties
+    then still sees at most h points of each honest dealer's polynomial.
+
+    `lam` are the Lagrange weights at zero for indices 1..N, as any integers
+    congruent to them mod p (the round passes the signed ones, +-C(N, j),
+    which are short); they turn the products of the receivers' sums into
+    additive shares.  The shares x, y are read only mod p, so they may be
+    any integers congruent to the shares, such as a previous call's outputs.
 
     Evaluation is linear, so what receiver j sums equals the summed
-    polynomial evaluated at j: the outputs take one evaluation per receiver
-    of the summed coefficients, O(N*h) Horner steps.  X's and Y's summed
-    coefficients share one int, Y's shifted past a lane that holds any
+    polynomial evaluated at j: a sharing takes one evaluation per receiver
+    of the summed coefficients, O(N*h) Horner steps.  When y is shared too,
+    X's and Y's sums share one int, Y's shifted past a lane that holds any
     unreduced X(j) < p * (h+1) * N^(h+1), so one Horner pass gives both.
-    Sends are appended to `messages` when given, reduced mod p, which adds
-    the O(N^2*h) per-pair evaluations the transcript needs.
+    Sends are appended to `messages` when given, reduced mod p and X's
+    before Y's for each pair, which adds the O(N^2*h) per-pair evaluations
+    the transcript needs.
 
     Output j is lam[j-1] * X(j) * Y(j), left unreduced: an integer congruent
     mod p to receiver j's share, negative when lam[j-1] is, and bounded by
@@ -129,27 +153,35 @@ def _smpm_phase(x, y, coeffs, p, lam, messages=None, edge=0, phase="smpm") -> li
     """
     n = len(x)
     degree = (n - 1) // 2
+    shared = [x] if y is None or isinstance(y, Sharing) else [x, y]
     if messages is not None:
         for i in range(1, n + 1):
             drawn = coeffs[i - 1]
-            cx = [x[i - 1] % p, *drawn[:degree]]
-            cy = [y[i - 1] % p, *drawn[degree:]]
+            polys = [[v[i - 1] % p, *drawn[s * degree:(s + 1) * degree]]
+                     for s, v in enumerate(shared)]
             for j in range(1, n + 1):
                 if j != i:
-                    messages.append(Message(edge, phase, i, j, _eval_poly(cx, j, p)))
-                    messages.append(Message(edge, phase, i, j, _eval_poly(cy, j, p)))
-    sums = [sum(c) for c in zip(*coeffs)]
-    lane = p.bit_length() + ((degree + 1) * n ** (degree + 1)).bit_length()
-    mask = (1 << lane) - 1
-    packed = [cx + (cy << lane) for cx, cy in zip(sums[:degree], sums[degree:])]
-    packed.reverse()
+                    messages.extend(
+                        Message(edge, phase, i, j, _eval_poly(c, j, p)) for c in polys
+                    )
     # the constant terms may be summed before reducing: X(j) moves by a
     # multiple of p, which the final reduction removes
-    packed.append(sum(x) % p + (sum(y) % p << lane))
-    theta = []
+    sums = [sum(c) for c in zip(*coeffs)]
+    packed = [sum(x) % p, *sums[:degree]]
+    lane = p.bit_length() + ((degree + 1) * n ** (degree + 1)).bit_length()
+    if len(shared) == 2:
+        packed = [cx + (cy << lane) for cx, cy in zip(packed, [sum(y) % p, *sums[degree:]])]
+    packed.reverse()
+    held = []
     for j in range(1, n + 1):
         acc = 0
         for c in packed:
             acc = acc * j + c
-        theta.append(lam[j - 1] * (acc & mask) * (acc >> lane))
-    return theta
+        held.append(acc)
+    if y is None:
+        y = Sharing(held)
+    elif len(shared) == 2:
+        mask = (1 << lane) - 1
+        y = Sharing([v >> lane for v in held])
+        held = [v & mask for v in held]
+    return [w * a * b for w, a, b in zip(lam, held, y.held)], y

@@ -64,7 +64,8 @@ def smpm_one_rng(x, y, rng, p, messages=None):
     n = len(x)
     coeffs = [_draw(rng, p, 2 * ((n - 1) // 2)) for _ in range(n)]
     lam = _lagrange_weights_at_zero_ints(range(1, n + 1), p)
-    return [t % p for t in _smpm_phase(x, y, coeffs, p, lam, messages)]
+    theta, _ = _smpm_phase(x, y, coeffs, p, lam, messages)
+    return [t % p for t in theta]
 
 
 def x_shares_sent(secret, coeffs, n, p):
@@ -75,11 +76,11 @@ def x_shares_sent(secret, coeffs, n, p):
     """
     h = (n - 1) // 2
     assert len(coeffs) == h
-    drawn = [[*coeffs, *[0] * h]] + [[0] * (2 * h)] * (n - 1)
+    drawn = [list(coeffs)] + [[0] * h] * (n - 1)
     sent = []
-    _smpm_phase([secret] + [0] * (n - 1), [0] * n, drawn, p, [1] * n, sent)
-    # each pair's X share is sent before its Y share
-    return {m.receiver: m.value for m in sent[::2] if m.sender == 1}
+    # a square: x's one sharing serves as both operands
+    _smpm_phase([secret] + [0] * (n - 1), None, drawn, p, [1] * n, sent)
+    return {m.receiver: m.value for m in sent if m.sender == 1}
 
 
 def heap_dijkstra(network, weights, origin):

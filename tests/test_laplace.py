@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -145,6 +146,37 @@ def test_seed_sum_pmf_matches_cdf(n, M):
     grid = seed_sum_cdf(w[:6].reshape(2, 3), n, M)
     assert grid.shape == (2, 3)
     assert np.array_equal(grid.ravel(), approx[:6])
+
+
+def _seed_sum_pmf_direct(n, M):
+    """Reference: n - 1 direct convolutions of the uniform on {0..M-1}."""
+    base = np.full(M, 1.0 / M)
+    pmf = base
+    for _ in range(n - 1):
+        pmf = np.convolve(pmf, base)
+    return pmf
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7])
+@pytest.mark.parametrize("M", [1, 2, 3, 16, 257, 1000])
+def test_seed_sum_pmf_matches_direct_convolution(n, M):
+    pmf = seed_sum_pmf(n, M)
+    reference = _seed_sum_pmf_direct(n, M)
+    assert pmf.shape == reference.shape
+    assert np.max(np.abs(pmf - reference)) <= 1e-12
+    assert pmf.min() >= 0.0
+
+
+def test_seed_sum_pmf_at_full_size():
+    # the 5.2M seed sums of 5 parties over 2^20 seed values, which the direct
+    # convolutions cannot reach, in one transform
+    started = time.process_time()
+    pmf = seed_sum_pmf(5, 2**20)
+    assert time.process_time() - started < 1.0
+    assert pmf.shape == (5 * (2**20 - 1) + 1,)
+    assert pmf.sum() == pytest.approx(1.0, abs=1e-9)
+    assert pmf.min() >= 0.0
+    assert np.max(np.abs(pmf - pmf[::-1])) <= 1e-12  # symmetric about n(M-1)/2
 
 
 # -- polynomial fit ----------------------------------------------------------------

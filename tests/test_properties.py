@@ -126,13 +126,13 @@ def test_relabeling_parties_preserves_field_totals(n, m, degree, seed, data):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    st.integers(3, 12), st.integers(1, 3), st.integers(1, 9),
+    st.integers(3, 12), st.integers(1, 3), st.integers(1, 15),
     st.integers(1, 2**20), st.integers(0, 2**32 - 1), st.data(),
 )
 def test_round_leaves_streams_where_per_phase_randrange_does(n, m, degree, M, seed, data):
     # each party draws once per edge; its stream must end where the draws of
-    # every phase in turn, one randrange call per value, leave it: one
-    # Shamir pair per product of the evaluation schedule
+    # every phase in turn, one randrange call per value, leave it: h Shamir
+    # coefficients per sharing of the evaluation schedule
     where = data.draw(st.lists(st.integers(-1, m - 1), min_size=n, max_size=n))
     poly = InverseCdfPoly([0] * (degree + 1), modulus=M521, n_parties=n, seed_range=M)
     inputs = [PartyInput.on_edge(i + 1, e, m) for i, e in enumerate(where)]
@@ -145,8 +145,8 @@ def test_round_leaves_streams_where_per_phase_randrange_does(n, m, degree, M, se
             [reference.randrange(p) for _ in range(n - 1)]  # count deals
             reference.randrange(M)  # seed summand
             [reference.randrange(p) for _ in range(n - 1)]  # seed deals
-            for _ in range(evaluation_schedule(degree).products):
-                [reference.randrange(p) for _ in range(2 * h)]  # X's, then Y's
+            for _ in range(evaluation_schedule(degree).sharings):
+                [reference.randrange(p) for _ in range(h)]
         assert rng.getstate() == reference.getstate()
 
 

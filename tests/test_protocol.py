@@ -1,8 +1,10 @@
+import importlib.util
 import itertools
 import math
 import random
 import secrets
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -185,37 +187,50 @@ def test_wrong_share_raises_decode_overflow(monkeypatch):
     real_phase = protocol._smpm_phase
 
     def off_by_one(*args, **kwargs):
-        shares = real_phase(*args, **kwargs)
+        shares, sharing = real_phase(*args, **kwargs)
         shares[1] = (shares[1] + 1) % M521.p
-        return shares
+        return shares, sharing
 
     monkeypatch.setattr(protocol, "_smpm_phase", off_by_one)
     with pytest.raises(DecodeOverflow, match="edge 0"):
         run_round(inputs, poly, seed=0)
 
 
-def test_transcript_schedule():
+_layers_spec = importlib.util.spec_from_file_location(
+    "bench_layers", Path(__file__).resolve().parents[1] / "bench" / "layers.py"
+)
+bench_layers = importlib.util.module_from_spec(_layers_spec)
+_layers_spec.loader.exec_module(bench_layers)
+
+
+@pytest.mark.parametrize("d", range(1, 16))
+@pytest.mark.parametrize("n", [4, 5])
+def test_transcript_schedule(n, d):
     # every phase of every edge sends exactly its messages, in schedule
-    # order, both where the schedule is the plain ladder (d = 3) and where
-    # Horner runs
-    n, m = 4, 2
+    # order, at both Shamir-degree parities and every degree: the ladder
+    # (d <= 3) and Horner.  T's sharing is sent with T^2, and T^k's with
+    # the first Horner step, after its accumulator's; the count matches the
+    # benchmark's message formula
+    m = 2
     pair = n * (n - 1)
-    for d in (3, 7, 15):
-        poly = fit_inverse_cdf_poly(
-            LaplaceParams(0.3), d, MERSENNE_521, n_parties=n, seed_bits=8, ks_samples=1000
-        )
-        inputs = [PartyInput.on_edge(i, 0, m) for i in range(1, n + 1)]
-        tr = run_round(inputs, poly, seed=1, record_transcript=True).transcript
-        k, horner = evaluation_schedule(d)
-        products = [f"SMPM-power-{z}" for z in range(2, k + 1)] + [PHASE_HORNER] * horner
-        per_edge = (
-            [PHASE_COUNT] * pair + [PHASE_UNIFORM] * pair
-            + [phase for phase in products for _ in range(2 * pair)]
-            + [PHASE_BROADCAST] * pair
-        )
-        assert tr.expected_messages_per_edge() == len(per_edge)
-        assert [msg.phase for msg in tr.messages] == per_edge * m
-        assert [msg.edge for msg in tr.messages] == [e for e in range(m) for _ in per_edge]
+    poly = InverseCdfPoly([0] * (d + 1), modulus=M521, n_parties=n, seed_range=16)
+    inputs = [PartyInput.on_edge(i, 0, m) for i in range(1, n + 1)]
+    tr = run_round(inputs, poly, seed=1, record_transcript=True).transcript
+    schedule = evaluation_schedule(d)
+    k, horner = schedule
+    sharings = [f"SMPM-power-{z}" for z in range(2, k + 1)] + [PHASE_HORNER] * (
+        horner + 1 if horner else 0
+    )
+    assert len(sharings) == schedule.sharings
+    per_edge = (
+        [PHASE_COUNT] * pair + [PHASE_UNIFORM] * pair
+        + [phase for phase in sharings for _ in range(pair)]
+        + [PHASE_BROADCAST] * pair
+    )
+    assert tr.expected_messages_per_edge() == len(per_edge)
+    assert [msg.phase for msg in tr.messages] == per_edge * m
+    assert [msg.edge for msg in tr.messages] == [e for e in range(m) for _ in per_edge]
+    assert len(tr.messages) == bench_layers.expected_messages(n, m, d)
 
 
 def test_secure_products_per_edge(monkeypatch):
@@ -257,7 +272,9 @@ def test_coalition_view_contents():
     view = coalition_view(tr, [2])
     non_theta = [msg for msg in view if msg.phase != PHASE_BROADCAST]
     assert all(2 in (msg.sender, msg.receiver) for msg in non_theta)
-    expected_non_theta = m * 2 * ((n - 1) + (n - 1) + 2 * (n - 1) * (d - 1))
+    # party 2 sends and receives n - 1 messages in each SMPA phase and each
+    # Shamir sharing of the schedule
+    expected_non_theta = m * 2 * (n - 1) * (2 + evaluation_schedule(d).sharings)
     assert len(non_theta) == expected_non_theta
     assert len(view) == expected_non_theta + m * n * (n - 1)
 

@@ -336,15 +336,100 @@ def test_smpm_phase_one_output_path(n, p):
     # the phase takes each party's coefficients drawn in advance from its
     # stream; the reference draws X's then Y's from the same streams
     coeffs = [_draw(rng, p, 2 * degree) for rng in streams()]
-    silent = _smpm_phase(x, y, coeffs, p, lam)
+    silent, _ = _smpm_phase(x, y, coeffs, p, lam)
     recorded = []
-    loud = _smpm_phase(x, y, coeffs, p, lam, recorded)
+    loud, _ = _smpm_phase(x, y, coeffs, p, lam, recorded)
     reference, reference_messages = _smpm_per_pair(x, y, streams(), p, degree, lam)
     assert silent == loud
     assert [t % p for t in silent] == reference
     assert len(recorded) == 2 * n * (n - 1)
     assert recorded == reference_messages
     assert sum(silent) % p == sum(x) * sum(y) % p
+
+
+def _receiver_sums(values, coeffs, p, phase="smpm"):
+    """Reference: party i shares values[i-1] with coefficients coeffs[i-1];
+    each receiver's sum of the evaluations it is sent, and the sends."""
+    n = len(values)
+    held = [0] * n
+    messages = []
+    for i in range(1, n + 1):
+        poly = [values[i - 1] % p, *coeffs[i - 1]]
+        for j in range(1, n + 1):
+            v = _eval_poly(poly, j, p)
+            held[j - 1] = (held[j - 1] + v) % p
+            if j != i:
+                messages.append(Message(0, phase, i, j, v))
+    return held, messages
+
+
+@pytest.mark.parametrize("p", [101, MERSENNE_521])
+@pytest.mark.parametrize("n", [3, 4, 7, 20])
+def test_smpm_phase_reuses_a_sharing(n, p):
+    # a square shares x once for both operands, and the sharing it returns
+    # is multiplied again with nothing drawn or sent for it
+    rng = random.Random(f"{n}:{p}")
+    x = [rng.randrange(p) for _ in range(n)]
+    x2 = [rng.randrange(p) for _ in range(n)]
+    degree = (n - 1) // 2
+    cx = [_draw(rng, p, degree) for _ in range(n)]
+    cx2 = [_draw(rng, p, degree) for _ in range(n)]
+    lam = _lagrange_weights_at_zero_ints(list(range(1, n + 1)), p)
+    sent = []
+    square, kept = _smpm_phase(x, None, cx, p, lam, sent)
+    product, again = _smpm_phase(x2, kept, cx2, p, lam, sent)
+    assert again is kept
+    held, messages = _receiver_sums(x, cx, p)
+    held2, messages2 = _receiver_sums(x2, cx2, p)
+    assert [v % p for v in kept.held] == held
+    assert sent == messages + messages2
+    assert [t % p for t in square] == [w * v * v % p for w, v in zip(lam, held)]
+    assert [t % p for t in product] == [w * a * v % p for w, a, v in zip(lam, held2, held)]
+    assert sum(square) % p == sum(x) ** 2 % p
+    assert sum(product) % p == sum(x2) * sum(x) % p
+
+
+def _reuse_view_distribution(x, x2, y, dealer, reuse_x=False, p=7):
+    """Exact law of what party 1 receives from `dealer` over two products.
+
+    N = 3 (h = 1).  The first product shares x and y, the second shares x2
+    and multiplies it by y's kept sharing.  Each dealer draws its own
+    coefficients and its sends depend on nothing else, so party 1's joint
+    view is the product of one such law per honest dealer; the other
+    dealer's coefficients are pinned to zero and `dealer`'s are enumerated.
+    With `reuse_x` the second product's X sharing reuses the first's
+    coefficient: one polynomial's randomness for two different values.
+    """
+    lam = _lagrange_weights_at_zero_ints(range(1, 4), p)
+    dist = Counter()
+    for a, b, a2 in itertools.product(range(p), repeat=3):
+        first, second = [[0, 0]] * 3, [[0]] * 3
+        first[dealer - 1], second[dealer - 1] = [a, b], [a if reuse_x else a2]
+        sent = []
+        _, kept = _smpm_phase(x, y, first, p, lam, sent)
+        _smpm_phase(x2, kept, second, p, lam, sent)
+        dist[tuple(m.value for m in sent if m.sender == dealer and m.receiver == 1)] += 1
+    return dist
+
+
+def test_smpm_reused_sharing_secrecy_exhaustive():
+    # two products sharing one Y sharing: party 1's view has the same law
+    # for every honest split of x, x2 and y with party 1's shares fixed
+    splits = [
+        ([1, 2, 3], [0, 4, 1], [2, 5, 0]),
+        ([1, 0, 5], [0, 1, 4], [2, 1, 4]),
+        ([1, 5, 0], [0, 5, 0], [2, 0, 5]),
+    ]
+    for dealer in (2, 3):
+        laws = [_reuse_view_distribution(*split, dealer) for split in splits]
+        assert all(law == laws[0] for law in laws[1:])
+        assert sum(laws[0].values()) == 7**3
+    # negative control: one X sharing for two values shows their difference
+    for dealer in (2, 3):
+        laws = [
+            _reuse_view_distribution(*split, dealer, reuse_x=True) for split in splits
+        ]
+        assert laws[0] != laws[1] and laws[0] != laws[2]
 
 
 def _smpa_per_pair(secrets, rngs, p, phase="smpa"):
@@ -400,7 +485,8 @@ def test_smpm_phase_worst_case_lanes(n, p):
     reference, _ = _smpm_per_pair(
         x, y, [ScriptedRng([p - 1] * (2 * degree)) for _ in range(n)], p, degree, lam
     )
-    assert [t % p for t in _smpm_phase(x, y, coeffs, p, lam)] == reference
+    theta, _ = _smpm_phase(x, y, coeffs, p, lam)
+    assert [t % p for t in theta] == reference
 
 
 
@@ -425,7 +511,7 @@ def test_smpm_phase_unreduced_outputs(n, p, worst):
         coeffs = [_draw(random.Random(f"{n}:{p}:{i}"), p, 2 * degree) for i in range(n)]
         streams = [random.Random(f"{n}:{p}:{i}") for i in range(n)]
     reference, _ = _smpm_per_pair(x, y, streams, p, degree, lam)
-    theta = _smpm_phase(x, y, coeffs, p, lam)
+    theta, _ = _smpm_phase(x, y, coeffs, p, lam)
     assert [t % p for t in theta] == reference
     assert all(abs(t) < bound for t in theta)
     if n < p:
