@@ -203,34 +203,33 @@ bench_layers = importlib.util.module_from_spec(_layers_spec)
 _layers_spec.loader.exec_module(bench_layers)
 
 
-@pytest.mark.parametrize("d", range(1, 16))
-@pytest.mark.parametrize("n", [4, 5])
-def test_transcript_schedule(n, d):
+def test_transcript_schedule():
     # every phase of every edge sends exactly its messages, in schedule
     # order, at both Shamir-degree parities and every degree: the ladder
     # (d <= 3) and Horner.  T's sharing is sent with T^2, and T^k's with
     # the first Horner step, after its accumulator's; the count matches the
     # benchmark's message formula
     m = 2
-    pair = n * (n - 1)
-    poly = InverseCdfPoly([0] * (d + 1), modulus=M521, n_parties=n, seed_range=16)
-    inputs = [PartyInput.on_edge(i, 0, m) for i in range(1, n + 1)]
-    tr = run_round(inputs, poly, seed=1, record_transcript=True).transcript
-    schedule = evaluation_schedule(d)
-    k, horner = schedule
-    sharings = [f"SMPM-power-{z}" for z in range(2, k + 1)] + [PHASE_HORNER] * (
-        horner + 1 if horner else 0
-    )
-    assert len(sharings) == schedule.sharings
-    per_edge = (
-        [PHASE_COUNT] * pair + [PHASE_UNIFORM] * pair
-        + [phase for phase in sharings for _ in range(pair)]
-        + [PHASE_BROADCAST] * pair
-    )
-    assert tr.expected_messages_per_edge() == len(per_edge)
-    assert [msg.phase for msg in tr.messages] == per_edge * m
-    assert [msg.edge for msg in tr.messages] == [e for e in range(m) for _ in per_edge]
-    assert len(tr.messages) == bench_layers.expected_messages(n, m, d)
+    for n, d in itertools.product((4, 5), range(1, 16)):
+        pair = n * (n - 1)
+        poly = InverseCdfPoly([0] * (d + 1), modulus=M521, n_parties=n, seed_range=16)
+        inputs = [PartyInput.on_edge(i, 0, m) for i in range(1, n + 1)]
+        tr = run_round(inputs, poly, seed=1, record_transcript=True).transcript
+        schedule = evaluation_schedule(d)
+        k, horner = schedule
+        sharings = [f"SMPM-power-{z}" for z in range(2, k + 1)] + [PHASE_HORNER] * (
+            horner + 1 if horner else 0
+        )
+        assert len(sharings) == schedule.sharings
+        per_edge = (
+            [PHASE_COUNT] * pair + [PHASE_UNIFORM] * pair
+            + [phase for phase in sharings for _ in range(pair)]
+            + [PHASE_BROADCAST] * pair
+        )
+        assert tr.expected_messages_per_edge() == len(per_edge), (n, d)
+        assert [msg.phase for msg in tr.messages] == per_edge * m, (n, d)
+        assert [msg.edge for msg in tr.messages] == [e for e in range(m) for _ in per_edge]
+        assert len(tr.messages) == bench_layers.expected_messages(n, m, d), (n, d)
 
 
 def test_secure_products_per_edge(monkeypatch):
