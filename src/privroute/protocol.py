@@ -3,9 +3,10 @@
 For every edge the participating parties (vehicles) run, in-process:
 
 1. secure addition of their one-hot location bits -> additive shares of the
-   true count,
-2. secure addition of per-party uniform seed summands -> additive shares of
-   the joint noise seed T,
+   true count (additive, so no coalition short of everyone reads a bit),
+2. a Shamir sharing of each party's uniform seed summand, of degree
+   h = floor((N - 1) / 2): what the receivers sum is a sharing of the joint
+   noise seed T, and party j's additive share of T is lam_j * T(j),
 3. a Paterson-Stockmeyer evaluation of the quantile polynomial's fixed-point
    coefficients at T (`evaluation_schedule`): secure multiplications give
    shares of T^2..T^k, then Horner in T^k runs over blocks of k coefficients,
@@ -14,19 +15,24 @@ For every edge the participating parties (vehicles) run, in-process:
    takes (k - 1) + floor((d - 1) / k) products for the k with the fewest:
    4 in place of d - 1 = 6 at d = 7, and 6 in place of 14 at d = 15.  Where
    no k saves one (d <= 3) the schedule is the plain ladder T^2..T^d.
-   Each operand is Shamir-shared once per edge and its receivers keep what
-   they summed: T's sharing is both operands of T^2 and Y of every later
-   power product, T^k's is Y of every Horner step, and only each product's
-   X (T^(z-1), or the Horner accumulator) is shared fresh.  An edge so runs
-   `Schedule.sharings` sharings, products + 1 where Horner runs, in place
-   of two per product,
+   Each power is Shamir-shared once, when first used, and its receivers
+   keep what they summed: T's sharing is both operands of T^2 and Y of
+   every later power product, T^(z-1)'s is X of T^z, and T^k's is Y of
+   every Horner step.  The first Horner step's X, the top block, is a
+   public combination of the kept sharings of T..T^k, which each receiver
+   forms itself, so only each later step's accumulator is shared fresh.
+   An edge so runs `Schedule.sharings` = max(products, 1) sharings,
 4. a local sum of the count share, scaled, and the polynomial share, and a
    broadcast of the resulting theta shares.
 
 Everyone can then sum the broadcast thetas, decode the signed field value and
 rescale, yielding count + noise without any party having seen another's
-location or the noise seed.  Parties are simulated actors; message delivery
-is a deterministic in-memory schedule (edge-major, phase order, sender order),
+location or the noise seed.  The round's multiplications already assume at
+most h colluders (BGW with Gennaro, Rabin & Rabin's degree reduction), and
+at most h points of an honest dealer's degree-h seed polynomial show
+nothing of its summand, so the seed needs no additive deal before its
+Shamir sharing.  Parties are simulated actors; message delivery is a
+deterministic in-memory schedule (edge-major, phase order, sender order),
 and each party draws from its own stream.  By default every stream is a
 `secrets.SystemRandom`, so nothing published can rebuild the shares; a round
 `seed` derives reproducible streams instead (for tests and simulation only),
@@ -35,28 +41,27 @@ are plain `random.Random`s, and no rng may serve two parties.
 
 Drawing is split from arithmetic.  For each edge, each party draws in its
 stream order: the count-share deals (receivers in increasing index), the
-seed summand, then one run holding the seed-share deals and, for every
-sharing in schedule order, its h Shamir coefficients (T's with T^2, each
-power product's X, then the first Horner step's accumulator before T^k,
-then each later accumulator).  The runs go through `sharing._draw`, which
-takes them in one `getrandbits` run with replacement draws for the values
-`randrange` would reject, so every party gets the same values and ends in
-the same state as with one `randrange` call per value.  An injected rng
-with only `randrange` (the tests' scripted rngs) is called per value.
-Steps 1-3 then run the share loops `sharing._smpa_phase` and
-`sharing._smpm_phase` on the drawn values; each sharing is sent under the
-phase of the first product that uses it.
+seed summand, then one run holding, for every sharing in schedule order,
+its h Shamir coefficients (T's, each power product's X from T^3 on, T^k's,
+then each Horner accumulator after the first).  The runs go through
+`sharing._draw`, which takes them in one `getrandbits` run with replacement
+draws for the values `randrange` would reject, so every party gets the same
+values and ends in the same state as with one `randrange` call per value.
+An injected rng with only `randrange` (the tests' scripted rngs) is called
+per value.  Steps 1-3 then run the share loops `sharing._smpa_phase`,
+`sharing._share` and `sharing._smpm_phase` on the drawn values; T's
+sharing is sent under its own phase, `Shamir-seed`, and every other one
+under the phase of the first product that uses it.
 
 Shamir evaluation is linear, so each sharing evaluates the sum of the
 parties' coefficient vectors once per receiver: O(N*h) Horner steps per
 sharing for Shamir degree h, the same values as N^2 per-pair evaluations
-would give.  Where a product shares both operands (the first Horner step)
-their sums share one int, so one Horner pass gives both values, and the
-Lagrange weights enter as their signed values +-C(N, j).  A share is
-reduced only where it leaves its party: each product's shares and the kept
-sharings stay unreduced (the next product reads only their sum mod p, and
-the transcript sends them reduced), and each party's theta, summed from
-those unreduced terms, is reduced once before the broadcast.  Recording a
+would give.  The Lagrange weights enter as their signed values +-C(N, j).
+A share is reduced only where it leaves its party: each product's shares
+and the kept sharings stay unreduced (the next product reads only their sum
+mod p, and the transcript sends them reduced), the top block's sharing is
+reduced once as it is formed, and each party's theta, summed from those
+unreduced terms, is reduced once before the broadcast.  Recording a
 transcript (`record_transcript=True`; off by default, since it holds every
 point-to-point share) adds those O(N^2*h) per-pair evaluations, since each
 message is one of them.
@@ -73,7 +78,9 @@ from typing import NamedTuple, Optional, Sequence
 
 from .field import PrimeModulus, _lagrange_weights_at_zero_ints
 from .laplace import InverseCdfPoly
-from .sharing import Message, TooFewParties, _draw, _smpa_phase, _smpm_phase
+from .sharing import (
+    Message, Sharing, TooFewParties, _draw, _share, _smpa_phase, _smpm_phase,
+)
 
 class InvalidInput(ValueError):
     """Raised for location vectors that are not one-hot (or all-zero)."""
@@ -92,7 +99,7 @@ class DecodeOverflow(ValueError):
 
 
 PHASE_COUNT = "SMPA-count"
-PHASE_UNIFORM = "SMPA-uniform"
+PHASE_SEED = "Shamir-seed"
 PHASE_HORNER = "SMPM-horner"
 PHASE_BROADCAST = "final-theta-broadcast"
 
@@ -119,12 +126,15 @@ class Schedule(NamedTuple):
 
     @property
     def sharings(self) -> int:
-        """Shamir sharings per edge: each product's X, and T^k's if Horner runs.
+        """Shamir sharings per edge: T's, then one per product but T^2's.
 
-        T's sharing is both operands of T^2 and Y of every later power
-        product, and T^k's is Y of every Horner step.
+        T's sharing, dealt from the seed summands, is both operands of T^2
+        and Y of every later power product; T^(z-1)'s is X of T^z; T^k's is
+        Y of every Horner step; and the first Horner step's X is formed from
+        the kept sharings, so only each later step's accumulator is shared
+        fresh.  That is max(products, 1): degree 1 still shares T.
         """
-        return self.products + (self.horner > 0)
+        return max(self.products, 1)
 
 
 def evaluation_schedule(degree: int) -> Schedule:
@@ -182,9 +192,9 @@ class ProtocolTranscript:
         self.messages: list[Message] = []
 
     def expected_messages_per_edge(self) -> int:
-        # each SMPA phase, each sharing and the broadcast send n(n-1)
+        # the count's secure addition, each sharing and the broadcast send n(n-1)
         n, sharings = self.n_parties, evaluation_schedule(self.degree).sharings
-        return (3 + sharings) * n * (n - 1)
+        return (2 + sharings) * n * (n - 1)
 
     def dump_jsonl(self, fileobj) -> None:
         for m in self.messages:
@@ -219,15 +229,27 @@ def _block_shares(cs: Sequence[int], powers: list) -> list:
     return shares
 
 
+def _block_sharing(cs: Sequence[int], kept: list, p: int) -> Sharing:
+    """The sharing of the public c_0 + c_1*T + c_2*T^2 + ..., reduced mod p.
+
+    `kept[z - 1]` is T^z's sharing.  A public combination of degree-h
+    sharings is a degree-h sharing of the combination: receiver j weights
+    what it holds, and the constant enters at every receiver.
+    """
+    return Sharing([
+        (cs[0] + sum(map(mul, cs[1:], held))) % p for held in zip(*(s.held for s in kept))
+    ])
+
+
 def party_streams(seed: int, n_parties: int) -> list[random.Random]:
     """Independent per-party rngs derived from one round seed.
 
     Each is a `random.Random` seeded from the round seed and the party
     index.  `run_round` draws from it through `sharing._draw`: per edge, a
-    run of count deals, the seed summand, then one run of seed deals and
-    every sharing's Shamir coefficients, with replacement draws for the
-    values `randrange` would reject, so a party gets the same values and
-    ends in the same state as with one `randrange` call per value.
+    run of count deals, the seed summand, then one run of every sharing's
+    Shamir coefficients, with replacement draws for the values `randrange`
+    would reject, so a party gets the same values and ends in the same
+    state as with one `randrange` call per value.
     """
     return [
         random.Random(f"privroute-round:{seed}:party:{i}") for i in range(1, n_parties + 1)
@@ -245,13 +267,14 @@ def run_round(
     """Execute one full estimation round across all edges.
 
     `rngs` injects one rng per party (tests enumerate these), a distinct
-    object for each, or `ValueError` is raised before any draw; otherwise
-    the per-party streams are derived from `seed` when given, and are
-    independent `secrets.SystemRandom` instances when not.  An edge whose
-    field total decodes beyond `poly.value_bound` raises `DecodeOverflow`
-    instead of publishing a wrapped value.  `transcript` is None unless
-    `record_transcript` is set: the messages include every point-to-point
-    share, enough to rebuild each party's inputs.
+    object for each; otherwise the per-party streams are derived from `seed`
+    when given, and are independent `secrets.SystemRandom` instances when
+    not.  Passing both, the wrong number of rngs or one rng for two parties
+    raises `ValueError` before any draw.  An edge whose field total decodes
+    beyond `poly.value_bound` raises `DecodeOverflow` instead of publishing
+    a wrapped value.  `transcript` is None unless `record_transcript` is
+    set: the messages include every point-to-point share, enough to rebuild
+    each party's inputs.
     """
     n = len(inputs)
     if n < 3:
@@ -270,6 +293,8 @@ def run_round(
             raise InvalidInput("location vectors disagree on edge count")
     by_id = {inp.party_id: inp for inp in inputs}
 
+    if rngs is not None and seed is not None:
+        raise ValueError("pass seed or rngs, not both: the rngs would ignore the seed")
     if rngs is None:
         if seed is None:
             rngs = [secrets.SystemRandom() for _ in range(n)]
@@ -295,51 +320,55 @@ def run_round(
     messages = None if transcript is None else transcript.messages
     deals = n - 1
     h = (n - 1) // 2  # each sharing's Shamir coefficients per party
-    seed_draws = deals + schedule.sharings * h
+    shamir_draws = schedule.sharings * h
 
     totals = []
     values = []
     for e in range(m):
         # each party's draws for the edge, in its stream order: count deals,
-        # seed summand, then seed deals and each sharing's coefficients in
-        # one run
+        # seed summand, then every sharing's coefficients in one run
         count_deals, summands, drawn = [], [], []
         for rng in rngs:
             count_deals.append(_draw(rng, pp, deals))
             summands.append(rng.randrange(M))
-            drawn.append(_draw(rng, pp, seed_draws))
+            drawn.append(_draw(rng, pp, shamir_draws))
         alpha = _smpa_phase(
             [by_id[i].location[e] for i in range(1, n + 1)],
             count_deals, pp, messages, e, PHASE_COUNT,
         )
-        beta_1 = _smpa_phase(
-            summands, [r[:deals] for r in drawn], pp, messages, e, PHASE_UNIFORM,
-        )
-        runs = (
-            [r[s:s + h] for r in drawn] for s in range(deals, seed_draws, h)
-        )
-        # T's sharing, made to square T, is Y of every later power product
-        powers, t_1 = [beta_1], None
+        runs = ([r[s:s + h] for r in drawn] for s in range(0, shamir_draws, h))
+        # each party Shamir-shares its summand: the receivers' sums are T's
+        # sharing, and party j's additive share of T is lam_j * T(j)
+        t = _share(summands, next(runs), pp, messages, e, PHASE_SEED)
+        kept = [t]  # the sharings of T, T^2, ..., each made when first used
+        powers = [[w * v for w, v in zip(lam, t.held)]]  # additive shares
         for z in range(2, k + 1):
-            product, t_1 = _smpm_phase(
-                powers[-1], t_1, next(runs), pp, lam, messages, e, phase_power(z),
-            )
+            if z == 2:
+                product, _ = _smpm_phase(t, t, None, pp, lam, messages, e, phase_power(z))
+            else:
+                product, (shared, _) = _smpm_phase(
+                    powers[-1], t, next(runs), pp, lam, messages, e, phase_power(z),
+                )
+                kept.append(shared)
             powers.append(product)
-        # Horner in T^k from the top block down: the first step shares T^k
-        # after its accumulator, and every step multiplies by that sharing;
-        # shares are added unreduced and reduced once, where the theta leaves
-        # the party
-        acc = _block_shares(coeffs[horner * k:], powers)
-        t_k = powers[-1]
-        for b in reversed(range(horner)):
-            coefficients = next(runs)
-            if b == horner - 1:
-                coefficients = [cx + cy for cx, cy in zip(coefficients, next(runs))]
-            product, t_k = _smpm_phase(
-                acc, t_k, coefficients, pp, lam, messages, e, PHASE_HORNER,
-            )
-            block = _block_shares(coeffs[b * k:b * k + k], powers)
-            acc = [x + y for x, y in zip(product, block)]
+        if horner:
+            # T^k's sharing is Y of every Horner step.  The first step's X,
+            # the top block, is a public combination of the sharings of
+            # T..T^k, so each receiver forms it from what it holds; every
+            # later X is an accumulator, shared fresh.  Shares are added
+            # unreduced and reduced once, where the theta leaves the party
+            t_k = _share(powers[-1], next(runs), pp, messages, e, PHASE_HORNER)
+            kept.append(t_k)
+            acc = _block_sharing(coeffs[horner * k:], kept, pp)
+            for b in reversed(range(horner)):
+                product, _ = _smpm_phase(
+                    acc, t_k, None if b == horner - 1 else next(runs),
+                    pp, lam, messages, e, PHASE_HORNER,
+                )
+                block = _block_shares(coeffs[b * k:b * k + k], powers)
+                acc = [x + y for x, y in zip(product, block)]
+        else:
+            acc = _block_shares(coeffs, powers)
         theta = [(v + scale * a) % pp for v, a in zip(acc, alpha)]
         if messages is not None:
             for i in range(1, n + 1):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from privroute.field import _lagrange_weights_at_zero_ints
-from privroute.sharing import _deal_additive, _draw, _smpa_phase, _smpm_phase
+from privroute.sharing import _deal_additive, _draw, _share, _smpa_phase, _smpm_phase
 from privroute.sim import Simulation, check_demand, shortest_path
 from privroute.tntp import OdDemand
 
@@ -69,17 +69,16 @@ def smpm_one_rng(x, y, rng, p, messages=None):
 
 
 def x_shares_sent(secret, coeffs, n, p):
-    """The X shares party 1 sends in `_smpm_phase`, as {receiver: X(receiver)}.
+    """The shares party 1 sends in a Shamir sharing, as {receiver: X(receiver)}.
 
-    Party 1 holds the x share `secret` and draws `coeffs` as X's coefficients
+    Party 1 holds the share `secret` and draws `coeffs` as the coefficients
     of degree 1..h, h = floor((N-1)/2); every other share and coefficient is 0.
     """
     h = (n - 1) // 2
     assert len(coeffs) == h
     drawn = [list(coeffs)] + [[0] * h] * (n - 1)
     sent = []
-    # a square: x's one sharing serves as both operands
-    _smpm_phase([secret] + [0] * (n - 1), None, drawn, p, [1] * n, sent)
+    _share([secret] + [0] * (n - 1), drawn, p, sent)
     return {m.receiver: m.value for m in sent if m.sender == 1}
 
 

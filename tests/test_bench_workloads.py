@@ -50,7 +50,7 @@ def test_sf_paired_smoke_records_cleanly_and_repeats():
 # seed 1, from its first call
 ROUND_SMOKE_DIGESTS = {
     "round_small": "a548ac4652b7ec1bb3b80232d3fdc25eb97f466cfcf664896ad9eb305d9431d3",
-    "round_sf": "f9f2423fd194d8e4d6a5d6b5db58ddab9515b8d80fcd607033684fb7ca305b5c",
+    "round_sf": "d98fdffb1482033cdfa2c15ad40608d7c94870a853848b2553472e45ff0c2561",
 }
 
 

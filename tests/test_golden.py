@@ -2,13 +2,12 @@
 map or the simulator must leave unchanged.
 
 Every value below was recorded from an earlier implementation: the first
-Sioux Falls pair, the round and secure addition and multiplication before
-the share loops and the tau bisection were merged into one copy each, the
-other simulator pins before the event loop moved onto plain lists and
-per-step exit buckets, the MPC run while its degree and seed bits were still
-config fields, the round at the
-benchmark's shape before seeded party streams drew through their own
-`randrange` and the share loops reduced once per party, the fitted
+Sioux Falls pair and secure addition and multiplication before the share
+loops and the tau bisection were merged into one copy each, the other
+simulator pins before the event loop moved onto plain lists and per-step
+exit buckets, the MPC run's trajectories while its degree and seed bits were
+still config fields, the two seeded rounds and the MPC run's noisy counts
+when each party first Shamir-shared its seed summand directly, the fitted
 polynomials at the benchmark's two round shapes while the fit still checked
 2^521 - 1 with Miller-Rabin, the first pair's entry times and metrics while
 each vehicle still kept its own entry-time list, the `simulate --trace`
@@ -240,7 +239,7 @@ def _triangle():
 # noise there moves no route, so the rounds' noisy counts are pinned as well:
 # they change with the degree or the seed bits.
 MPC_TRIANGLE_DIGEST = "aaf380c4c819f2956d52eaf1b168836397abd2e070a195506530bee28cd07a81"
-MPC_TRIANGLE_NOISY_DIGEST = "e2bb1d9742f0779fa78c761aac94ae734ff30659965a19adb9f34144c0eceba0"
+MPC_TRIANGLE_NOISY_DIGEST = "49ddd670e724c45416d7333c9ff8a281972b55683788a8daea0b36192f05ec58"
 
 
 def test_mpc_noise_trajectories_pinned(monkeypatch):
@@ -269,12 +268,12 @@ def test_seeded_round_pinned():
     )
     inputs = [PartyInput.on_edge(i + 1, e, 3) for i, e in enumerate([0, 2, 2, -1, 1])]
     result = run_round(inputs, poly, seed=7, record_transcript=True)
-    assert result.field_totals == (29896, 17661, 157677)
-    assert result.noisy_counts == (1868.5, 1103.8125, 9854.8125)
-    assert len(result.transcript.messages) == 300
+    assert result.field_totals == (29896, 10717, 55021)
+    assert result.noisy_counts == (1868.5, 669.8125, 3438.8125)
+    assert len(result.transcript.messages) == 240
     assert messages_digest(
         result.transcript.messages, ("edge", "phase", "sender", "receiver", "value")
-    ) == "7f1f62efbea3be5ada6ee8d2351ab62311798edcd0a420a0a284b47af8f03489"
+    ) == "4b115139c3f4189d6f7d4465dceed3df6f115bfc5dd8670579d0437d3ec0134b"
 
 
 def test_seeded_round_pinned_at_benchmark_shape():
@@ -289,9 +288,9 @@ def test_seeded_round_pinned_at_benchmark_shape():
     result = run_round(inputs, poly, seed=2026, record_transcript=False)
     assert result.field_totals == (
         207237358748080318132383021236861959457076,
-        822273475402254717596033507944557907495284,
-        452449444838222887523918430581833433948814,
-        80813718117044919578158021924639163656458,
+        406273514641954186093514897870064712949964,
+        950776505816984983202338233833756541374994,
+        68095389638081240954363248153662380777838,
     )
 
 

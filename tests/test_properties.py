@@ -132,7 +132,8 @@ def test_relabeling_parties_preserves_field_totals(n, m, degree, seed, data):
 def test_round_leaves_streams_where_per_phase_randrange_does(n, m, degree, M, seed, data):
     # each party draws once per edge; its stream must end where the draws of
     # every phase in turn, one randrange call per value, leave it: h Shamir
-    # coefficients per sharing of the evaluation schedule
+    # coefficients per sharing of the evaluation schedule, max(products, 1)
+    # sharings in all, the seed's included
     where = data.draw(st.lists(st.integers(-1, m - 1), min_size=n, max_size=n))
     poly = InverseCdfPoly([0] * (degree + 1), modulus=M521, n_parties=n, seed_range=M)
     inputs = [PartyInput.on_edge(i + 1, e, m) for i, e in enumerate(where)]
@@ -144,8 +145,7 @@ def test_round_leaves_streams_where_per_phase_randrange_does(n, m, degree, M, se
         for _ in range(m):
             [reference.randrange(p) for _ in range(n - 1)]  # count deals
             reference.randrange(M)  # seed summand
-            [reference.randrange(p) for _ in range(n - 1)]  # seed deals
-            for _ in range(evaluation_schedule(degree).sharings):
+            for _ in range(max(evaluation_schedule(degree).products, 1)):
                 [reference.randrange(p) for _ in range(h)]
         assert rng.getstate() == reference.getstate()
 

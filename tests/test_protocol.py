@@ -21,7 +21,7 @@ from privroute.protocol import (
     PHASE_BROADCAST,
     PHASE_COUNT,
     PHASE_HORNER,
-    PHASE_UNIFORM,
+    PHASE_SEED,
     DecodeOverflow,
     FullCoalition,
     InvalidInput,
@@ -31,7 +31,7 @@ from privroute.protocol import (
     run_round,
 )
 from privroute import protocol
-from privroute.sharing import TooFewParties
+from privroute.sharing import Sharing, TooFewParties
 from conftest import ScriptedRng
 
 M521 = PrimeModulus(MERSENNE_521)
@@ -98,6 +98,16 @@ def test_run_round_rejects_an_rng_shared_by_two_parties():
     with pytest.raises(ValueError, match="its own rng"):
         run_round(inputs, _zero_poly(3), rngs=[ScriptedRng([]), shared, shared])
     assert shared.pos == 0
+
+
+def test_run_round_rejects_a_seed_with_rngs():
+    # the rngs would be drawn from and the seed ignored, so both together
+    # are refused before anything is drawn
+    inputs = [PartyInput.on_edge(i, 0, 1) for i in range(1, 4)]
+    rngs = [ScriptedRng([]) for _ in range(3)]
+    with pytest.raises(ValueError, match="not both"):
+        run_round(inputs, _zero_poly(3), seed=1, rngs=rngs)
+    assert all(rng.pos == 0 for rng in rngs)
 
 
 def test_zero_noise_with_off_network_party():
@@ -206,9 +216,10 @@ _layers_spec.loader.exec_module(bench_layers)
 def test_transcript_schedule():
     # every phase of every edge sends exactly its messages, in schedule
     # order, at both Shamir-degree parities and every degree: the ladder
-    # (d <= 3) and Horner.  T's sharing is sent with T^2, and T^k's with
-    # the first Horner step, after its accumulator's; the count matches the
-    # benchmark's message formula
+    # (d <= 3) and Horner.  T's sharing goes under its own phase, T^2 sends
+    # nothing, T^(z-1)'s sharing goes with T^z, and the Horner phase holds
+    # T^k's sharing and each accumulator's after the first step's; the count
+    # matches the benchmark's message formula
     m = 2
     for n, d in itertools.product((4, 5), range(1, 16)):
         pair = n * (n - 1)
@@ -217,12 +228,13 @@ def test_transcript_schedule():
         tr = run_round(inputs, poly, seed=1, record_transcript=True).transcript
         schedule = evaluation_schedule(d)
         k, horner = schedule
-        sharings = [f"SMPM-power-{z}" for z in range(2, k + 1)] + [PHASE_HORNER] * (
-            horner + 1 if horner else 0
+        sharings = (
+            [PHASE_SEED] + [f"SMPM-power-{z}" for z in range(3, k + 1)]
+            + [PHASE_HORNER] * horner
         )
-        assert len(sharings) == schedule.sharings
+        assert len(sharings) == schedule.sharings == max(schedule.products, 1)
         per_edge = (
-            [PHASE_COUNT] * pair + [PHASE_UNIFORM] * pair
+            [PHASE_COUNT] * pair
             + [phase for phase in sharings for _ in range(pair)]
             + [PHASE_BROADCAST] * pair
         )
@@ -234,12 +246,15 @@ def test_transcript_schedule():
 
 def test_secure_products_per_edge(monkeypatch):
     # Paterson-Stockmeyer: d - 1 products while no block size saves one,
-    # then 4 at d = 7 (k = 2) and 6 at d = 15 (k = 3)
-    calls = []
+    # then 4 at d = 7 (k = 2) and 6 at d = 15 (k = 3).  T^2 and the first
+    # Horner step multiply kept sharings and share nothing fresh; every
+    # other product shares its X and multiplies by a kept Y
+    calls, fresh = [], []
     real_phase = protocol._smpm_phase
 
     def counting(*args, **kwargs):
         calls.append(args[-1])
+        fresh.append([not isinstance(v, Sharing) for v in args[:2]])
         return real_phase(*args, **kwargs)
 
     monkeypatch.setattr(protocol, "_smpm_phase", counting)
@@ -248,10 +263,32 @@ def test_secure_products_per_edge(monkeypatch):
     for d, products in {1: 0, 2: 1, 3: 2, 7: 4, 15: 6}.items():
         poly = InverseCdfPoly([0] * (d + 1), modulus=M521, n_parties=n, seed_range=2)
         calls.clear()
+        fresh.clear()
         run_round(inputs, poly, seed=d)
         assert len(calls) == m * products
         assert evaluation_schedule(d).products == products
     assert calls == m * (["SMPM-power-2", "SMPM-power-3"] + [PHASE_HORNER] * 4)
+    x_only, neither = [True, False], [False, False]
+    assert fresh == m * [neither, x_only, neither, x_only, x_only, x_only]
+
+
+def test_draws_and_messages_per_edge_at_the_simulator_shape():
+    # 20 parties at degree 7: besides its summand a party draws 19 count
+    # deals and 4 sharings of 9 Shamir coefficients, 55 field values, and
+    # an edge sends (2 + 4) * 20 * 19 = 2,280 messages
+    n, d, M = 20, 7, 2**16
+    p = M521.p
+    poly = InverseCdfPoly([0] * (d + 1), modulus=M521, n_parties=n, seed_range=M)
+    script = [(p, 0)] * 19 + [(M, 0)] + [(p, 0)] * 36
+    assert len(script) - 1 == 55
+    rngs = [ScriptedRng(script) for _ in range(n)]
+    inputs = [PartyInput.on_edge(i, i % 2 - 1, 1) for i in range(1, n + 1)]
+    result = run_round(inputs, poly, rngs=rngs, record_transcript=True)
+    assert all(rng.exhausted for rng in rngs)
+    assert result.noisy_counts == (10.0,)
+    assert len(result.transcript.messages) == 2280
+    assert result.transcript.expected_messages_per_edge() == 2280
+    assert bench_layers.expected_messages(n, 1, d) == 2280
 
 
 def test_coalition_view_contents():
@@ -271,9 +308,10 @@ def test_coalition_view_contents():
     view = coalition_view(tr, [2])
     non_theta = [msg for msg in view if msg.phase != PHASE_BROADCAST]
     assert all(2 in (msg.sender, msg.receiver) for msg in non_theta)
-    # party 2 sends and receives n - 1 messages in each SMPA phase and each
-    # Shamir sharing of the schedule
-    expected_non_theta = m * 2 * (n - 1) * (2 + evaluation_schedule(d).sharings)
+    # party 2 sends and receives n - 1 messages in the count's secure
+    # addition and in each Shamir sharing of the schedule, T's included
+    assert evaluation_schedule(d).sharings == 2
+    expected_non_theta = m * 2 * (n - 1) * (1 + evaluation_schedule(d).sharings)
     assert len(non_theta) == expected_non_theta
     assert len(view) == expected_non_theta + m * n * (n - 1)
 
@@ -305,105 +343,150 @@ def test_round_distribution_matches_fitted_quantile():
 
 # -- exhaustive single-party security at p = 7 --------------------------------
 #
-# Configuration: N=3 parties, one tracked edge, degree-1 polynomial
-# theta_i = alpha_i + beta_i (scale 1, coefficients [0, 1]), seed range M=2.
-# Party 1 is the observer; parties 2 and 3 are honest and split one vehicle
-# between "on the edge" and "off-network" two ways with the same total.
+# Configuration: N = 3 parties (Shamir degree h = 1), one tracked edge, a
+# polynomial of degree at most 2 with scale 1, so theta_j = alpha_j + Q_j.
+# Party 1 is the observer; parties 2 and 3 are honest.
 #
-# Party 1's view is (r2, r3, q2, q3, theta2, theta3) where r/q are the count
-# and seed shares it receives.  Its own draws enter the view only as known
-# additive offsets, so pinning them to zero loses no generality; the honest
-# draws (v23, v32, u23, u32, T2, T3) influence the view only through
-# A2 = T2 - v23 + v32 - u23 + u32 and A3 = T3 - v32 + v23 - u32 + u23,
-# so enumerating (A2, A3) with multiplicities is an exact marginalization of
-# the full 23-million-point randomness space.
+# Party 1's view is (r2, r3, q2, q3, theta2, theta3): the count shares r_i
+# and the seed shares q_i it receives, and the broadcast thetas.  Party i
+# deals its count bit s_i additively (v_ij to party j) and Shamir-shares its
+# summand t_i with the polynomial t_i + a_i*z, so q_i = t_i + a_i.  Receiver
+# j holds T(j) = t1 + t2 + t3 + j*(a1 + a2 + a3), and its additive shares of
+# T and T^2 are lam_j*T(j) and lam_j*T(j)^2, with lam = (3, -3, 1) the
+# Lagrange weights at zero for indices 1..3; the constant enters at party 1.
+# Party 1's own draws enter its view only as known offsets, so pinning them
+# (v12, v13, a1) to zero loses no generality.  The count part (r2, r3,
+# alpha2, alpha3) and the seed part (q2, q3, Q_2, Q_3) depend on disjoint
+# honest draws, so the view's law is their two laws combined: 7^4 count
+# deals and 7^2 seed coefficients enumerate all of the honest randomness.
+
+LAM3 = (3, -3, 1)
 
 
-def _a_pair_distribution(p=7, M=2):
-    dist = Counter()
-    for v23, v32, u23, u32 in itertools.product(range(p), repeat=4):
-        for t2 in range(M):
-            for t3 in range(M):
-                a2 = (t2 - v23 + v32 - u23 + u32) % p
-                a3 = (t3 - v32 + v23 - u32 + u23) % p
-                dist[(a2, a3)] += 1
-    return dist
+def _alphas(s, v):
+    """Additive shares of the count: party i keeps s_i - its deals plus what it receives."""
+    return [
+        s[i - 1] - sum(v[i, j] for j in (1, 2, 3) if j != i)
+        + sum(v[j, i] for j in (1, 2, 3) if j != i)
+        for i in (1, 2, 3)
+    ]
 
 
-def _view_distribution(s2, s3, a_dist, p=7):
-    # view = (r2, r3, q2, q3, s2 + A2 - r2 - q2, s3 + A3 - r3 - q3) with
-    # r2, r3, q2, q3 independent uniforms; fold the uniforms analytically:
-    # for fixed received shares the thetas shift deterministically, so the
-    # joint law is the product law reindexed.  Enumerate it directly.
-    dist = Counter()
-    for (a2, a3), weight in a_dist.items():
-        for r2, r3, q2, q3 in itertools.product(range(p), repeat=4):
-            theta2 = (s2 + a2 - r2 - q2) % p
-            theta3 = (s3 + a3 - r3 - q3) % p
-            dist[(r2, r3, q2, q3, theta2, theta3)] += weight
-    return dist
+def _polynomial_shares(t, a, cs):
+    """Each party's additive share of Q(T) for coefficients cs (degree <= 2)."""
+    shares = []
+    for j, lam in enumerate(LAM3, 1):
+        at_j = sum(t) + j * sum(a)
+        shares.append(lam * sum(c * at_j**z for z, c in enumerate(cs) if z))
+    shares[0] += cs[0]
+    return shares
+
+
+def _view_law(s, t, cs, p=7, zero_coefficient=()):
+    """Exact law of party 1's view for count bits s and summands t.
+
+    The honest draws are enumerated; a dealer in `zero_coefficient` uses
+    a_i = 0, the negative control whose seed share is its summand.
+    """
+    count = Counter()
+    for v21, v23, v31, v32 in itertools.product(range(p), repeat=4):
+        v = {(1, 2): 0, (1, 3): 0, (2, 1): v21, (2, 3): v23, (3, 1): v31, (3, 2): v32}
+        alpha = _alphas(s, v)
+        count[(v21, v31, alpha[1] % p, alpha[2] % p)] += 1
+    seed = Counter()
+    for a2, a3 in itertools.product(
+        *([0] if i in zero_coefficient else range(p) for i in (2, 3))
+    ):
+        q = _polynomial_shares(t, (0, a2, a3), cs)
+        seed[((t[1] + a2) % p, (t[2] + a3) % p, q[1] % p, q[2] % p)] += 1
+    law = Counter()
+    for (r2, r3, alpha2, alpha3), weight in count.items():
+        for (q2, q3, share2, share3), weight2 in seed.items():
+            law[(r2, r3, q2, q3, (alpha2 + share2) % p, (alpha3 + share3) % p)] += (
+                weight * weight2
+            )
+    return law
 
 
 def test_single_party_view_independent_of_honest_split_exhaustive():
-    a_dist = _a_pair_distribution()
-    total = sum(a_dist.values())
-    assert total == 7**4 * 4
-    d_10 = _view_distribution(1, 0, a_dist)
-    d_01 = _view_distribution(0, 1, a_dist)
-    assert d_10 == d_01  # exact equality of distributions, zero tolerance
+    # degree 1, theta_j = alpha_j + lam_j * T(j): one vehicle split between
+    # parties 2 and 3 two ways gives party 1 one law of its view, for every
+    # summand triple of a seed range of 2
+    for t in itertools.product(range(2), repeat=3):
+        d_10 = _view_law((0, 1, 0), t, (0, 1))
+        d_01 = _view_law((0, 0, 1), t, (0, 1))
+        assert sum(d_10.values()) == 7**6
+        assert d_10 == d_01  # exact equality of distributions, zero tolerance
+
+
+def test_single_party_view_independent_of_honest_summand_split_exhaustive():
+    # degree 2 (T^2 multiplies T's sharing by itself): honest summand splits
+    # with the same T give party 1 one law of its view.  Negative control: a
+    # dealer whose seed polynomial has a zero coefficient sends its summand
+    # itself, so party 1's law tells the splits apart
+    cs = (1, 2, 3)
+    splits = [(0, t2, 3 - t2) for t2 in range(4)]
+    laws = [_view_law((1, 0, 1), t, cs) for t in splits]
+    assert all(law == laws[0] for law in laws[1:])
+    for dealer in (2, 3):
+        leaky = [_view_law((1, 0, 1), t, cs, zero_coefficient=(dealer,)) for t in splits]
+        assert all(leaky[a] != leaky[b] for a, b in itertools.combinations(range(4), 2))
+
+
+def _check_model(p, cs, seed_range, trials=200):
+    """run_round emits the model's messages and thetas on sampled draws."""
+    poly = InverseCdfPoly(cs, modulus=PrimeModulus(p), n_parties=3, seed_range=seed_range)
+    rng = random.Random(5)
+    pairs = [(i, j) for i in (1, 2, 3) for j in (1, 2, 3) if i != j]
+    for _ in range(trials):
+        v = {pair: rng.randrange(p) for pair in pairs}
+        t = [rng.randrange(seed_range) for _ in range(3)]
+        a = [rng.randrange(p) for _ in range(3)]
+        s = [rng.randrange(2) for _ in range(3)]
+        # per party: count deals to the others in increasing index, the
+        # summand, then the seed polynomial's one coefficient
+        rngs = [
+            ScriptedRng([
+                *((p, v[i, j]) for j in (1, 2, 3) if j != i),
+                (seed_range, t[i - 1]), (p, a[i - 1]),
+            ])
+            for i in (1, 2, 3)
+        ]
+        inputs = [PartyInput(i + 1, (s[i],)) for i in range(3)]
+        result = run_round(inputs, poly, rngs=rngs, record_transcript=True)
+        assert all(r.exhausted for r in rngs)
+
+        theta = [
+            (alpha + share) % p
+            for alpha, share in zip(_alphas(s, v), _polynomial_shares(t, a, cs))
+        ]
+        got = {
+            (m.sender, m.receiver, m.phase): m.value for m in result.transcript.messages
+        }
+        assert len(got) == len(result.transcript.messages) == 3 * len(pairs)
+        for i, j in pairs:
+            assert got[(i, j, PHASE_COUNT)] == v[i, j]
+            assert got[(i, j, PHASE_SEED)] == (t[i - 1] + a[i - 1] * j) % p
+            assert got[(i, j, PHASE_BROADCAST)] == theta[i - 1]
+        # published value: counts plus Q at the seed sum, reduced mod p
+        expected_total = (sum(s) + sum(c * sum(t) ** z for z, c in enumerate(cs))) % p
+        assert result.field_totals[0] == expected_total
 
 
 def test_run_round_matches_algebraic_model():
     # bridge: the enumeration above models run_round exactly, at any p; verify
     # on sampled draw tuples that the implementation emits the same messages.
     # 13 is the smallest prime at which this polynomial's value_bound, 6, decodes
-    p = 13
-    mod = PrimeModulus(p)
-    poly = InverseCdfPoly([0, 1], modulus=mod, n_parties=3, seed_range=2)
-    assert poly.value_bound == 6
-    rng = random.Random(5)
-    for _ in range(200):
-        v12, v13, u12, u13 = (rng.randrange(p) for _ in range(4))
-        t1 = rng.randrange(2)
-        v21, v23, u21, u23 = (rng.randrange(p) for _ in range(4))
-        t2 = rng.randrange(2)
-        v31, v32, u31, u32 = (rng.randrange(p) for _ in range(4))
-        t3 = rng.randrange(2)
-        s1, s2, s3 = rng.randrange(2), rng.randrange(2), rng.randrange(2)
+    assert InverseCdfPoly([0, 1], modulus=PrimeModulus(13), n_parties=3,
+                          seed_range=2).value_bound == 6
+    _check_model(13, (0, 1), 2)
 
-        rngs = [
-            ScriptedRng([(p, v12), (p, v13), (2, t1), (p, u12), (p, u13)]),
-            ScriptedRng([(p, v21), (p, v23), (2, t2), (p, u21), (p, u23)]),
-            ScriptedRng([(p, v31), (p, v32), (2, t3), (p, u31), (p, u32)]),
-        ]
-        inputs = [PartyInput(i + 1, (s,)) for i, s in enumerate((s1, s2, s3))]
-        result = run_round(inputs, poly, rngs=rngs, record_transcript=True)
-        assert all(r.exhausted for r in rngs)
 
-        alpha = [
-            (s1 - v12 - v13 + v21 + v31) % p,
-            (v12 + s2 - v21 - v23 + v32) % p,
-            (v13 + v23 + s3 - v31 - v32) % p,
-        ]
-        beta = [
-            (t1 - u12 - u13 + u21 + u31) % p,
-            (u12 + t2 - u21 - u23 + u32) % p,
-            (u13 + u23 + t3 - u31 - u32) % p,
-        ]
-        theta = [(alpha[i] + beta[i]) % p for i in range(3)]
-        got = {
-            (m.sender, m.receiver, m.phase): m.value for m in result.transcript.messages
-        }
-        assert got[(1, 2, PHASE_COUNT)] == v12 and got[(1, 3, PHASE_COUNT)] == v13
-        assert got[(2, 1, PHASE_COUNT)] == v21 and got[(3, 1, PHASE_COUNT)] == v31
-        assert got[(1, 2, PHASE_UNIFORM)] == u12 and got[(2, 1, PHASE_UNIFORM)] == u21
-        for i in range(3):
-            for j in range(3):
-                if i != j:
-                    assert got[(i + 1, j + 1, PHASE_BROADCAST)] == theta[i]
-        # published value: counts plus seed sum, reduced mod p then signed
-        expected_total = (s1 + s2 + s3 + t1 + t2 + t3) % p
-        assert result.field_totals[0] == expected_total
+def test_run_round_matches_algebraic_model_at_degree_2():
+    # the same bridge for the degree-2 model: T^2 sends nothing, so the
+    # transcript holds the count deals, T's sharing and the thetas; the
+    # value_bound, 3 + 1 + 2*9 + 3*81 = 265, decodes below p = 541
+    _check_model(541, (1, 2, 3), 4)
 
 
 def test_output_privacy_exact_binned_ratio():

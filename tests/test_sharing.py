@@ -15,6 +15,7 @@ from privroute.sharing import (
     Message,
     _draw,
     _eval_poly,
+    _share,
     _smpa_phase,
     _smpm_phase,
 )
@@ -110,7 +111,7 @@ def test_additive_subset_secrecy_exhaustive():
                 assert all(d == dists[0] for d in dists[1:])
 
 
-# -- shamir: the X shares a dealer sends in _smpm_phase -----------------------
+# -- shamir: the shares a dealer sends in a sharing -----------------------------
 
 def test_share_shamir_threshold_one_is_constant():
     # with two parties the Shamir degree is 0: each X share sent is the
@@ -366,8 +367,8 @@ def _receiver_sums(values, coeffs, p, phase="smpm"):
 @pytest.mark.parametrize("p", [101, MERSENNE_521])
 @pytest.mark.parametrize("n", [3, 4, 7, 20])
 def test_smpm_phase_reuses_a_sharing(n, p):
-    # a square shares x once for both operands, and the sharing it returns
-    # is multiplied again with nothing drawn or sent for it
+    # x is shared once and squared as (s, s) with nothing drawn or sent; a
+    # product with a fresh x2 returns x2's sharing and the kept one itself
     rng = random.Random(f"{n}:{p}")
     x = [rng.randrange(p) for _ in range(n)]
     x2 = [rng.randrange(p) for _ in range(n)]
@@ -376,12 +377,15 @@ def test_smpm_phase_reuses_a_sharing(n, p):
     cx2 = [_draw(rng, p, degree) for _ in range(n)]
     lam = _lagrange_weights_at_zero_ints(list(range(1, n + 1)), p)
     sent = []
-    square, kept = _smpm_phase(x, None, cx, p, lam, sent)
-    product, again = _smpm_phase(x2, kept, cx2, p, lam, sent)
+    kept = _share(x, cx, p, sent)
+    square, (a, b) = _smpm_phase(kept, kept, None, p, lam, sent)
+    assert a is kept and b is kept
+    product, (shared2, again) = _smpm_phase(x2, kept, cx2, p, lam, sent)
     assert again is kept
-    held, messages = _receiver_sums(x, cx, p)
+    held, messages = _receiver_sums(x, cx, p, "share")
     held2, messages2 = _receiver_sums(x2, cx2, p)
     assert [v % p for v in kept.held] == held
+    assert [v % p for v in shared2.held] == held2
     assert sent == messages + messages2
     assert [t % p for t in square] == [w * v * v % p for w, v in zip(lam, held)]
     assert [t % p for t in product] == [w * a * v % p for w, a, v in zip(lam, held2, held)]
@@ -406,7 +410,7 @@ def _reuse_view_distribution(x, x2, y, dealer, reuse_x=False, p=7):
         first, second = [[0, 0]] * 3, [[0]] * 3
         first[dealer - 1], second[dealer - 1] = [a, b], [a if reuse_x else a2]
         sent = []
-        _, kept = _smpm_phase(x, y, first, p, lam, sent)
+        _, (_, kept) = _smpm_phase(x, y, first, p, lam, sent)
         _smpm_phase(x2, kept, second, p, lam, sent)
         dist[tuple(m.value for m in sent if m.sender == dealer and m.receiver == 1)] += 1
     return dist
@@ -472,22 +476,28 @@ def test_smpa_phase_matches_per_pair_reference(n, p):
 @pytest.mark.parametrize("p", [7, 101, MERSENNE_61, MERSENNE_521])
 @pytest.mark.parametrize("n", [3, 4, 20, 41])
 def test_smpm_phase_worst_case_lanes(n, p):
-    # every share and coefficient at p - 1 makes each unreduced X(j) as large
-    # as it can be; were X's lane too narrow it would carry into Y's
-    degree = (n - 1) // 2
+    # each fresh operand's sharing is summed in its own Horner pass; every
+    # share and coefficient at p - 1 makes each unreduced X(j) and Y(j) as
+    # large as it can be: below the p * (h+1) * N^(h+1) that the product
+    # bound assumes, within a factor of about h + 1 of it (receiver N's top
+    # term alone is N * (p - 1) * N^h), and congruent to the per-pair sums
+    h = (n - 1) // 2
     x = y = [p - 1] * n
     # the Lagrange weights at zero for indices 1..n, as signed integers; they
-    # need not be field weights (n >= p repeats indices mod 7) to test lanes
+    # need not be field weights (n >= p repeats indices mod 7) to test sums
     lam = [(-1) ** (j + 1) * math.comb(n, j) for j in range(1, n + 1)]
     if n < p:
         assert [w % p for w in lam] == _lagrange_weights_at_zero_ints(range(1, n + 1), p)
-    coeffs = [[p - 1] * (2 * degree)] * n
+    coeffs = [[p - 1] * (2 * h)] * n
     reference, _ = _smpm_per_pair(
-        x, y, [ScriptedRng([p - 1] * (2 * degree)) for _ in range(n)], p, degree, lam
+        x, y, [ScriptedRng([p - 1] * (2 * h)) for _ in range(n)], p, h, lam
     )
-    theta, _ = _smpm_phase(x, y, coeffs, p, lam)
+    theta, sharings = _smpm_phase(x, y, coeffs, p, lam)
     assert [t % p for t in theta] == reference
-
+    held, _ = _receiver_sums(x, [[p - 1] * h] * n, p)
+    for sharing in sharings:
+        assert [v % p for v in sharing.held] == held
+        assert (p - 1) * n ** (h + 1) <= max(sharing.held) < p * (h + 1) * n ** (h + 1)
 
 
 @pytest.mark.parametrize("worst", [False, True])
