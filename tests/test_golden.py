@@ -13,8 +13,9 @@ polynomials at the benchmark's two round shapes while the fit still checked
 each vehicle still kept its own entry-time list, the `simulate --trace`
 vehicle CSVs while each run still kept a list of `Vehicle` objects, the
 7,200 s baseline pair's column bytes while each vehicle still routed on its
-own, and that pair's entry counts when the run first stored them in place of
-entry times.  A change here means trajectories, entry times, metrics, vehicle
+own, that pair's entry counts when the run first stored them in place of
+entry times, and a degree-7 round's transcript while the secure product
+could still Shamir-share a fresh operand itself.  A change here means trajectories, entry times, metrics, vehicle
 CSVs, column bytes, field totals, transcripts or fitted coefficients moved.
 """
 
@@ -274,6 +275,23 @@ def test_seeded_round_pinned():
     assert messages_digest(
         result.transcript.messages, ("edge", "phase", "sender", "receiver", "value")
     ) == "4b115139c3f4189d6f7d4465dceed3df6f115bfc5dd8670579d0437d3ec0134b"
+
+
+def test_seeded_horner_round_transcript_pinned():
+    # degree 7 runs T^2 and then three Horner steps in T^2 (k = 2), past the
+    # degree-3 ladder above; even n = 6 has Shamir degree 2, and every
+    # phase's messages, the kept sharings' included, are in the digest
+    poly = InverseCdfPoly(
+        [-40, 7, -3, 1, 5, -2, 1, 3], modulus=M521, n_parties=6, seed_range=16,
+        scale_bits=4,
+    )
+    inputs = [PartyInput.on_edge(i + 1, e, 2) for i, e in enumerate([0, 1, 1, -1, 0, 1])]
+    result = run_round(inputs, poly, seed=11, record_transcript=True)
+    assert result.field_totals == (5211073403584, 52306988432)
+    assert len(result.transcript.messages) == 360
+    assert messages_digest(
+        result.transcript.messages, ("edge", "phase", "sender", "receiver", "value")
+    ) == "0a986fcf5c57514d1207d2a22b1ccaeec1a1a6a3631a652944cb8bf80e13940e"
 
 
 def test_seeded_round_pinned_at_benchmark_shape():
