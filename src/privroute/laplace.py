@@ -173,7 +173,11 @@ class InverseCdfPoly:
         scale_bits: int = 0,
     ):
         # each would otherwise surface only partway through a round
-        # (randrange of an empty range, a negative shift count)
+        # (randrange of an empty range, a negative shift count, an index
+        # into no coefficients)
+        self.field_coeffs = tuple(int(c) for c in field_coeffs)
+        if not self.field_coeffs:
+            raise ValueError("field_coeffs must hold at least the constant term")
         if seed_range < 1:
             raise ValueError(f"seed_range must be at least 1, got {seed_range}")
         if n_parties < 1:
@@ -182,7 +186,6 @@ class InverseCdfPoly:
             raise ValueError(f"scale_bits must be non-negative, got {scale_bits}")
         self.scale_bits = scale_bits
         self.scale = 1 << scale_bits
-        self.field_coeffs = tuple(int(c) for c in field_coeffs)
         self.degree = len(self.field_coeffs) - 1
         self.modulus = modulus
         self.n_parties = n_parties

@@ -15,13 +15,14 @@ For every edge the participating parties (vehicles) run, in-process:
    takes (k - 1) + floor((d - 1) / k) products for the k with the fewest:
    4 in place of d - 1 = 6 at d = 7, and 6 in place of 14 at d = 15.  Where
    no k saves one (d <= 3) the schedule is the plain ladder T^2..T^d.
-   Each power is Shamir-shared once, when first used, and its receivers
-   keep what they summed: T's sharing is both operands of T^2 and Y of
-   every later power product, T^(z-1)'s is X of T^z, and T^k's is Y of
-   every Horner step.  The first Horner step's X, the top block, is a
-   public combination of the kept sharings of T..T^k, which each receiver
-   forms itself, so only each later step's accumulator is shared fresh.
-   An edge so runs `Schedule.sharings` = max(products, 1) sharings,
+   Every product multiplies two kept sharings.  Each value is Shamir-shared
+   once, where it is next used, and its receivers keep what they summed:
+   T's sharing is both operands of T^2 and Y of every later power product,
+   T^(z-1)'s is X of T^z, and T^k's is Y of every Horner step.  The first
+   Horner step's X, the top block, is a public combination of the kept
+   sharings of T..T^k, which each receiver forms itself; each later step's
+   X is the accumulator, shared before its product.  An edge so runs
+   `Schedule.sharings` = max(products, 1) sharings,
 4. a local sum of the count share, scaled, and the polynomial share, and a
    broadcast of the resulting theta shares.
 
@@ -48,10 +49,11 @@ then each Horner accumulator after the first).  The runs go through
 draws for the values `randrange` would reject, so every party gets the same
 values and ends in the same state as with one `randrange` call per value.
 An injected rng with only `randrange` (the tests' scripted rngs) is called
-per value.  Steps 1-3 then run the share loops `sharing._smpa_phase`,
-`sharing._share` and `sharing._smpm_phase` on the drawn values; T's
-sharing is sent under its own phase, `Shamir-seed`, and every other one
-under the phase of the first product that uses it.
+per value.  Steps 1-3 then run on the drawn values: `sharing._smpa_phase`
+deals the count, `sharing._share` makes every Shamir sharing, and
+`sharing._smpm_phase` multiplies two kept sharings, drawing and sending
+nothing.  T's sharing is sent under its own phase, `Shamir-seed`, and every
+other one under the phase of the product that first uses it.
 
 Shamir evaluation is linear, so each sharing evaluates the sum of the
 parties' coefficient vectors once per receiver: O(N*h) Horner steps per
@@ -78,9 +80,8 @@ from typing import NamedTuple, Optional, Sequence
 
 from .field import PrimeModulus, _lagrange_weights_at_zero_ints
 from .laplace import InverseCdfPoly
-from .sharing import (
-    Message, Sharing, TooFewParties, _draw, _share, _smpa_phase, _smpm_phase,
-)
+from .sharing import Message, TooFewParties, _draw, _share, _smpa_phase, _smpm_phase
+
 
 class InvalidInput(ValueError):
     """Raised for location vectors that are not one-hot (or all-zero)."""
@@ -229,16 +230,14 @@ def _block_shares(cs: Sequence[int], powers: list) -> list:
     return shares
 
 
-def _block_sharing(cs: Sequence[int], kept: list, p: int) -> Sharing:
+def _block_sharing(cs: Sequence[int], kept: list, p: int) -> list:
     """The sharing of the public c_0 + c_1*T + c_2*T^2 + ..., reduced mod p.
 
     `kept[z - 1]` is T^z's sharing.  A public combination of degree-h
     sharings is a degree-h sharing of the combination: receiver j weights
     what it holds, and the constant enters at every receiver.
     """
-    return Sharing([
-        (cs[0] + sum(map(mul, cs[1:], held))) % p for held in zip(*(s.held for s in kept))
-    ])
+    return [(cs[0] + sum(map(mul, cs[1:], held))) % p for held in zip(*kept)]
 
 
 def party_streams(seed: int, n_parties: int) -> list[random.Random]:
@@ -340,33 +339,29 @@ def run_round(
         # each party Shamir-shares its summand: the receivers' sums are T's
         # sharing, and party j's additive share of T is lam_j * T(j)
         t = _share(summands, next(runs), pp, messages, e, PHASE_SEED)
-        kept = [t]  # the sharings of T, T^2, ..., each made when first used
-        powers = [[w * v for w, v in zip(lam, t.held)]]  # additive shares
+        kept = [t]  # the sharings of T, T^2, ..., each made where first used
+        powers = [[w * v for w, v in zip(lam, t)]]  # additive shares
         for z in range(2, k + 1):
-            if z == 2:
-                product, _ = _smpm_phase(t, t, None, pp, lam, messages, e, phase_power(z))
-            else:
-                product, (shared, _) = _smpm_phase(
-                    powers[-1], t, next(runs), pp, lam, messages, e, phase_power(z),
-                )
-                kept.append(shared)
-            powers.append(product)
+            # T^(z-1), shared here, times T; T^2 multiplies T's own sharing
+            if z > 2:
+                kept.append(_share(powers[-1], next(runs), pp, messages, e, phase_power(z)))
+            powers.append(_smpm_phase(kept[-1], t, lam))
         if horner:
             # T^k's sharing is Y of every Horner step.  The first step's X,
             # the top block, is a public combination of the sharings of
             # T..T^k, so each receiver forms it from what it holds; every
-            # later X is an accumulator, shared fresh.  Shares are added
-            # unreduced and reduced once, where the theta leaves the party
+            # later X is the accumulator, shared before its product.  Shares
+            # are added unreduced and reduced once, where the theta leaves
+            # the party
             t_k = _share(powers[-1], next(runs), pp, messages, e, PHASE_HORNER)
             kept.append(t_k)
-            acc = _block_sharing(coeffs[horner * k:], kept, pp)
+            x = _block_sharing(coeffs[horner * k:], kept, pp)
             for b in reversed(range(horner)):
-                product, _ = _smpm_phase(
-                    acc, t_k, None if b == horner - 1 else next(runs),
-                    pp, lam, messages, e, PHASE_HORNER,
-                )
+                if b < horner - 1:
+                    x = _share(acc, next(runs), pp, messages, e, PHASE_HORNER)
+                product = _smpm_phase(x, t_k, lam)
                 block = _block_shares(coeffs[b * k:b * k + k], powers)
-                acc = [x + y for x, y in zip(product, block)]
+                acc = [v + c for v, c in zip(product, block)]
         else:
             acc = _block_shares(coeffs, powers)
         theta = [(v + scale * a) % pp for v, a in zip(acc, alpha)]

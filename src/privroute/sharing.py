@@ -1,18 +1,17 @@
 """The share loops of the protocol round: secure addition and multiplication.
 
 Secure multi-party addition (`_smpa_phase`) turns private inputs into
-additive shares of their sum.  `_share` Shamir-shares each party's value and
-returns what the receivers summed, a `Sharing` of the values' sum.  Secure
-multi-party multiplication (`_smpm_phase`) turns two operands, each either
-additive shares (shared fresh) or a `Sharing` (reused, with nothing drawn or
-sent), into additive shares of their product through one round of Shamir
-re-sharing, and returns both operands' sharings so that a later product can
-multiply by either again.  Each can append the messages exchanged, so tests
-can inspect exactly what each party saw.
+additive shares of their sum.  `_share`, the only code that Shamir-shares a
+value, has each party share its value and returns what each receiver summed:
+a sharing of the values' sum, which its receivers keep.  Secure multi-party
+multiplication (`_smpm_phase`) turns two kept sharings into additive shares
+of their product, drawing and sending nothing, so a value is shared once
+and multiplied as often as needed.  The two dealing loops can append the
+messages exchanged, so tests can inspect exactly what each party saw.
 
-The loops do arithmetic only: each takes the values every party drew, and
-its caller draws them with `_draw`.  `protocol.run_round` draws from one rng
-per party, two runs per party per edge.
+The loops do arithmetic only: the dealing loops take the values every party
+drew, and their caller draws them with `_draw`.  `protocol.run_round` draws
+from one rng per party, two runs per party per edge.
 
 Party indices run 1..N.  Index 0 is never used: a share at index 0 would be
 the secret itself.
@@ -100,112 +99,53 @@ def _smpa_phase(secrets, dealt, p, messages=None, edge=0, phase="smpa") -> list:
     return [sum(held) % p for held in zip(*rows)]
 
 
-class Sharing(NamedTuple):
-    """A Shamir sharing kept for reuse: `held[j-1]` is what receiver j summed.
-
-    Receiver j holds the sum of the dealers' polynomials at j, unreduced: an
-    integer congruent mod p to the summed polynomial's value there.  A later
-    `_smpm_phase` multiplies by it again without drawing or sending anything,
-    and a public combination of sharings is a sharing of the same degree,
-    which each receiver forms from what it holds.
-    """
-
-    held: list
-
-
-def _send(operands, coeffs, p, messages, edge, phase) -> None:
-    """Append the sends of Shamir-sharing each operand's additive shares.
-
-    Party i's polynomial for operand s is operands[s][i-1] with the
-    coefficients coeffs[i-1][s*h:(s+1)*h] as degrees 1..h; each pair's
-    messages go in operand order, reduced mod p.  These are the O(N^2*h)
-    per-pair evaluations a transcript needs.
-    """
-    n = len(operands[0])
-    h = (n - 1) // 2
-    for i in range(1, n + 1):
-        drawn = coeffs[i - 1]
-        polys = [[v[i - 1] % p, *drawn[s * h:(s + 1) * h]] for s, v in enumerate(operands)]
-        for j in range(1, n + 1):
-            if j != i:
-                messages.extend(
-                    Message(edge, phase, i, j, _eval_poly(c, j, p)) for c in polys
-                )
-
-
-def _summed(values, coeffs, p) -> Sharing:
-    """What each receiver sums when party i shares values[i-1] with coeffs[i-1].
-
-    Evaluation is linear, so receiver j's sum is the summed polynomial at j:
-    one Horner pass per receiver over the summed coefficients, O(N*h) steps.
-    The constant terms may be summed before reducing, since X(j) then moves
-    by a multiple of p.  With every input below p, each unreduced X(j) is
-    below p * (h+1) * N^(h+1).
-    """
-    packed = [sum(values) % p, *map(sum, zip(*coeffs))]
-    packed.reverse()
-    held = []
-    for j in range(1, len(values) + 1):
-        acc = 0
-        for c in packed:
-            acc = acc * j + c
-        held.append(acc)
-    return Sharing(held)
-
-
-def _share(values, coeffs, p, messages=None, edge=0, phase="share") -> Sharing:
+def _share(values, coeffs, p, messages=None, edge=0, phase="share") -> list:
     """Shamir sharings of each party's value, summed: a sharing of sum(values).
 
-    Party i shares values[i-1] with a polynomial of degree h = floor((N-1)/2)
-    whose higher coefficients are coeffs[i-1][:h].  `values` are read only
-    mod p.  Sends are appended to `messages` when given.
+    Party i shares values[i-1], read only mod p, with a polynomial of degree
+    h = floor((N-1)/2) whose coefficients of degree 1..h are coeffs[i-1].
+    Its sends, reduced mod p, are appended to `messages` when given: the
+    O(N^2*h) per-pair evaluations a transcript needs.  Evaluation is linear,
+    so receiver j's sum, element j-1 of the result, is the summed polynomial
+    at j: one Horner pass per receiver, O(N*h) steps, left unreduced and
+    below p * (h+1) * N^(h+1).  A public combination of sharings is a
+    sharing of the combination, which each receiver forms from what it holds.
     """
+    n = len(values)
     if messages is not None:
-        _send([values], coeffs, p, messages, edge, phase)
-    return _summed(values, coeffs, p)
+        for i, (v, drawn) in enumerate(zip(values, coeffs), 1):
+            poly = [v % p, *drawn]
+            messages.extend(
+                Message(edge, phase, i, j, _eval_poly(poly, j, p))
+                for j in range(1, n + 1) if j != i
+            )
+    summed = [sum(values) % p, *map(sum, zip(*coeffs))]
+    summed.reverse()
+    held = []
+    for j in range(1, n + 1):
+        acc = 0
+        for c in summed:
+            acc = acc * j + c
+        held.append(acc)
+    return held
 
 
-def _smpm_phase(x, y, coeffs, p, lam, messages=None, edge=0, phase="smpm") -> tuple:
-    """Secure multiplication: additive shares of x*y, and both operands' sharings.
+def _smpm_phase(x, y, lam) -> list:
+    """Secure multiplication: additive shares of X*Y from kept sharings x and y.
 
-    Each operand is either
-      - additive shares, which party i Shamir-shares with a polynomial of
-        degree h = floor((N-1)/2): x's with the higher coefficients
-        coeffs[i-1][:h], and y's, when y is fresh too, with the next h; or
-      - a `Sharing`, which costs no draws and no messages: one an earlier
-        call or `_share` returned, or a public combination of such.
-    So x*x is `(s, s)` for x's sharing s.  The call returns the product's
-    shares with the sharings of x and y, so a value is shared once and
-    multiplied as often as needed (BGW; Gennaro, Rabin & Rabin's degree
-    reduction).  A coalition of at most h parties then still sees at most h
-    points of each honest dealer's polynomial.
+    x[j-1] and y[j-1] are receiver j's points of two degree-h sharings, as
+    `_share` returns them or a public combination keeps them.  Their
+    products lie on a degree-2h polynomial with X*Y at zero, which `lam`, the
+    Lagrange weights at zero for indices 1..N as any congruent integers,
+    turn into additive shares (BGW with Gennaro, Rabin & Rabin's degree
+    reduction).  Nothing is drawn or sent: a value is shared once and
+    multiplied as often as needed, and a coalition of at most h parties
+    sees at most h points of each honest dealer's polynomial.
 
-    `lam` are the Lagrange weights at zero for indices 1..N, as any integers
-    congruent to them mod p (the round passes the signed ones, +-C(N, j),
-    which are short); they turn the products of the receivers' sums into
-    additive shares.  Additive shares are read only mod p, so they may be
-    any integers congruent to the shares, such as a previous call's outputs.
-    Sends are appended to `messages` when given, reduced mod p and, where
-    both operands are fresh, X's before Y's for each pair.
-
-    Output j is lam[j-1] * X(j) * Y(j), left unreduced: an integer congruent
-    mod p to receiver j's share, negative when lam[j-1] is.  With each X(j)
-    and Y(j) below p * (h+1) * N^(h+1), as `_summed` gives and a reduced
-    combination keeps, |theta_j| < max|lam| * (p * (h+1) * N^(h+1))^2, which
-    for the signed weights is C(N, floor(N/2)) * (p * (h+1) * N^(h+1))^2.  A
-    share is reduced where it leaves its party, so the caller reduces before
-    it publishes or sends one.
-
-    With even N the degree floor((N-1)/2) tolerates one colluder fewer than
-    (N-1)/2; the scheme additionally assumes more than half the parties do
-    not collude at all.
+    Output j is lam[j-1] * x[j-1] * y[j-1], unreduced: with the signed
+    weights +-C(N, j) and points below p * (h+1) * N^(h+1), its magnitude is
+    below C(N, floor(N/2)) * (p * (h+1) * N^(h+1))^2.  The caller reduces a
+    share where it leaves its party.  With even N the degree floor((N-1)/2)
+    tolerates one colluder fewer than (N-1)/2.
     """
-    fresh = [v for v in (x, y) if not isinstance(v, Sharing)]
-    if fresh and messages is not None:
-        _send(fresh, coeffs, p, messages, edge, phase)
-    h = (len(lam) - 1) // 2
-    made = iter([
-        _summed(v, [c[s * h:(s + 1) * h] for c in coeffs], p) for s, v in enumerate(fresh)
-    ])
-    x, y = (v if isinstance(v, Sharing) else next(made) for v in (x, y))
-    return [w * a * b for w, a, b in zip(lam, x.held, y.held)], (x, y)
+    return [w * a * b for w, a, b in zip(lam, x, y)]

@@ -58,14 +58,27 @@ def smpa_one_rng(secrets, rng, p, messages=None):
     return _smpa_phase(secrets, [_draw(rng, p, n - 1) for _ in range(n)], p, messages)
 
 
+def share_and_multiply(x, y, coeffs, p, lam, messages=None):
+    """Secure multiplication of two additive sharings: `_share` shares x with
+    each party's first h = floor((N-1)/2) coefficients and y with the next h,
+    and `_smpm_phase` multiplies the two sharings.  Each pair's X send comes
+    before its Y send, under phase "smpm"; the product shares are unreduced."""
+    h = (len(x) - 1) // 2
+    sent_x, sent_y = ([], []) if messages is not None else (None, None)
+    sx = _share(x, [c[:h] for c in coeffs], p, sent_x, phase="smpm")
+    sy = _share(y, [c[h:] for c in coeffs], p, sent_y, phase="smpm")
+    if messages is not None:
+        messages.extend(chain.from_iterable(zip(sent_x, sent_y)))
+    return _smpm_phase(sx, sy, lam)
+
+
 def smpm_one_rng(x, y, rng, p, messages=None):
-    """Secure multiplication with every party's Shamir coefficients drawn from
+    """`share_and_multiply` with every party's Shamir coefficients drawn from
     one rng, party by party; the product shares are reduced into [0, p)."""
     n = len(x)
     coeffs = [_draw(rng, p, 2 * ((n - 1) // 2)) for _ in range(n)]
     lam = _lagrange_weights_at_zero_ints(range(1, n + 1), p)
-    theta, _ = _smpm_phase(x, y, coeffs, p, lam, messages)
-    return [t % p for t in theta]
+    return [t % p for t in share_and_multiply(x, y, coeffs, p, lam, messages)]
 
 
 def x_shares_sent(secret, coeffs, n, p):

@@ -277,14 +277,20 @@ def test_from_field_coeffs_identity():
         (dict(n_parties=0), "n_parties"),
         (dict(n_parties=-2), "n_parties"),
         (dict(scale_bits=-1), "scale_bits"),
+        (dict(field_coeffs=[], scale_bits=1), "constant term"),
+        (dict(field_coeffs=[], scale_bits=4), "constant term"),
     ],
 )
 def test_poly_rejects_shapes_no_round_can_run(bad, message):
     # seed_range=-4 once built a polynomial with value_bound -12 that failed
-    # partway through a round; scale_bits=-1 failed on a negative shift
-    kwargs = dict(modulus=PrimeModulus(MERSENNE_521), n_parties=3, seed_range=4)
+    # partway through a round; scale_bits=-1 failed on a negative shift; no
+    # coefficients built a degree -1 polynomial, which failed on a negative
+    # shift below scale_bits 2 and otherwise raised IndexError in
+    # evaluate_real and in run_round after every party had drawn
+    kwargs = dict(field_coeffs=[0, 1], modulus=PrimeModulus(MERSENNE_521), n_parties=3,
+                  seed_range=4)
     with pytest.raises(ValueError, match=message):
-        InverseCdfPoly([0, 1], **{**kwargs, **bad})
+        InverseCdfPoly(**{**kwargs, **bad})
 
 
 def test_from_field_coeffs_overflow_check():

@@ -5,7 +5,6 @@ a seeded round leaves each party's stream where one `randrange` call per
 value leaves it, and the share loops read their share inputs only mod p,
 over randomly drawn instances."""
 
-import math
 import random
 
 import pytest
@@ -15,7 +14,7 @@ from hypothesis import strategies as st
 from privroute.field import MERSENNE_61, MERSENNE_521, PrimeModulus
 from privroute.laplace import InverseCdfPoly
 from privroute.protocol import PartyInput, evaluation_schedule, party_streams, run_round
-from privroute.sharing import _draw, _smpa_phase, _smpm_phase
+from privroute.sharing import _draw, _share, _smpa_phase
 from conftest import additive_shares, smpa_one_rng, smpm_one_rng
 
 PRIMES = (7, 101, MERSENNE_61, MERSENNE_521)
@@ -62,14 +61,12 @@ def test_smpm_reconstructs_product(instance, data):
     st.sampled_from(PRIMES), st.integers(3, 12), st.integers(0, 2**32 - 1), st.data()
 )
 def test_share_loops_read_share_inputs_mod_p(p, n, seed, data):
-    # each secure product of the round takes earlier products' unreduced
-    # outputs, so shifting a share by any multiple of p must change nothing
+    # the round Shamir-shares earlier products' unreduced outputs, so
+    # shifting a share by any multiple of p must change nothing
     rng = random.Random(seed)
     x = [rng.randrange(p) for _ in range(n)]
-    y = [rng.randrange(p) for _ in range(n)]
     dealt = [_draw(rng, p, n - 1) for _ in range(n)]
-    coeffs = [_draw(rng, p, 2 * ((n - 1) // 2)) for _ in range(n)]
-    lam = [(-1) ** (j + 1) * math.comb(n, j) for j in range(1, n + 1)]
+    coeffs = [_draw(rng, p, (n - 1) // 2) for _ in range(n)]
     multiples = st.lists(st.integers(-(2**80), 2**80), min_size=n, max_size=n)
 
     def shifted(shares):
@@ -79,9 +76,7 @@ def test_share_loops_read_share_inputs_mod_p(p, n, seed, data):
     assert _smpa_phase(x, dealt, p, sent) == _smpa_phase(shifted(x), dealt, p, sent_shifted)
     assert sent == sent_shifted
     sent, sent_shifted = [], []
-    assert _smpm_phase(x, y, coeffs, p, lam, sent) == _smpm_phase(
-        shifted(x), shifted(y), coeffs, p, lam, sent_shifted
-    )
+    assert _share(x, coeffs, p, sent) == _share(shifted(x), coeffs, p, sent_shifted)
     assert sent == sent_shifted
 
 

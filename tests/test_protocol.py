@@ -31,7 +31,7 @@ from privroute.protocol import (
     run_round,
 )
 from privroute import protocol
-from privroute.sharing import Sharing, TooFewParties
+from privroute.sharing import TooFewParties
 from conftest import ScriptedRng
 
 M521 = PrimeModulus(MERSENNE_521)
@@ -196,10 +196,10 @@ def test_wrong_share_raises_decode_overflow(monkeypatch):
 
     real_phase = protocol._smpm_phase
 
-    def off_by_one(*args, **kwargs):
-        shares, sharing = real_phase(*args, **kwargs)
+    def off_by_one(*args):
+        shares = real_phase(*args)
         shares[1] = (shares[1] + 1) % M521.p
-        return shares, sharing
+        return shares
 
     monkeypatch.setattr(protocol, "_smpm_phase", off_by_one)
     with pytest.raises(DecodeOverflow, match="edge 0"):
@@ -246,30 +246,45 @@ def test_transcript_schedule():
 
 def test_secure_products_per_edge(monkeypatch):
     # Paterson-Stockmeyer: d - 1 products while no block size saves one,
-    # then 4 at d = 7 (k = 2) and 6 at d = 15 (k = 3).  T^2 and the first
-    # Horner step multiply kept sharings and share nothing fresh; every
-    # other product shares its X and multiplies by a kept Y
-    calls, fresh = [], []
-    real_phase = protocol._smpm_phase
+    # then 4 at d = 7 (k = 2) and 6 at d = 15 (k = 3).  `_share` makes every
+    # sharing, each where it is first used: T's, T^(z-1)'s before T^z from
+    # T^3 on, T^k's and each Horner accumulator's after the first step's.
+    # T^2 and the first Horner step multiply kept sharings and share nothing
+    P = "product"
+    T2 = [PHASE_SEED, P]
+    expected = {
+        1: ([PHASE_SEED], 0),
+        2: (T2, 1),
+        3: (T2 + ["SMPM-power-3", P], 2),
+        7: (T2 + [PHASE_HORNER, P] * 3, 4),
+        15: (T2 + ["SMPM-power-3", P] + [PHASE_HORNER, P] * 4, 6),
+    }
+    events, shared_on = [], []
+    real_share, real_phase = protocol._share, protocol._smpm_phase
 
-    def counting(*args, **kwargs):
-        calls.append(args[-1])
-        fresh.append([not isinstance(v, Sharing) for v in args[:2]])
-        return real_phase(*args, **kwargs)
+    def sharing(values, coeffs, p, messages, edge, phase):
+        events.append(phase)
+        shared_on.append(edge)
+        return real_share(values, coeffs, p, messages, edge, phase)
 
-    monkeypatch.setattr(protocol, "_smpm_phase", counting)
+    def multiplying(*args):
+        events.append(P)
+        return real_phase(*args)
+
+    monkeypatch.setattr(protocol, "_share", sharing)
+    monkeypatch.setattr(protocol, "_smpm_phase", multiplying)
     n, m = 5, 3
     inputs = [PartyInput.on_edge(i, i % m, m) for i in range(1, n + 1)]
-    for d, products in {1: 0, 2: 1, 3: 2, 7: 4, 15: 6}.items():
+    for d, (per_edge, products) in expected.items():
         poly = InverseCdfPoly([0] * (d + 1), modulus=M521, n_parties=n, seed_range=2)
-        calls.clear()
-        fresh.clear()
+        events.clear()
+        shared_on.clear()
         run_round(inputs, poly, seed=d)
-        assert len(calls) == m * products
-        assert evaluation_schedule(d).products == products
-    assert calls == m * (["SMPM-power-2", "SMPM-power-3"] + [PHASE_HORNER] * 4)
-    x_only, neither = [True, False], [False, False]
-    assert fresh == m * [neither, x_only, neither, x_only, x_only, x_only]
+        schedule = evaluation_schedule(d)
+        assert schedule.products == products
+        assert events.count(P) == m * products
+        assert Counter(shared_on) == dict.fromkeys(range(m), schedule.sharings)
+        assert events == m * per_edge
 
 
 def test_draws_and_messages_per_edge_at_the_simulator_shape():

@@ -22,6 +22,7 @@ from privroute.sharing import (
 from conftest import (
     ScriptedRng,
     additive_shares,
+    share_and_multiply,
     smpa_one_rng,
     smpm_one_rng,
     x_shares_sent,
@@ -276,28 +277,22 @@ def test_smpm_random_instances():
             assert sum(smpm_one_rng(xs, ys, rng, P61)) % P61 == a * b % P61
 
 
-def test_smpm_errors():
-    # below three parties the Shamir degree is 0 and every X and Y share is
-    # sent in the clear, which is why the round refuses two parties
+def test_share_sends_in_the_clear_below_three_parties():
+    # below three parties the Shamir degree is 0 and every value is sent in
+    # the clear, which is why the round refuses two parties
     sent = []
-    _smpm_phase([3, 5], [2, 6], [[], []], 7, [2, 6], sent)
-    assert [m.value for m in sent] == [3, 2, 5, 6]
+    assert _share([3, 5], [[], []], 7, sent) == [1, 1]
+    assert [m.value for m in sent] == [3, 5]
 
 
 def test_smpm_shamir_degree_is_floor_half():
-    # party i's X takes the first h drawn coefficients and Y the next h, as
-    # degrees 1..h, h = floor((N-1)/2)
+    # party i's drawn coefficients are its polynomial's degrees 1..h,
+    # h = floor((N-1)/2)
     for n in (3, 4, 5, 6, 7):
         h = (n - 1) // 2
         for k in range(1, h + 1):
             top = [0] * (k - 1) + [1] + [0] * (h - k)
             assert x_shares_sent(0, top, n, MERSENNE_521) == {j: j ** k for j in range(2, n + 1)}
-            sent = []
-            _smpm_phase([0] * n, [0] * n, [[0] * h + top] + [[0] * 2 * h] * (n - 1),
-                        MERSENNE_521, [1] * n, sent)
-            assert {m.receiver: m.value for m in sent[1::2] if m.sender == 1} == {
-                j: j ** k for j in range(2, n + 1)
-            }
 
 
 def _smpm_per_pair(x, y, rngs, p, degree, lam, phase="smpm"):
@@ -334,12 +329,12 @@ def test_smpm_phase_one_output_path(n, p):
     def streams():
         return [random.Random(f"{n}:{p}:{i}") for i in range(n)]
 
-    # the phase takes each party's coefficients drawn in advance from its
-    # stream; the reference draws X's then Y's from the same streams
+    # each party's coefficients are drawn in advance from its stream, X's
+    # then Y's, as the reference draws them
     coeffs = [_draw(rng, p, 2 * degree) for rng in streams()]
-    silent, _ = _smpm_phase(x, y, coeffs, p, lam)
+    silent = share_and_multiply(x, y, coeffs, p, lam)
     recorded = []
-    loud, _ = _smpm_phase(x, y, coeffs, p, lam, recorded)
+    loud = share_and_multiply(x, y, coeffs, p, lam, recorded)
     reference, reference_messages = _smpm_per_pair(x, y, streams(), p, degree, lam)
     assert silent == loud
     assert [t % p for t in silent] == reference
@@ -367,8 +362,8 @@ def _receiver_sums(values, coeffs, p, phase="smpm"):
 @pytest.mark.parametrize("p", [101, MERSENNE_521])
 @pytest.mark.parametrize("n", [3, 4, 7, 20])
 def test_smpm_phase_reuses_a_sharing(n, p):
-    # x is shared once and squared as (s, s) with nothing drawn or sent; a
-    # product with a fresh x2 returns x2's sharing and the kept one itself
+    # x is shared once, then squared and multiplied by x2's sharing with
+    # nothing more drawn or sent; each sharing is what per-pair sums give
     rng = random.Random(f"{n}:{p}")
     x = [rng.randrange(p) for _ in range(n)]
     x2 = [rng.randrange(p) for _ in range(n)]
@@ -378,14 +373,13 @@ def test_smpm_phase_reuses_a_sharing(n, p):
     lam = _lagrange_weights_at_zero_ints(list(range(1, n + 1)), p)
     sent = []
     kept = _share(x, cx, p, sent)
-    square, (a, b) = _smpm_phase(kept, kept, None, p, lam, sent)
-    assert a is kept and b is kept
-    product, (shared2, again) = _smpm_phase(x2, kept, cx2, p, lam, sent)
-    assert again is kept
+    square = _smpm_phase(kept, kept, lam)
+    shared2 = _share(x2, cx2, p, sent, phase="smpm")
+    product = _smpm_phase(shared2, kept, lam)
     held, messages = _receiver_sums(x, cx, p, "share")
     held2, messages2 = _receiver_sums(x2, cx2, p)
-    assert [v % p for v in kept.held] == held
-    assert [v % p for v in shared2.held] == held2
+    assert [v % p for v in kept] == held
+    assert [v % p for v in shared2] == held2
     assert sent == messages + messages2
     assert [t % p for t in square] == [w * v * v % p for w, v in zip(lam, held)]
     assert [t % p for t in product] == [w * a * v % p for w, a, v in zip(lam, held2, held)]
@@ -397,21 +391,19 @@ def _reuse_view_distribution(x, x2, y, dealer, reuse_x=False, p=7):
     """Exact law of what party 1 receives from `dealer` over two products.
 
     N = 3 (h = 1).  The first product shares x and y, the second shares x2
-    and multiplies it by y's kept sharing.  Each dealer draws its own
+    and multiplies it by y's kept sharing.  A product sends nothing, so the
+    view is the sends of the three sharings.  Each dealer draws its own
     coefficients and its sends depend on nothing else, so party 1's joint
     view is the product of one such law per honest dealer; the other
     dealer's coefficients are pinned to zero and `dealer`'s are enumerated.
     With `reuse_x` the second product's X sharing reuses the first's
     coefficient: one polynomial's randomness for two different values.
     """
-    lam = _lagrange_weights_at_zero_ints(range(1, 4), p)
     dist = Counter()
     for a, b, a2 in itertools.product(range(p), repeat=3):
-        first, second = [[0, 0]] * 3, [[0]] * 3
-        first[dealer - 1], second[dealer - 1] = [a, b], [a if reuse_x else a2]
         sent = []
-        _, (_, kept) = _smpm_phase(x, y, first, p, lam, sent)
-        _smpm_phase(x2, kept, second, p, lam, sent)
+        for values, c in ((x, a), (y, b), (x2, a if reuse_x else a2)):
+            _share(values, [[c if i == dealer else 0] for i in (1, 2, 3)], p, sent)
         dist[tuple(m.value for m in sent if m.sender == dealer and m.receiver == 1)] += 1
     return dist
 
@@ -476,11 +468,12 @@ def test_smpa_phase_matches_per_pair_reference(n, p):
 @pytest.mark.parametrize("p", [7, 101, MERSENNE_61, MERSENNE_521])
 @pytest.mark.parametrize("n", [3, 4, 20, 41])
 def test_smpm_phase_worst_case_lanes(n, p):
-    # each fresh operand's sharing is summed in its own Horner pass; every
-    # share and coefficient at p - 1 makes each unreduced X(j) and Y(j) as
-    # large as it can be: below the p * (h+1) * N^(h+1) that the product
-    # bound assumes, within a factor of about h + 1 of it (receiver N's top
-    # term alone is N * (p - 1) * N^h), and congruent to the per-pair sums
+    # every value and coefficient at p - 1 makes each receiver's unreduced
+    # `_share` sum as large as it can be: below the p * (h+1) * N^(h+1) that
+    # the product bound assumes, within a factor of about h + 1 of it
+    # (receiver N's top term alone is N * (p - 1) * N^h), and congruent to
+    # the per-pair sums; the product of two such sharings is the per-pair
+    # reference's
     h = (n - 1) // 2
     x = y = [p - 1] * n
     # the Lagrange weights at zero for indices 1..n, as signed integers; they
@@ -488,16 +481,15 @@ def test_smpm_phase_worst_case_lanes(n, p):
     lam = [(-1) ** (j + 1) * math.comb(n, j) for j in range(1, n + 1)]
     if n < p:
         assert [w % p for w in lam] == _lagrange_weights_at_zero_ints(range(1, n + 1), p)
-    coeffs = [[p - 1] * (2 * h)] * n
+    coeffs = [[p - 1] * h] * n
     reference, _ = _smpm_per_pair(
         x, y, [ScriptedRng([p - 1] * (2 * h)) for _ in range(n)], p, h, lam
     )
-    theta, sharings = _smpm_phase(x, y, coeffs, p, lam)
-    assert [t % p for t in theta] == reference
-    held, _ = _receiver_sums(x, [[p - 1] * h] * n, p)
-    for sharing in sharings:
-        assert [v % p for v in sharing.held] == held
-        assert (p - 1) * n ** (h + 1) <= max(sharing.held) < p * (h + 1) * n ** (h + 1)
+    sharing = _share(x, coeffs, p)
+    held, _ = _receiver_sums(x, coeffs, p)
+    assert [v % p for v in sharing] == held
+    assert (p - 1) * n ** (h + 1) <= max(sharing) < p * (h + 1) * n ** (h + 1)
+    assert [t % p for t in _smpm_phase(sharing, sharing, lam)] == reference
 
 
 @pytest.mark.parametrize("worst", [False, True])
@@ -521,7 +513,7 @@ def test_smpm_phase_unreduced_outputs(n, p, worst):
         coeffs = [_draw(random.Random(f"{n}:{p}:{i}"), p, 2 * degree) for i in range(n)]
         streams = [random.Random(f"{n}:{p}:{i}") for i in range(n)]
     reference, _ = _smpm_per_pair(x, y, streams, p, degree, lam)
-    theta, _ = _smpm_phase(x, y, coeffs, p, lam)
+    theta = share_and_multiply(x, y, coeffs, p, lam)
     assert [t % p for t in theta] == reference
     assert all(abs(t) < bound for t in theta)
     if n < p:
