@@ -178,9 +178,8 @@ def cmd_verify_accuracy(args) -> int:
 
 
 def cmd_fit_noise(args) -> int:
-    modulus = MERSENNE_521 if args.modulus is None else args.modulus
     poly = fit_inverse_cdf_poly(
-        LaplaceParams(args.epsilon), args.degree, modulus, args.clamp,
+        LaplaceParams(args.epsilon), args.degree, MERSENNE_521, args.clamp,
         n_parties=args.parties, seed_bits=args.seed_bits,
     )
     report = poly.fit_report()
@@ -271,8 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     fn.add_argument("--clamp", type=float, default=1e-4)
     fn.add_argument("--parties", type=int, default=1)
     fn.add_argument("--seed-bits", type=int, default=20)
-    fn.add_argument("--modulus", type=int, default=None,
-                    help="field prime (default: 2^521 - 1)")
     fn.add_argument("--out", default=None)
     fn.set_defaults(func=cmd_fit_noise)
 

@@ -1,16 +1,19 @@
 """Prime moduli and the Lagrange weights that turn Shamir shares into additive ones.
 
 All secret-sharing values are plain ints in Z_p for a prime p; the caller
-always names it.  The protocol round and the simulator use the Mersenne prime
-2^521 - 1, whose p/2 leaves room for the signed decoding of high-degree noise
-polynomials; 2^61 - 1 suits the unit tests of the share loops, and tiny
-primes (7, 101, ...) are what the exhaustive secrecy tests use.
+always names it.  A fitted noise polynomial runs in the smallest member of
+`FIELD_PRIMES` whose p/2 holds its worst-case value (the signed decoding
+must not wrap): the Curve25519 prime 2^255 - 19 (Bernstein, PKC 2006) or the
+Mersenne prime 2^521 - 1.  2^61 - 1 suits the unit tests of the share loops,
+and tiny primes (7, 101, ...) are what the exhaustive secrecy tests use.
 
-`PrimeModulus` checks its p with `is_probable_prime`, and every noise-polynomial
-fit builds one.  A Mersenne number 2^k - 1 gets an exact Lucas-Lehmer proof:
+`PrimeModulus` checks its p with `is_probable_prime`, except for the members
+of `FIELD_PRIMES`, which the test suite proves; every noise-polynomial fit
+builds one.  A Mersenne number 2^k - 1 gets an exact Lucas-Lehmer proof:
 k - 2 squarings, each reduced by a shift and a mask, about 0.6 ms for
 2^521 - 1 against about 30 ms for the 28 modular exponentiations Miller-Rabin
-runs on it.  Every other n goes through Miller-Rabin.
+runs on it.  Every other n goes through Miller-Rabin, which takes 3.5-7 ms
+on 2^255 - 19: more than a whole fit at the benchmark's Sioux Falls shape.
 """
 
 from __future__ import annotations
@@ -24,6 +27,9 @@ _MR_DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981
 
 MERSENNE_61 = (1 << 61) - 1
 MERSENNE_521 = (1 << 521) - 1
+
+#: The fields a fitted polynomial may run in, smallest first.
+FIELD_PRIMES = ((1 << 255) - 19, MERSENNE_521)
 
 
 class ZeroInverse(ZeroDivisionError):
@@ -99,14 +105,17 @@ def is_probable_prime(n: int) -> bool:
 
 
 class PrimeModulus:
-    """A checked prime modulus p, with the signed decoding of values mod p."""
+    """A checked prime modulus p, with the signed decoding of values mod p.
+
+    A member of `FIELD_PRIMES` is taken without the primality test.
+    """
 
     __slots__ = ("p",)
 
     def __init__(self, p: int):
         if not isinstance(p, int) or p < 2:
             raise ValueError(f"modulus must be an integer >= 2, got {p!r}")
-        if not is_probable_prime(p):
+        if p not in FIELD_PRIMES and not is_probable_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         self.p = p
 

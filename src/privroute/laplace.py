@@ -15,9 +15,12 @@ of the Laplace quantile function.  Two constraints shape the construction:
   faithful while the integer value never crosses +-p/2, so construction
   rejects any (p, degree, S, M) combination whose worst case could wrap.
 
-High degrees over wide seed ranges need room: degree 15 with a 2^20 seed
-range fits comfortably in the Mersenne field 2^521 - 1 but cannot be encoded
-in 2^61 - 1 (the overflow check raises OverflowRisk there).
+The fit runs its polynomial in the smallest member of `field.FIELD_PRIMES`,
+up to the p it is given, that passes that check.  Degree 7 over 20 parties
+with 2^16 seed values needs 167 bits and runs in 2^255 - 19; degree 15 over
+5 parties with a 2^20 seed range needs 377 bits and runs in the Mersenne
+field 2^521 - 1; neither can be encoded in 2^61 - 1 (the overflow check
+raises OverflowRisk there).
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import Sequence
 import numpy as np
 import numpy.polynomial.chebyshev as _cheb
 
-from .field import PrimeModulus
+from .field import FIELD_PRIMES, PrimeModulus
 
 
 class OverflowRisk(ValueError):
@@ -191,7 +194,9 @@ class InverseCdfPoly:
         self.n_parties = n_parties
         self.seed_range = seed_range
         self.epsilon = self.clamp = self.max_abs_error = self.ks_distance = None
-        self.value_bound = self._worst_case_magnitude()
+        self.value_bound = _worst_case_magnitude(
+            self.field_coeffs, n_parties, seed_range, self.scale
+        )
         if 2 * self.value_bound >= modulus.p:
             raise OverflowRisk(
                 f"encoded evaluation can reach {self.value_bound}, "
@@ -205,14 +210,6 @@ class InverseCdfPoly:
     @property
     def seed_sum_max(self) -> int:
         return self.n_parties * (self.seed_range - 1)
-
-    def _worst_case_magnitude(self) -> int:
-        """Upper bound on |S*count + sum_z c_hat_z * w^z| over the whole run."""
-        w_max = self.seed_sum_max
-        bound = self.scale * self.n_parties  # counts never exceed the party count
-        for z, c in enumerate(self.field_coeffs):
-            bound += abs(c) * w_max**z
-        return bound
 
     def _chebyshev_series(self) -> np.ndarray:
         """Float64 Chebyshev coefficients, in t, of field_coeffs / S.
@@ -263,6 +260,17 @@ class InverseCdfPoly:
         }
 
 
+def _worst_case_magnitude(
+    field_coeffs: Sequence[int], n_parties: int, seed_range: int, scale: int
+) -> int:
+    """Upper bound on |S*count + sum_z c_hat_z * w^z| over the whole run."""
+    w_max = n_parties * (seed_range - 1)
+    bound = scale * n_parties  # counts never exceed the party count
+    for z, c in enumerate(field_coeffs):
+        bound += abs(c) * w_max**z
+    return bound
+
+
 def _auto_scale_bits(epsilon: float, degree: int, w_max: int) -> int:
     """Smallest power-of-two scale that keeps rounding error below 0.5% of 1/eps."""
     rounding_bound = sum(w_max**z for z in range(degree + 1))  # x2 margin over 0.5*sum
@@ -289,6 +297,11 @@ def fit_inverse_cdf_poly(
     decoded polynomial the protocol publishes, seed sums included, against the
     exact Laplace CDF; its generator is default_rng(0).  The fixed-point scale
     comes from `_auto_scale_bits`.
+
+    p is the largest field the polynomial may run in, and must be prime.  The
+    polynomial runs in the smallest member of `FIELD_PRIMES` below p whose
+    p/2 exceeds its `value_bound`, else in p itself; a p that cannot hold
+    the bound raises OverflowRisk.
     """
     if d < 1:
         raise ValueError(f"degree must be >= 1, got {d}")
@@ -298,7 +311,7 @@ def fit_inverse_cdf_poly(
         raise ValueError("seed_bits must be >= 1")
     if n_parties < 1:
         raise ValueError(f"need at least 1 party, got {n_parties}")
-    modulus = PrimeModulus(p)
+    largest = PrimeModulus(p)
     eps = params.epsilon
     M = 1 << seed_bits
     w_max = n_parties * (M - 1)
@@ -337,9 +350,11 @@ def fit_inverse_cdf_poly(
             )
         field_coeffs.append(int(round(scaled)))
 
+    bound = _worst_case_magnitude(field_coeffs, n_parties, M, 1 << scale_bits)
+    prime = next((f for f in FIELD_PRIMES if f < p and 2 * bound < f), None)
     poly = InverseCdfPoly(
         field_coeffs,
-        modulus=modulus,
+        modulus=largest if prime is None else PrimeModulus(prime),
         n_parties=n_parties,
         seed_range=M,
         scale_bits=scale_bits,

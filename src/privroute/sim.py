@@ -10,7 +10,8 @@ bisects for tau(max(0, counts + Z)), with Z either exact Laplace noise
 (`noise="mpc"`, small scenarios only: the round costs
 O(edges * parties^2 * degree) per refresh).  The round's polynomial has degree
 MPC_DEGREE and each party draws its seed from MPC_SEED_BITS bits, in the
-Mersenne field 2^521 - 1; modest values keep the round affordable.
+smallest field that holds it (2^255 - 19 or 2^521 - 1, see `field`); modest
+values keep the round affordable.
 
 The run's first refresh draws the Poisson demand of every step that starts
 before the horizon in one `draw_demand` call: numpy draws in order, so this

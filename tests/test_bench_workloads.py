@@ -50,7 +50,7 @@ def test_sf_paired_smoke_records_cleanly_and_repeats():
 # seed 1, from its first call
 ROUND_SMOKE_DIGESTS = {
     "round_small": "a548ac4652b7ec1bb3b80232d3fdc25eb97f466cfcf664896ad9eb305d9431d3",
-    "round_sf": "d98fdffb1482033cdfa2c15ad40608d7c94870a853848b2553472e45ff0c2561",
+    "round_sf": "5b6c2d412bb1dd0eebd6713386d20e10e15403274d3639c641d98c439798a665",
 }
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from privroute import field
 from privroute.field import (
+    FIELD_PRIMES,
     MERSENNE_61,
     MERSENNE_521,
     DuplicateIndex,
@@ -15,6 +16,7 @@ from privroute.field import (
     _lagrange_weights_at_zero_ints,
     is_probable_prime,
 )
+from privroute.laplace import LaplaceParams, fit_inverse_cdf_poly
 
 
 def test_modulus_rejects_composites():
@@ -81,6 +83,42 @@ def test_only_mersenne_numbers_take_the_lucas_lehmer_path(monkeypatch):
 def test_modulus_accepts_primes():
     for p in (2, 3, 7, 101, MERSENNE_61, (1 << 127) - 1, (1 << 521) - 1):
         assert PrimeModulus(p).p == p
+
+
+def test_field_primes_are_proved_and_taken_untested(monkeypatch):
+    # PrimeModulus takes the members without a test, so this is their proof
+    assert FIELD_PRIMES == tuple(sorted(FIELD_PRIMES))
+    assert FIELD_PRIMES == ((1 << 255) - 19, MERSENNE_521)
+    for p in FIELD_PRIMES:
+        assert is_probable_prime(p)
+    tested = []
+
+    def spy(n):
+        tested.append(n)
+        if n in FIELD_PRIMES:
+            raise AssertionError(f"{n} is a field prime and needs no test")
+        return is_probable_prime(n)
+
+    monkeypatch.setattr(field, "is_probable_prime", spy)
+    for p in FIELD_PRIMES:
+        assert PrimeModulus(p).p == p
+    assert tested == []
+    # every other modulus still goes through the test
+    assert PrimeModulus(MERSENNE_61).p == MERSENNE_61
+    assert PrimeModulus((1 << 127) - 1).p == (1 << 127) - 1
+    for n in ((1 << 255) - 21, MERSENNE_521 - 2, 2047):
+        with pytest.raises(ValueError, match="not prime"):
+            PrimeModulus(n)
+    # (a Mersenne number's exponent is tested too)
+    assert {MERSENNE_61, (1 << 127) - 1, (1 << 255) - 21, MERSENNE_521 - 2, 2047} <= set(tested)
+
+
+@pytest.mark.parametrize("p", [2047, MERSENNE_521 - 2, 2**255 - 21])
+def test_fit_rejects_a_composite_largest_field(p):
+    # the fit checks the p it is given even when a smaller field would hold
+    # the polynomial
+    with pytest.raises(ValueError, match="not prime"):
+        fit_inverse_cdf_poly(LaplaceParams(0.1), 3, p, seed_bits=8, ks_samples=100)
 
 
 def test_mod_inverse_examples():

@@ -241,6 +241,33 @@ def test_fit_error_non_increasing_in_degree():
     assert all(b <= a + 1e-9 for a, b in zip(errs, errs[1:]))
 
 
+@pytest.mark.parametrize("eps, d, n_parties, seed_bits, field_bits", [
+    (0.1, 7, 20, 16, 255),  # round_sf: a 167-bit value bound
+    (0.2, 15, 5, 20, 521),  # round_small: a 377-bit value bound
+])
+def test_fit_runs_in_the_smallest_field_that_holds_it(eps, d, n_parties, seed_bits, field_bits):
+    poly = fit_inverse_cdf_poly(LaplaceParams(eps), d, MERSENNE_521, n_parties=n_parties,
+                                seed_bits=seed_bits, ks_samples=1000)
+    assert poly.modulus.p == {255: 2**255 - 19, 521: MERSENNE_521}[field_bits]
+    assert poly.fit_report()["modulus_bits"] == field_bits
+    assert 2 * poly.value_bound < poly.modulus.p
+
+
+def test_fit_never_chooses_a_field_above_its_p():
+    # a largest field below every member keeps the fit in it
+    poly = fit_inverse_cdf_poly(LaplaceParams(0.1), 3, MERSENNE_61, seed_bits=8,
+                                ks_samples=100)
+    assert poly.modulus.p == MERSENNE_61
+    # 2^255 - 19 is the largest: the 377-bit round_small bound cannot fit
+    with pytest.raises(OverflowRisk):
+        fit_inverse_cdf_poly(LaplaceParams(0.2), 15, 2**255 - 19, n_parties=5,
+                             seed_bits=20, ks_samples=100)
+    # a member passed as p is used, not skipped for a smaller member
+    small = fit_inverse_cdf_poly(LaplaceParams(0.1), 3, 2**255 - 19, seed_bits=8,
+                                 ks_samples=100)
+    assert small.modulus.p == 2**255 - 19
+
+
 def test_fit_rejects_narrow_modulus():
     # degree 15 over a 2^20 seed range cannot be encoded inside 2^61 - 1
     with pytest.raises(OverflowRisk):

@@ -17,7 +17,7 @@ from privroute.protocol import PartyInput, evaluation_schedule, party_streams, r
 from privroute.sharing import _draw, _share, _smpa_phase
 from conftest import additive_shares, smpa_one_rng, smpm_one_rng
 
-PRIMES = (7, 101, MERSENNE_61, MERSENNE_521)
+PRIMES = (7, 101, MERSENNE_61, 2**255 - 19, MERSENNE_521)
 M521 = PrimeModulus(MERSENNE_521)
 
 
