@@ -86,9 +86,9 @@ def test_modulus_accepts_primes():
 
 
 def test_field_primes_are_proved_and_taken_untested(monkeypatch):
-    # PrimeModulus takes the members without a test, so this is their proof
+    # PrimeModulus takes the members without a test, so this is their proof;
+    # the fit takes the first member that holds its polynomial
     assert FIELD_PRIMES == tuple(sorted(FIELD_PRIMES))
-    assert FIELD_PRIMES == ((1 << 255) - 19, MERSENNE_521)
     for p in FIELD_PRIMES:
         assert is_probable_prime(p)
     tested = []

@@ -262,7 +262,8 @@ def test_fit_never_chooses_a_field_above_its_p():
     with pytest.raises(OverflowRisk):
         fit_inverse_cdf_poly(LaplaceParams(0.2), 15, 2**255 - 19, n_parties=5,
                              seed_bits=20, ks_samples=100)
-    # a member passed as p is used, not skipped for a smaller member
+    # a member passed as p, with no smaller member that holds the polynomial,
+    # is the field itself
     small = fit_inverse_cdf_poly(LaplaceParams(0.1), 3, 2**255 - 19, seed_bits=8,
                                  ks_samples=100)
     assert small.modulus.p == 2**255 - 19
