@@ -69,8 +69,11 @@ def _write_manifest(outdir: Path, command: str, config: dict) -> None:
         "version": __version__,
         "build": _git_describe(),
     }
-    outdir.mkdir(parents=True, exist_ok=True)
-    _write_json(outdir / "manifest.json", manifest)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        _write_json(outdir / "manifest.json", manifest)
+    except OSError as exc:  # --out names a file, or a path under one
+        raise SystemExit(_fail(EXIT_CONFIG, f"cannot write to --out: {exc}"))
 
 
 def _load_inputs(args):

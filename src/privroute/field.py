@@ -8,12 +8,10 @@ Mersenne prime 2^521 - 1.  2^61 - 1 suits the unit tests of the share loops,
 and tiny primes (7, 101, ...) are what the exhaustive secrecy tests use.
 
 `PrimeModulus` checks its p with `is_probable_prime`, except for the members
-of `FIELD_PRIMES`, which the test suite proves; every noise-polynomial fit
-builds one.  A Mersenne number 2^k - 1 gets an exact Lucas-Lehmer proof:
-k - 2 squarings, each reduced by a shift and a mask, about 0.6 ms for
-2^521 - 1 against about 30 ms for the 28 modular exponentiations Miller-Rabin
-runs on it.  Every other n goes through Miller-Rabin, which takes 3.5-7 ms
-on 2^255 - 19: more than a whole fit at the benchmark's Sioux Falls shape.
+of `FIELD_PRIMES`, which every noise-polynomial fit builds.  The test suite
+checks those instead: it proves 2^521 - 1 with the exact test for Mersenne
+numbers, and runs Miller-Rabin's 28 witnesses on 2^255 - 19, which takes
+3.5-7 ms: more than a whole fit at the benchmark's Sioux Falls shape.
 """
 
 from __future__ import annotations
@@ -51,39 +49,15 @@ def _miller_rabin_round(n: int, a: int, d: int, r: int) -> bool:
     return False
 
 
-def _lucas_lehmer(k: int) -> int:
-    """Final Lucas-Lehmer residue of 2^k - 1 for an odd prime k; 0 iff it is prime.
-
-    s starts at 4 and is squared less 2, k - 2 times.  Since 2^k = 1 mod n,
-    x mod n is (x & n) + (x >> k) up to one subtraction of n, so s stays in
-    [0, n) without a division.
-    """
-    n = (1 << k) - 1
-    s = 4
-    for _ in range(k - 2):
-        s = s * s + n - 2  # s^2 - 2, kept non-negative
-        s = (s & n) + (s >> k)
-        if s >= n:
-            s -= n
-    return s
-
-
 def is_probable_prime(n: int) -> bool:
-    """Primality test: exact for Mersenne numbers, Miller-Rabin otherwise.
+    """Miller-Rabin primality test.
 
-    n = 2^k - 1 with k > 2 is proved prime or composite: composite when k is,
-    else by the Lucas-Lehmer test, whose k - 2 squarings with shift-and-mask
-    reduction cost less than one of Miller-Rabin's modular exponentiations
-    per witness.  Any other n gets Miller-Rabin: deterministic for
-    n < 3.3e24 (fixed witness set); for larger n the fixed witnesses are
-    supplemented with 16 seeded random ones, so the answer is correct with
-    overwhelming probability.
+    Deterministic for n < 3.3e24 (fixed witness set); for larger n the fixed
+    witnesses are supplemented with 16 seeded random ones, so the answer is
+    correct with overwhelming probability.
     """
     if n < 2:
         return False
-    k = n.bit_length()
-    if k > 2 and n == (1 << k) - 1:
-        return is_probable_prime(k) and _lucas_lehmer(k) == 0
     if n in _MR_BASES_64:
         return True
     if any(n % q == 0 for q in _MR_BASES_64):

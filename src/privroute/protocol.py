@@ -215,7 +215,6 @@ class RoundResult:
     noisy_counts: tuple  # floats: decoded, rescaled count + noise per edge
     field_totals: tuple  # raw sum of broadcast thetas mod p, per edge
     transcript: Optional[ProtocolTranscript]
-    n_parties: int
 
 
 def _block_shares(cs: Sequence[int], powers: list) -> list:
@@ -380,7 +379,7 @@ def run_round(
         totals.append(total)
         values.append(signed / scale)
 
-    return RoundResult(tuple(values), tuple(totals), transcript, n)
+    return RoundResult(tuple(values), tuple(totals), transcript)
 
 
 def coalition_view(

@@ -327,3 +327,27 @@ def test_unreadable_net_exits_3_before_writing(tiny_files, tmp_path, net_kind):
     code = main(["simulate", "--net", str(net), "--trips", str(trips), "--out", str(out)])
     assert code == 3
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("target", ["file", "under-file"])
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--horizon", "60"],
+    ["critical-counts"],
+    ["verify-accuracy", "--trials", "10", "--counts", "127"],
+    ["fit-noise", "--degree", "3", "--seed-bits", "4"],
+    ["protocol-demo", "--parties", "3", "--edges", "1", "--degree", "2", "--seed-bits", "4"],
+], ids=lambda argv: argv[0])
+def test_out_that_is_a_file_is_a_config_error(tiny_files, tmp_path, capsys, argv, target):
+    net, trips = tiny_files
+    if argv[0] in ("simulate", "critical-counts"):
+        argv = [*argv, "--net", str(net)]
+    if argv[0] == "simulate":
+        argv += ["--trips", str(trips)]
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    if target == "under-file":
+        out = out / "sub"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write to --out")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err

@@ -21,7 +21,8 @@ from privroute.laplace import LaplaceParams, fit_inverse_cdf_poly
 
 def test_modulus_rejects_composites():
     # 2047 = 23 * 89 is a strong pseudoprime to base 2; 2^67 - 1 is Cole's
-    for n in (0, 1, 4, 6, 9, 2**61 - 3, 561, 341550071728321, 2047, 2**67 - 1):
+    for n in (0, 1, 4, 6, 9, 2**61 - 3, 561, 341550071728321, 2047, 2**67 - 1,
+              MERSENNE_61 * (2**89 - 1)):
         assert not is_probable_prime(n)
         with pytest.raises(ValueError):
             PrimeModulus(n)
@@ -30,7 +31,7 @@ def test_modulus_rejects_composites():
 MERSENNE_EXPONENTS = {2, 3, 5, 7, 13, 17, 19, 31, 61, 89, 107, 127, 521, 607, 1279}
 
 
-def test_mersenne_numbers_proved_for_every_exponent_below_1300():
+def test_miller_rabin_finds_the_mersenne_primes_below_2_to_the_1300():
     assert [k for k in range(1, 1300) if is_probable_prime(2**k - 1)] == sorted(
         MERSENNE_EXPONENTS
     )
@@ -43,52 +44,17 @@ def _lucas_lehmer_reference(k):
     return s
 
 
-def test_lucas_lehmer_fold_matches_plain_reduction():
-    # the shift-and-mask fold must land in [0, n) after every squaring;
-    # a residue left at n instead of 0 would call a Mersenne prime composite
-    for k in (3, 5, 7, 11, 13, 23, 29, 31, 37, 61, 67, 89, 127, 131, 521):
-        s = field._lucas_lehmer(k)
-        assert 0 <= s < (1 << k) - 1
-        assert s == _lucas_lehmer_reference(k)
-        assert (s == 0) == (k in MERSENNE_EXPONENTS)
-
-
-def test_only_mersenne_numbers_take_the_lucas_lehmer_path(monkeypatch):
-    ll_exponents, mr_moduli = [], []
-    real_ll, real_mr = field._lucas_lehmer, field._miller_rabin_round
-
-    def spy_ll(k):
-        ll_exponents.append(k)
-        return real_ll(k)
-
-    def spy_mr(n, *args):
-        mr_moduli.append(n)
-        return real_mr(n, *args)
-
-    monkeypatch.setattr(field, "_lucas_lehmer", spy_ll)
-    monkeypatch.setattr(field, "_miller_rabin_round", spy_mr)
-    # none has a factor among the fixed witnesses, so each reaches Miller-Rabin
-    for n, prime in [(101, True), (341550071728321, False), (2**64 - 59, True),
-                     (2**127 + 45, True), (MERSENNE_61 * ((1 << 89) - 1), False)]:
-        mr_moduli.clear()
-        assert is_probable_prime(n) is prime
-        assert mr_moduli and set(mr_moduli) == {n}
-    assert ll_exponents == []
-    # the exponent 521 gets Miller-Rabin, the Mersenne number only Lucas-Lehmer
-    mr_moduli.clear()
-    assert is_probable_prime(MERSENNE_521)
-    assert ll_exponents == [521] and set(mr_moduli) == {521}
-
-
 def test_modulus_accepts_primes():
-    for p in (2, 3, 7, 101, MERSENNE_61, (1 << 127) - 1, (1 << 521) - 1):
+    for p in (2, 3, 7, 101, MERSENNE_61, 2**64 - 59, (1 << 127) - 1, 2**127 + 45, (1 << 521) - 1):
         assert PrimeModulus(p).p == p
 
 
 def test_field_primes_are_proved_and_taken_untested(monkeypatch):
-    # PrimeModulus takes the members without a test, so this is their proof;
-    # the fit takes the first member that holds its polynomial
+    # PrimeModulus takes the members without a test, so these are their checks:
+    # a Lucas-Lehmer proof of 2^521 - 1 and Miller-Rabin on both; the fit
+    # takes the first member that holds its polynomial
     assert FIELD_PRIMES == tuple(sorted(FIELD_PRIMES))
+    assert _lucas_lehmer_reference(521) == 0
     for p in FIELD_PRIMES:
         assert is_probable_prime(p)
     tested = []
@@ -103,14 +69,18 @@ def test_field_primes_are_proved_and_taken_untested(monkeypatch):
     for p in FIELD_PRIMES:
         assert PrimeModulus(p).p == p
     assert tested == []
+    # nor do the fits the program makes, at round_small's and round_sf's shapes
+    for n_parties, d, seed_bits in ((5, 15, 20), (20, 7, 16)):
+        fit_inverse_cdf_poly(LaplaceParams(0.2), d, MERSENNE_521,
+                             n_parties=n_parties, seed_bits=seed_bits, ks_samples=100)
+    assert tested == []
     # every other modulus still goes through the test
     assert PrimeModulus(MERSENNE_61).p == MERSENNE_61
     assert PrimeModulus((1 << 127) - 1).p == (1 << 127) - 1
     for n in ((1 << 255) - 21, MERSENNE_521 - 2, 2047):
         with pytest.raises(ValueError, match="not prime"):
             PrimeModulus(n)
-    # (a Mersenne number's exponent is tested too)
-    assert {MERSENNE_61, (1 << 127) - 1, (1 << 255) - 21, MERSENNE_521 - 2, 2047} <= set(tested)
+    assert tested == [MERSENNE_61, (1 << 127) - 1, (1 << 255) - 21, MERSENNE_521 - 2, 2047]
 
 
 @pytest.mark.parametrize("p", [2047, MERSENNE_521 - 2, 2**255 - 21])
